@@ -128,12 +128,9 @@ BENCHMARK(BM_SimilarityIdentification)->RangeMultiplier(2)->Range(32, 256)
 
 // The fully-columnar join: every key matches (the worst case for output
 // cardinality), the residual binds, and the output's column image is
-// spliced straight from the operand images. Arg 0 toggles the executor:
-// /n/0 is the row-materializing reference, /n/1 the columnar splice —
-// the gap is what carrying columnar pipelines through joins buys.
+// spliced straight from the operand images.
 void BM_JoinColumnarSplice(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool columnar = state.range(1) != 0;
   WorkloadGenerator gen(417);
   GeneratorOptions options;
   options.num_tuples = n;
@@ -148,20 +145,15 @@ void BM_JoinColumnarSplice(benchmark::State& state) {
           IsSym("L.unc0", {"v0", "v1", "v2", "v3", "v4", "v5"}));
   (void)left.columns();  // packed once, outside the timed region
   (void)right.columns();
-  SetColumnarExecution(columnar);
   for (auto _ : state) {
     auto result = Join(left, right, pred);
     benchmark::DoNotOptimize(result);
   }
-  SetColumnarExecution(true);
-  state.SetLabel(columnar ? "columnar-splice" : "row-materializing");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_JoinColumnarSplice)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({4096, 0})->Args({4096, 1})
-    ->Args({16384, 0})->Args({16384, 1})
+    ->Arg(1024)->Arg(4096)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
 /// A synthetic EQL catalog: relation `name` with a unique int key
@@ -336,31 +328,22 @@ BENCHMARK(BM_FusedSkewedProbe)
     ->Args({32768, 0})->Args({32768, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Projection dropping both packed evidence columns. Arg 1 toggles the
-// executor: /n/0 is the row path (tuple-at-a-time, insert + key index),
-// /n/1 the columnar whole-column splice with the encoded-key uniqueness
-// check.
+// Projection dropping both packed evidence columns: the whole-column
+// splice with the encoded-key uniqueness check.
 void BM_ProjectColumnar(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool columnar = state.range(1) != 0;
   ExtendedRelation rel = EqlBenchRelation("P", "p", n, 31);
   (void)rel.columns();  // packed once, outside the timed region
-  (void)rel.rows();
   const std::vector<std::string> attrs = {"pk", "pd"};
-  SetColumnarExecution(columnar);
   for (auto _ : state) {
     auto result = Project(rel, attrs);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize(result);
   }
-  SetColumnarExecution(true);
-  state.SetLabel(columnar ? "columnar-splice" : "row-materializing");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_ProjectColumnar)
-    ->Args({4096, 0})->Args({4096, 1})
-    ->Args({65536, 0})->Args({65536, 1})
+BENCHMARK(BM_ProjectColumnar)->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
@@ -369,6 +352,6 @@ BENCHMARK(BM_ProjectColumnar)
 EVIDENT_PERF_BENCH_MAIN(
     "bench_perf_pipeline",
     "(BM_PreprocessOnly/100|BM_FullPipelineByKey/100|"
-    "BM_SimilarityIdentification/32|BM_JoinColumnarSplice/1024/[01]|"
+    "BM_SimilarityIdentification/32|BM_JoinColumnarSplice/1024|"
     "BM_EqlPushdown/1024/[01]|BM_FusedPipeline/4096/[01]|"
-    "BM_FusedSkewedProbe/8192/[01]|BM_ProjectColumnar/4096/[01])$")
+    "BM_FusedSkewedProbe/8192/[01]|BM_ProjectColumnar/4096)$")

@@ -106,9 +106,9 @@ void BoundPredicate::BindInto(const PredicatePtr& predicate) {
     return;
   }
   if (!BindConjunct(predicate)) {
-    // Callers route unbound predicates to the interpreted path wholesale
-    // (SelectRows, the join's materialize-then-evaluate branch), so no
-    // fallback conjunct is stored — the flag is the whole answer.
+    // Callers route unbound predicates to interpreted per-row (or
+    // per-pair) evaluation wholesale, so no fallback conjunct is stored
+    // — the flag is the whole answer.
     fully_bound_ = false;
   }
 }

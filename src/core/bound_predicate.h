@@ -20,8 +20,8 @@ namespace evident {
 ///
 /// Evaluation is arithmetic-identical to Predicate::Evaluate (same focal
 /// iteration orders, same accumulation sequences), so the interpreted and
-/// bound paths produce bit-equal support pairs; the columnar operators
-/// rely on this for their bit-identical-to-row-mode contract. Conjuncts
+/// bound paths produce bit-equal support pairs; the operators rely on
+/// this to agree bit-for-bit with the paper's per-tuple definition. Conjuncts
 /// the binder cannot pre-resolve — unknown attribute names, constants
 /// outside the frame, frames wider than the inline 64-value word, or
 /// predicate types it does not know — fall back to the interpreted

@@ -18,10 +18,10 @@ namespace evident {
 class ColumnStore;
 
 /// \brief The duplicate-key rejection every insert path reports —
-/// shared by ExtendedRelation::InsertTrusted and the columnar operators
-/// that replay the duplicate check over encoded keys (Project's
-/// uniqueness pass, MergeTuples' rekey pass), whose messages must stay
-/// byte-identical to the row path's.
+/// shared by ExtendedRelation::InsertTrusted and the operators that
+/// replay the duplicate check over encoded keys (Project's uniqueness
+/// pass, MergeTuples' rekey pass), so every path reports the same
+/// message.
 Status MakeDuplicateKeyError(const KeyVector& key,
                              const std::string& relation_name);
 
@@ -47,16 +47,17 @@ struct EncodedKeyHash {
 /// relations whose hypothetical tuples have sn = 0.
 ///
 /// A relation lives in one of two storage modes. Row mode is the
-/// classic tuple store: inserts append rows and maintain the key index
-/// eagerly (duplicate keys are rejected at insert time). Columnar mode
-/// holds only a ColumnStore image — the columnar operators build their
-/// outputs this way (AdoptColumns) so a result that is only ever
-/// scanned column-at-a-time, or fed into the next columnar operator,
-/// never pays for materializing row objects or an index it does not
-/// probe. The row image and the key index are each materialized lazily
-/// on first use and the relation behaves identically from then on; a
-/// row-mode relation symmetrically caches its column image via
-/// columns(). Lazy materialization is not thread-safe — operators touch
+/// builder: Insert appends rows and maintains the key index eagerly
+/// (duplicate keys are rejected at insert time). Columnar mode holds
+/// only a ColumnStore image — every relational operator executes over
+/// column images and builds its output this way (AdoptColumns), so a
+/// result that is only ever scanned column-at-a-time, or fed into the
+/// next operator, never pays for materializing row objects or an index
+/// it does not probe. The row image (for callers that read rows()) and
+/// the key index are each materialized lazily on first use and the
+/// relation behaves identically from then on; a row-mode relation
+/// caches its column image via columns() when an operator first reads
+/// it. Lazy materialization is not thread-safe — operators touch
 /// columns()/EnsureKeyIndex()/rows() once on the calling thread before
 /// sharding work.
 class ExtendedRelation {
@@ -94,9 +95,8 @@ class ExtendedRelation {
     return rows_[i];
   }
 
-  /// \brief Pre-sizes the row store and key index for `n` tuples; used by
-  /// the relational operators, whose output cardinality is known (or
-  /// bounded) up front.
+  /// \brief Pre-sizes the row store and key index for `n` tuples, for
+  /// builders that know their cardinality up front.
   void Reserve(size_t n) {
     rows_.reserve(n);
     key_index_.Reserve(n);
@@ -113,9 +113,10 @@ class ExtendedRelation {
   /// \brief Appends a tuple already known to satisfy this relation's
   /// schema — cells taken (or combined) from relations validated against
   /// a union-compatible schema. Skips per-cell validation entirely; the
-  /// duplicate-key check and key index are still maintained. This is the
-  /// row-mode relational insert path: per-tuple revalidation of
-  /// unchanged evidence sets dominated their cost.
+  /// duplicate-key check and key index are still maintained. Builders
+  /// that copy already-validated rows (ColumnStore::ToRelation) use it:
+  /// per-tuple revalidation of unchanged evidence sets dominated their
+  /// cost.
   Status InsertTrusted(ExtendedTuple tuple);
 
   /// \brief The key of `tuple` under this relation's schema.

@@ -1,10 +1,10 @@
 #include "core/operations.h"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,9 +21,6 @@
 namespace evident {
 
 namespace {
-
-/// Storage mode of the operator implementations (see operations.h).
-std::atomic<bool> g_columnar_execution{true};
 
 std::string KeyToString(const KeyVector& key) {
   std::string out;
@@ -42,7 +39,7 @@ constexpr size_t kParallelGrain = 256;
 /// Cap on up-front row reservations in operators whose output cardinality
 /// is a *bound*, not a count (Product, Join): |L|·|R| can overflow size_t
 /// or demand multi-GB buffers for inputs that are themselves modest.
-/// Reserve at most this many rows and let the row store grow
+/// Reserve at most this many rows and let the output columns grow
 /// geometrically past it.
 constexpr size_t kMaxReserveRows = size_t{1} << 20;
 
@@ -54,16 +51,16 @@ size_t CappedProductReserve(size_t l, size_t r) {
 }
 
 /// Serial governed loops (product tiling, multiway enumeration, the
-/// row-mode predicate walks) poll the query context every this many
+/// interpreted predicate walks) poll the query context every this many
 /// iterations — frequent enough that a 1 ms deadline lands mid-loop,
 /// rare enough to stay invisible in profiles.
 constexpr uint64_t kGovernorTick = 1024;
 
 /// The operator-completion charge: output rows against the row cap, then
-/// rows × FootprintPerRow(schema) against the memory budget. Both
-/// executors of an operator emit the same logical output, so governed
-/// charge sequences — and therefore budget/cap errors — are identical
-/// across execution modes. Free when ungoverned.
+/// rows × FootprintPerRow(schema) against the memory budget. Charges
+/// depend on the logical output only, so governed charge sequences —
+/// and therefore budget/cap errors — are identical across thread counts,
+/// SIMD and fusion. Free when ungoverned.
 Status GovernorChargeOutput(const RelationSchema& schema, uint64_t rows) {
   QueryContext* const ctx = CurrentQueryContext();
   if (ctx == nullptr) return Status::OK();
@@ -78,218 +75,6 @@ Status GovernorAfterPass() {
   QueryContext* const ctx = CurrentQueryContext();
   if (ctx != nullptr && ctx->failed()) return ctx->first_error();
   return Status::OK();
-}
-
-/// Hash of the definite cells at `indices`, mixed exactly like the key
-/// index so equal key tuples hash equally across operands (Value::Hash
-/// already makes 1 and 1.0 agree, matching operator==).
-uint64_t RowKeyHash(const ExtendedTuple& tuple,
-                    const std::vector<size_t>& indices) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t i : indices) {
-    h ^= static_cast<uint64_t>(std::get<Value>(tuple.cells[i]).Hash()) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool RowKeysEqual(const ExtendedTuple& a, const std::vector<size_t>& a_indices,
-                  const ExtendedTuple& b,
-                  const std::vector<size_t>& b_indices) {
-  for (size_t k = 0; k < a_indices.size(); ++k) {
-    if (!(std::get<Value>(a.cells[a_indices[k]]) ==
-          std::get<Value>(b.cells[b_indices[k]]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The hash-partitioned equi-join executor. Builds an open-addressing
-/// table on `build`'s equi-key cells (slots hold the first row of each
-/// distinct key; duplicate-key rows chain in ascending row order), then
-/// probes with every `probe` row, sharding probe ranges across threads.
-/// Matching pairs are materialized in left-cells-then-right-cells order,
-/// filtered by the residual predicate and the threshold, and emitted
-/// grouped by probe row — so the output is deterministic for any thread
-/// count.
-///
-/// This is the row-mode (and interpreted-residual) executor: each pair
-/// is materialized first and the interpreted predicate evaluates over
-/// the concatenated tuple, the reference behaviour including per-pair
-/// errors. Fully-bound residuals under columnar execution take
-/// HashEquiJoinColumnarSplice instead, which computes the identical
-/// support and revised membership without building any rows.
-Result<ExtendedRelation> HashEquiJoin(const ExtendedRelation& left,
-                                      const ExtendedRelation& right,
-                                      const JoinPlan& plan,
-                                      const SchemaPtr& schema,
-                                      const MembershipThreshold& threshold,
-                                      bool build_left, ExtendedRelation out) {
-  // Lazy row materialization is not thread-safe; touch it on this thread
-  // before the sharded probe loop reads rows (no-ops for row-mode
-  // operands).
-  (void)left.rows();
-  (void)right.rows();
-  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  const ExtendedRelation& build = build_left ? left : right;
-  const ExtendedRelation& probe = build_left ? right : left;
-  std::vector<size_t> build_indices, probe_indices;
-  build_indices.reserve(plan.keys.size());
-  probe_indices.reserve(plan.keys.size());
-  for (const EquiKey& key : plan.keys) {
-    build_indices.push_back(build_left ? key.left_index : key.right_index);
-    probe_indices.push_back(build_left ? key.right_index : key.left_index);
-  }
-
-  const size_t build_size = build.size();
-  size_t capacity = 16;
-  while (capacity < 2 * build_size) capacity <<= 1;
-  const uint64_t mask = capacity - 1;
-  std::vector<uint32_t> slot_row(capacity, kEmpty);  // first row of the key
-  std::vector<uint32_t> chain(build_size, kEmpty);   // same-key successors
-  std::vector<uint64_t> row_hash(build_size);
-  for (size_t i = 0; i < build_size; ++i) {
-    row_hash[i] = RowKeyHash(build.row(i), build_indices);
-  }
-  // Insert rows in reverse: each insertion prepends to its key's chain,
-  // so chains end up in ascending row order for deterministic probing.
-  for (size_t i = build_size; i-- > 0;) {
-    size_t s = row_hash[i] & mask;
-    while (slot_row[s] != kEmpty &&
-           !(row_hash[slot_row[s]] == row_hash[i] &&
-             RowKeysEqual(build.row(slot_row[s]), build_indices, build.row(i),
-                          build_indices))) {
-      s = (s + 1) & mask;
-    }
-    if (slot_row[s] != kEmpty) chain[i] = slot_row[s];
-    slot_row[s] = static_cast<uint32_t>(i);
-  }
-
-  const PredicatePtr& residual = plan.residual;
-
-  // Probe over morsels of the probe range; morsel outputs concatenate in
-  // morsel (= probe row) order, so a skewed key distribution straggles
-  // the operator by at most one morsel instead of one static shard. The
-  // first failing morsel in morsel order holds the globally first
-  // failing probe row (morsels are contiguous ascending and each stops
-  // at its first error), so error reporting is identical to serial.
-  const size_t morsel_count =
-      ParallelMorselCount(probe.size(), kParallelGrain);
-  std::vector<std::vector<ExtendedTuple>> morsel_rows(morsel_count);
-  std::vector<Status> morsel_status(morsel_count);
-  ParallelForMorsels(
-      probe.size(), kParallelGrain,
-      [&](size_t morsel, size_t begin, size_t end) {
-        std::vector<ExtendedTuple>& rows = morsel_rows[morsel];
-        for (size_t p = begin; p < end; ++p) {
-          const ExtendedTuple& probe_row = probe.row(p);
-          const uint64_t h = RowKeyHash(probe_row, probe_indices);
-          size_t s = h & mask;
-          uint32_t head = kEmpty;
-          while (slot_row[s] != kEmpty) {
-            const uint32_t candidate = slot_row[s];
-            if (row_hash[candidate] == h &&
-                RowKeysEqual(build.row(candidate), build_indices, probe_row,
-                             probe_indices)) {
-              head = candidate;
-              break;
-            }
-            s = (s + 1) & mask;
-          }
-          for (uint32_t b = head; b != kEmpty; b = chain[b]) {
-            const ExtendedTuple& l = build_left ? build.row(b) : probe_row;
-            const ExtendedTuple& r = build_left ? probe_row : build.row(b);
-            ExtendedTuple t;
-            t.cells.reserve(l.cells.size() + r.cells.size());
-            t.cells.insert(t.cells.end(), l.cells.begin(), l.cells.end());
-            t.cells.insert(t.cells.end(), r.cells.begin(), r.cells.end());
-            t.membership = l.membership.Multiply(r.membership);  // F_TM
-            // The equi-conjuncts contribute exactly (1,1) on a match, so
-            // the full predicate's support reduces to the residual's.
-            SupportPair support = SupportPair::Certain();
-            if (residual != nullptr) {
-              Result<SupportPair> evaluated =
-                  residual->Evaluate(t, *schema);
-              if (!evaluated.ok()) {
-                morsel_status[morsel] = evaluated.status();
-                return;
-              }
-              support = *evaluated;
-            }
-            const SupportPair revised = t.membership.Multiply(support);
-            if (!revised.HasPositiveSupport()) continue;  // CWA_ER.
-            if (!threshold.Accepts(revised)) continue;
-            t.membership = revised;
-            rows.push_back(std::move(t));
-          }
-        }
-        // Incremental row-cap charge at the mode-invariant emission site:
-        // per-morsel pair counts are identical in the columnar splice
-        // executor, so the cap trips (count-free message) iff it trips
-        // there. Errors are sticky; the post-pass check surfaces them.
-        if (QueryContext* const ctx = CurrentQueryContext()) {
-          (void)ctx->ChargeRows(rows.size());
-        }
-      });
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
-  size_t total = 0;
-  for (size_t morsel = 0; morsel < morsel_count; ++morsel) {
-    EVIDENT_RETURN_NOT_OK(morsel_status[morsel]);
-    total += morsel_rows[morsel].size();
-  }
-  if (QueryContext* const ctx = CurrentQueryContext()) {
-    // Completion memory charge, before the output buffer is reserved.
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(*schema, total));
-  }
-  out.Reserve(total);
-  for (std::vector<ExtendedTuple>& rows : morsel_rows) {
-    for (ExtendedTuple& t : rows) {
-      EVIDENT_RETURN_NOT_OK(out.InsertTrusted(std::move(t)));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void SetColumnarExecution(bool enabled) {
-  g_columnar_execution.store(enabled, std::memory_order_relaxed);
-}
-
-bool ColumnarExecutionEnabled() {
-  return g_columnar_execution.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-/// Reference implementation of extended selection: tuple-at-a-time over
-/// the row store with the interpreted predicate.
-Result<ExtendedRelation> SelectRows(const ExtendedRelation& input,
-                                    const PredicatePtr& predicate,
-                                    const MembershipThreshold& threshold) {
-  ExtendedRelation out("select(" + input.name() + ")", input.schema());
-  out.Reserve(input.size());
-  QueryContext* const ctx = CurrentQueryContext();
-  uint64_t tick = 0;
-  for (const ExtendedTuple& r : input.rows()) {
-    if (ctx != nullptr && ++tick % kGovernorTick == 0) {
-      EVIDENT_RETURN_NOT_OK(ctx->PollTick());
-    }
-    EVIDENT_ASSIGN_OR_RETURN(SupportPair support,
-                             predicate->Evaluate(r, *input.schema()));
-    // F_TM: predicate satisfaction and original membership are treated as
-    // independent events (Figure 3).
-    const SupportPair revised = r.membership.Multiply(support);
-    if (!revised.HasPositiveSupport()) continue;  // CWA_ER consistency.
-    if (!threshold.Accepts(revised)) continue;
-    // Cells pass through unchanged and were validated on insertion into
-    // `input`; only the membership is revised (and stays a valid pair:
-    // the component-wise product preserves sn <= sp).
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(ExtendedTuple(r.cells, revised)));
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), out.size()));
-  return out;
 }
 
 /// The key of row `row` as Values, for error messages.
@@ -343,49 +128,81 @@ void EvaluateUnprunedRows(const BoundPredicate& bound,
   }
 }
 
-/// Columnar extended selection: the predicate is bound once (attribute
-/// positions, IS-masks, theta tables) and evaluated column-at-a-time
-/// over the packed evidence spans, sharded across threads; the serial
-/// output pass filters in row order and splices the surviving rows'
-/// column slices into a fresh column image — no row objects are built
-/// unless a downstream consumer asks for them. Falls back to the row
-/// path whenever the predicate does not bind completely — including
-/// predicates that error per row — so behaviour is identical.
-Result<ExtendedRelation> SelectColumnar(const ExtendedRelation& input,
-                                        const PredicatePtr& predicate,
-                                        const MembershipThreshold& threshold) {
+/// Interpreted evaluation for predicates that do not bind completely
+/// (attributes over frames wider than 64 values, IS constants outside
+/// the frame, evidence literals over wide frames): each row of `store`
+/// is materialized as a transient tuple — the relation's own row image
+/// is never built — and `visit(row, tuple)` runs serially in row order,
+/// so the first error reported is the first failing row's.
+template <typename Visit>
+Status ForEachInterpretedRow(const ColumnStore& store, Visit&& visit) {
+  EVIDENT_RETURN_NOT_OK(store.EnsureAllVerified());
+  QueryContext* const ctx = CurrentQueryContext();
+  for (size_t i = 0; i < store.rows(); ++i) {
+    if (ctx != nullptr && (i + 1) % kGovernorTick == 0) {
+      EVIDENT_RETURN_NOT_OK(ctx->PollTick());
+    }
+    EVIDENT_RETURN_NOT_OK(visit(i, store.MaterializeRow(i)));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+/// Extended selection: the predicate is bound once (attribute positions,
+/// IS-masks, theta tables) and evaluated column-at-a-time over the
+/// packed evidence spans, sharded across threads; a predicate that does
+/// not bind completely is interpreted row by row instead (including
+/// predicates that error per row). The serial output pass filters in
+/// row order and splices the surviving rows' column slices into a fresh
+/// column image — no row objects are built unless a downstream consumer
+/// asks for them.
+Result<ExtendedRelation> Select(const ExtendedRelation& input,
+                                const PredicatePtr& predicate,
+                                const MembershipThreshold& threshold) {
+  if (predicate == nullptr) {
+    return Status::InvalidArgument("null selection predicate");
+  }
   const BoundPredicate bound =
       BoundPredicate::Bind(predicate, input.schema());
-  if (!bound.fully_bound()) return SelectRows(input, predicate, threshold);
   const ColumnStore& store = input.columns();
-  const size_t n = input.size();
-  // Zone-map pruning: a partition the predicate refutes contributes no
-  // output row (its supports would all be (0,0), dropped by CWA_ER), so
-  // its rows are neither evaluated nor verified.
-  EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        return bound.RefutesPartition(zone);
-      }));
-  // Evaluate and filter over the unpruned runs only: the morsel domain
-  // is the compacted surviving row set, so a mostly-pruned scan costs
-  // O(surviving rows) per pass, not O(rows).
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  size_t live = 0;
-  for (const auto& run : runs) live += run.second - run.first;
-  std::vector<SupportPair> supports(n);
-  // Morsels write disjoint absolute slices of the shared supports array.
-  ParallelForMorsels(live, kParallelGrain,
-                     [&](size_t, size_t compact_begin, size_t compact_end) {
-                       ForEachRunSlice(
-                           runs, compact_begin, compact_end,
-                           [&](size_t begin, size_t end) {
-                             bound.EvaluateColumns(store, begin, end,
-                                                   supports.data());
-                           });
-                     });
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  std::vector<SupportPair> supports(input.size());
+  std::vector<std::pair<size_t, size_t>> runs;
+  if (bound.fully_bound()) {
+    // Zone-map pruning: a partition the predicate refutes contributes no
+    // output row (its supports would all be (0,0), dropped by CWA_ER), so
+    // its rows are neither evaluated nor verified.
+    EVIDENT_ASSIGN_OR_RETURN(
+        const std::vector<uint8_t> row_pruned,
+        PruneAndVerifyPartitions(store, [&](const auto& zone) {
+          return bound.RefutesPartition(zone);
+        }));
+    // Evaluate and filter over the unpruned runs only: the morsel domain
+    // is the compacted surviving row set, so a mostly-pruned scan costs
+    // O(surviving rows) per pass, not O(rows).
+    runs = UnprunedRowRuns(store, row_pruned);
+    size_t live = 0;
+    for (const auto& run : runs) live += run.second - run.first;
+    // Morsels write disjoint absolute slices of the shared supports array.
+    ParallelForMorsels(live, kParallelGrain,
+                       [&](size_t, size_t compact_begin, size_t compact_end) {
+                         ForEachRunSlice(
+                             runs, compact_begin, compact_end,
+                             [&](size_t begin, size_t end) {
+                               bound.EvaluateColumns(store, begin, end,
+                                                     supports.data());
+                             });
+                       });
+    EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  } else {
+    EVIDENT_RETURN_NOT_OK(ForEachInterpretedRow(
+        store, [&](size_t i, const ExtendedTuple& t) -> Status {
+          EVIDENT_ASSIGN_OR_RETURN(supports[i],
+                                   predicate->Evaluate(t, *input.schema()));
+          return Status::OK();
+        }));
+    runs = UnprunedRowRuns(store, {});
+  }
 
   std::vector<uint32_t> keep;
   std::vector<SupportPair> revised_memberships;
@@ -407,91 +224,80 @@ Result<ExtendedRelation> SelectColumnar(const ExtendedRelation& input,
                      revised_memberships));
 }
 
-/// Reference implementation of the pushdown prefilter: interpreted
-/// evaluation per row; drops a row iff some conjunct's support has
-/// sn == 0, leaving cells and membership untouched.
-Result<ExtendedRelation> FilterPositiveSupportRows(
-    const ExtendedRelation& input,
-    const std::vector<PredicatePtr>& conjuncts) {
-  ExtendedRelation out(input.name(), input.schema());
-  out.Reserve(input.size());
-  QueryContext* const ctx = CurrentQueryContext();
-  uint64_t tick = 0;
-  for (const ExtendedTuple& r : input.rows()) {
-    if (ctx != nullptr && ++tick % kGovernorTick == 0) {
-      EVIDENT_RETURN_NOT_OK(ctx->PollTick());
-    }
-    bool keep = true;
-    for (const PredicatePtr& conjunct : conjuncts) {
-      EVIDENT_ASSIGN_OR_RETURN(SupportPair support,
-                               conjunct->Evaluate(r, *input.schema()));
-      if (!support.HasPositiveSupport()) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) EVIDENT_RETURN_NOT_OK(out.InsertTrusted(r));
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), out.size()));
-  return out;
-}
-
-/// Columnar pushdown prefilter: every conjunct is bound once and
-/// evaluated column-at-a-time, sharded across threads; the survivors'
-/// column slices are spliced with their original memberships. A conjunct
-/// that does not bind completely sends the whole call to the interpreted
-/// row path (the optimizer only pushes bindable conjuncts, so this is a
-/// safety net, not a fast-path fork).
-Result<ExtendedRelation> FilterPositiveSupportColumnar(
+/// The pushdown prefilter: every conjunct is bound once and evaluated
+/// column-at-a-time, sharded across threads; the survivors' column
+/// slices are spliced with their original memberships. If any conjunct
+/// does not bind completely, every conjunct is interpreted row by row
+/// instead (the optimizer only pushes bindable conjuncts, so that is a
+/// safety net, not a fast-path fork): conjuncts in order, stopping at
+/// the first that drops the row.
+Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input,
     const std::vector<PredicatePtr>& conjuncts) {
   std::vector<BoundPredicate> bound;
   bound.reserve(conjuncts.size());
+  bool all_bound = true;
   for (const PredicatePtr& conjunct : conjuncts) {
-    bound.push_back(BoundPredicate::Bind(conjunct, input.schema()));
-    if (!bound.back().fully_bound()) {
-      return FilterPositiveSupportRows(input, conjuncts);
+    if (conjunct == nullptr) {
+      return Status::InvalidArgument("null prefilter conjunct");
     }
+    bound.push_back(BoundPredicate::Bind(conjunct, input.schema()));
+    all_bound = all_bound && bound.back().fully_bound();
   }
   const ColumnStore& store = input.columns();
-  const size_t n = input.size();
-  // Zone-map pruning: a partition some conjunct refutes would see that
-  // conjunct's support hit sn == 0 on every row, so every row is
-  // dropped — mark them up front and never evaluate (or verify) them.
-  EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        for (const BoundPredicate& conjunct : bound) {
-          if (conjunct.RefutesPartition(zone)) return true;
-        }
-        return false;
-      }));
-  // Conjuncts evaluate over the unpruned runs only — the morsel domain
-  // is the compacted surviving row set — so a mostly-pruned prefilter
-  // costs O(surviving rows) per conjunct, not O(rows).
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  size_t live = 0;
-  for (const auto& run : runs) live += run.second - run.first;
-  std::vector<uint8_t> drop(n, 0);
-  std::vector<SupportPair> supports(n);
-  for (const BoundPredicate& conjunct : bound) {
-    ParallelForMorsels(
-        live, kParallelGrain,
-        [&](size_t, size_t compact_begin, size_t compact_end) {
-          ForEachRunSlice(runs, compact_begin, compact_end,
-                          [&](size_t begin, size_t end) {
-                            conjunct.EvaluateColumns(store, begin, end,
-                                                     supports.data());
-                            for (size_t i = begin; i < end; ++i) {
-                              if (!supports[i].HasPositiveSupport()) {
-                                drop[i] = 1;
+  std::vector<uint8_t> drop(input.size(), 0);
+  std::vector<std::pair<size_t, size_t>> runs;
+  if (all_bound) {
+    // Zone-map pruning: a partition some conjunct refutes would see that
+    // conjunct's support hit sn == 0 on every row, so every row is
+    // dropped — mark them up front and never evaluate (or verify) them.
+    EVIDENT_ASSIGN_OR_RETURN(
+        const std::vector<uint8_t> row_pruned,
+        PruneAndVerifyPartitions(store, [&](const auto& zone) {
+          for (const BoundPredicate& conjunct : bound) {
+            if (conjunct.RefutesPartition(zone)) return true;
+          }
+          return false;
+        }));
+    // Conjuncts evaluate over the unpruned runs only — the morsel domain
+    // is the compacted surviving row set — so a mostly-pruned prefilter
+    // costs O(surviving rows) per conjunct, not O(rows).
+    runs = UnprunedRowRuns(store, row_pruned);
+    size_t live = 0;
+    for (const auto& run : runs) live += run.second - run.first;
+    std::vector<SupportPair> supports(input.size());
+    for (const BoundPredicate& conjunct : bound) {
+      ParallelForMorsels(
+          live, kParallelGrain,
+          [&](size_t, size_t compact_begin, size_t compact_end) {
+            ForEachRunSlice(runs, compact_begin, compact_end,
+                            [&](size_t begin, size_t end) {
+                              conjunct.EvaluateColumns(store, begin, end,
+                                                       supports.data());
+                              for (size_t i = begin; i < end; ++i) {
+                                if (!supports[i].HasPositiveSupport()) {
+                                  drop[i] = 1;
+                                }
                               }
-                            }
-                          });
-        });
+                            });
+          });
+    }
+    EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  } else {
+    EVIDENT_RETURN_NOT_OK(ForEachInterpretedRow(
+        store, [&](size_t i, const ExtendedTuple& t) -> Status {
+          for (const PredicatePtr& conjunct : conjuncts) {
+            EVIDENT_ASSIGN_OR_RETURN(SupportPair support,
+                                     conjunct->Evaluate(t, *input.schema()));
+            if (!support.HasPositiveSupport()) {
+              drop[i] = 1;
+              break;
+            }
+          }
+          return Status::OK();
+        }));
+    runs = UnprunedRowRuns(store, {});
   }
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
   std::vector<uint32_t> keep;
   std::vector<SupportPair> memberships;
   for (const auto& [run_begin, run_end] : runs) {
@@ -504,32 +310,6 @@ Result<ExtendedRelation> FilterPositiveSupportColumnar(
   EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), keep.size()));
   return ExtendedRelation::AdoptColumns(
       SpliceKeptRows(store, input.name(), keep, memberships));
-}
-
-}  // namespace
-
-Result<ExtendedRelation> Select(const ExtendedRelation& input,
-                                const PredicatePtr& predicate,
-                                const MembershipThreshold& threshold) {
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("null selection predicate");
-  }
-  return ColumnarExecutionEnabled()
-             ? SelectColumnar(input, predicate, threshold)
-             : SelectRows(input, predicate, threshold);
-}
-
-Result<ExtendedRelation> FilterPositiveSupport(
-    const ExtendedRelation& input,
-    const std::vector<PredicatePtr>& conjuncts) {
-  for (const PredicatePtr& conjunct : conjuncts) {
-    if (conjunct == nullptr) {
-      return Status::InvalidArgument("null prefilter conjunct");
-    }
-  }
-  return ColumnarExecutionEnabled()
-             ? FilterPositiveSupportColumnar(input, conjuncts)
-             : FilterPositiveSupportRows(input, conjuncts);
 }
 
 Result<SupportPair> CombineMembership(const SupportPair& a,
@@ -566,184 +346,6 @@ Result<SupportPair> CombineMembership(const SupportPair& a,
 
 namespace {
 
-/// Reference implementation of extended union: tuple-at-a-time over the
-/// row store (see the columnar implementation below for the production
-/// path). Per-tuple combinations are independent (the combination
-/// kernels keep their scratch thread-local), so the merge pass runs in
-/// two phases: a parallel phase computes one MergeSlot per left row —
-/// the merged tuple, a skip marker, or the error the row's policies
-/// produced — and a serial phase walks the slots in row order, so
-/// insertion order, first-error semantics and the right-side bookkeeping
-/// are identical to serial execution for any thread count. Evidence
-/// cells were validated when the operand relations were built and the
-/// schemas were just checked union-compatible (SameDomain per
-/// attribute), so the inner loop uses the trusted combination path
-/// instead of re-checking per combination.
-Result<ExtendedRelation> UnionRows(const ExtendedRelation& left,
-                                   const ExtendedRelation& right,
-                                   const UnionOptions& options,
-                                   ExtendedRelation out) {
-  // Materialize lazy state on this thread before the sharded merge pass
-  // touches rows and the right index (no-ops for row-mode operands).
-  (void)left.rows();
-  (void)right.rows();
-  right.EnsureKeyIndex();
-  enum class SlotKind : uint8_t { kKeep, kMerged, kSkip, kError };
-  struct MergeSlot {
-    SlotKind kind = SlotKind::kKeep;
-    bool matched = false;
-    size_t right_row = 0;
-    ExtendedTuple merged;
-    KeyVector key;
-    Status error;
-  };
-  std::vector<MergeSlot> slots(left.size());
-
-  auto merge_row = [&](size_t row) {
-    MergeSlot& slot = slots[row];
-    const ExtendedTuple& r = left.row(row);
-    slot.key = left.KeyOf(r);
-    auto found = right.FindByKey(slot.key);
-    if (!found.ok()) {
-      // The other source is totally ignorant about this entity; combining
-      // with vacuous evidence is the identity, so retain the tuple.
-      slot.kind = SlotKind::kKeep;
-      return;
-    }
-    slot.matched = true;
-    slot.right_row = *found;
-    const ExtendedTuple& s = right.row(*found);
-
-    ExtendedTuple merged;
-    merged.cells.resize(r.cells.size());
-    for (size_t i = 0; i < r.cells.size(); ++i) {
-      const AttributeDef& attr = left.schema()->attribute(i);
-      switch (attr.kind) {
-        case AttributeKind::kKey:
-          merged.cells[i] = r.cells[i];
-          break;
-        case AttributeKind::kDefinite: {
-          const Value& lv = std::get<Value>(r.cells[i]);
-          const Value& rv = std::get<Value>(s.cells[i]);
-          if (lv == rv) {
-            merged.cells[i] = r.cells[i];
-            break;
-          }
-          switch (options.on_definite_conflict) {
-            case DefiniteConflictPolicy::kError:
-              slot.kind = SlotKind::kError;
-              slot.error = Status::Incompatible(
-                  "definite attribute '" + attr.name + "' conflicts on key (" +
-                  KeyToString(slot.key) + "): " + lv.ToString() + " vs " +
-                  rv.ToString() +
-                  "; attribute preprocessing should have aligned these");
-              return;
-            case DefiniteConflictPolicy::kPreferLeft:
-              merged.cells[i] = r.cells[i];
-              break;
-            case DefiniteConflictPolicy::kPreferRight:
-              merged.cells[i] = s.cells[i];
-              break;
-          }
-          break;
-        }
-        case AttributeKind::kUncertain: {
-          const EvidenceSet& les = std::get<EvidenceSet>(r.cells[i]);
-          const EvidenceSet& res = std::get<EvidenceSet>(s.cells[i]);
-          Result<EvidenceSet> combined =
-              CombineEvidenceTrusted(les, res, options.rule);
-          if (combined.ok()) {
-            merged.cells[i] = std::move(combined).value();
-            break;
-          }
-          if (combined.status().code() != StatusCode::kTotalConflict) {
-            slot.kind = SlotKind::kError;
-            slot.error = combined.status();
-            return;
-          }
-          switch (options.on_total_conflict) {
-            case TotalConflictPolicy::kError:
-              slot.kind = SlotKind::kError;
-              slot.error = Status::TotalConflict(
-                  "attribute '" + attr.name + "' of key (" +
-                  KeyToString(slot.key) +
-                  ") is totally conflicting between the sources: " +
-                  les.ToString() + " vs " + res.ToString() +
-                  "; the data administrators must be informed");
-              return;
-            case TotalConflictPolicy::kSkipTuple:
-              slot.kind = SlotKind::kSkip;
-              return;
-            case TotalConflictPolicy::kVacuous:
-              merged.cells[i] = EvidenceSet::Vacuous(attr.domain);
-              break;
-          }
-          break;
-        }
-      }
-    }
-
-    Result<SupportPair> membership =
-        CombineMembership(r.membership, s.membership, options.rule);
-    if (!membership.ok()) {
-      if (membership.status().code() != StatusCode::kTotalConflict) {
-        slot.kind = SlotKind::kError;
-        slot.error = membership.status();
-        return;
-      }
-      switch (options.on_total_conflict) {
-        case TotalConflictPolicy::kError:
-          slot.kind = SlotKind::kError;
-          slot.error = Status::TotalConflict(
-              "membership of key (" + KeyToString(slot.key) +
-              ") is totally conflicting between the sources");
-          return;
-        case TotalConflictPolicy::kSkipTuple:
-          slot.kind = SlotKind::kSkip;
-          return;
-        case TotalConflictPolicy::kVacuous:
-          membership = SupportPair::Unknown();
-          break;
-      }
-    }
-    merged.membership = *membership;
-    slot.merged = std::move(merged);
-    slot.kind = SlotKind::kMerged;
-  };
-  ParallelForMorsels(left.size(), kParallelGrain,
-                     [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) merge_row(i);
-                     });
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
-
-  std::vector<uint8_t> matched_right(right.size(), 0);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    MergeSlot& slot = slots[i];
-    if (slot.matched) matched_right[slot.right_row] = 1;
-    switch (slot.kind) {
-      case SlotKind::kError:
-        return slot.error;
-      case SlotKind::kSkip:
-        break;
-      case SlotKind::kKeep:
-        EVIDENT_RETURN_NOT_OK(out.InsertTrusted(left.row(i)));
-        break;
-      case SlotKind::kMerged:
-        // Key cells come from the validated left tuple; merged evidence
-        // cells are combination-kernel output (valid by construction).
-        EVIDENT_RETURN_NOT_OK(out.InsertTrusted(std::move(slot.merged)));
-        break;
-    }
-  }
-
-  for (size_t j = 0; j < right.size(); ++j) {
-    if (matched_right[j]) continue;
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(right.row(j)));
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*left.schema(), out.size()));
-  return out;
-}
-
 /// Columnar extended union. Four phases over the operands' ColumnStore
 /// images:
 ///
@@ -758,9 +360,9 @@ Result<ExtendedRelation> UnionRows(const ExtendedRelation& left,
 ///     domains keep the row-store kernel and are combined in the verdict
 ///     pass.
 ///  3. Verdict — a serial pass in left-row order applies the conflict
-///     policies in schema-attribute order (exactly the row path's
-///     error/skip precedence, including first-error and its messages)
-///     and combines memberships via the closed forms, deciding for each
+///     policies in schema-attribute order (so the first error is the
+///     first failing left row's, at its first failing attribute) and
+///     combines memberships via the closed forms, deciding for each
 ///     output row where its cells come from.
 ///  4. Build — the output's column image is assembled column-at-a-time
 ///     by splicing value/span slices from the operand stores and the
@@ -768,18 +370,18 @@ Result<ExtendedRelation> UnionRows(const ExtendedRelation& left,
 ///     objects, no index inserts — both materialize lazily if a
 ///     downstream consumer needs them.
 ///
-/// The combination arithmetic runs through the same span kernels as the
-/// row path, so the result is bit-identical in both storage modes for
-/// any thread count.
+/// The combination arithmetic runs through the same span kernels as
+/// CombineEvidence on the materialized evidence sets, so merged cells
+/// are bit-identical to it for any thread count.
 ///
 /// When `merged_tags` is non-null it receives one byte per output row —
 /// 1 for a merged pair (the entity exists in both sources), 0 for a row
 /// retained from a single source. Intersect consumes this instead of
 /// re-encoding and re-probing the keys this pass already resolved.
-Result<ExtendedRelation> UnionColumnar(const ExtendedRelation& left,
-                                       const ExtendedRelation& right,
-                                       const UnionOptions& options,
-                                       std::vector<uint8_t>* merged_tags) {
+Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
+                                     const ExtendedRelation& right,
+                                     const UnionOptions& options,
+                                     std::vector<uint8_t>* merged_tags) {
   const SchemaPtr& schema = left.schema();
   const size_t n = left.size();
   const ColumnStore& left_store = left.columns();
@@ -1018,7 +620,7 @@ Result<ExtendedRelation> UnionColumnar(const ExtendedRelation& left,
         const std::vector<Value>& rvals = right_store.value_column(a).values;
         // Merged definite cells take the left value unless the policy
         // prefers the right side *and* the cells actually conflict — on
-        // equality the row path keeps the left cell, which matters for
+        // equality the left cell is kept, which matters for
         // cross-kind-equal values (int 1 vs real 1.0).
         const bool prefer_right =
             attr.kind == AttributeKind::kDefinite &&
@@ -1158,54 +760,32 @@ Result<ExtendedRelation> Union(const ExtendedRelation& left,
                                const ExtendedRelation& right,
                                const UnionOptions& options) {
   EVIDENT_RETURN_NOT_OK(CheckUnionCompatible(left, right));
-  if (ColumnarExecutionEnabled()) {
-    return UnionColumnar(left, right, options, /*merged_tags=*/nullptr);
-  }
-  ExtendedRelation out(left.name() + " u " + right.name(), left.schema());
-  out.Reserve(left.size() + right.size());
-  return UnionRows(left, right, options, std::move(out));
+  return UnionTagged(left, right, options, /*merged_tags=*/nullptr);
 }
 
 Result<ExtendedRelation> Intersect(const ExtendedRelation& left,
                                    const ExtendedRelation& right,
                                    const UnionOptions& options) {
   EVIDENT_RETURN_NOT_OK(CheckUnionCompatible(left, right));
-  if (ColumnarExecutionEnabled()) {
-    // The union's probe pass already resolved which rows are merged
-    // pairs, and "key in both sources" holds exactly for those: a
-    // left-retained row's key missed the right index and a
-    // right-retained row's key was never matched. Splice them out of the
-    // union's column image — no re-encoding, no row materialization.
-    std::vector<uint8_t> merged_tags;
-    EVIDENT_ASSIGN_OR_RETURN(
-        ExtendedRelation merged,
-        UnionColumnar(left, right, options, &merged_tags));
-    const ColumnStore& store = merged.columns();
-    std::vector<uint32_t> keep;
-    std::vector<SupportPair> memberships;
-    for (size_t i = 0; i < merged_tags.size(); ++i) {
-      if (!merged_tags[i]) continue;
-      keep.push_back(static_cast<uint32_t>(i));
-      memberships.push_back(store.membership(i));
-    }
-    EVIDENT_RETURN_NOT_OK(
-        GovernorChargeOutput(*merged.schema(), keep.size()));
-    return ExtendedRelation::AdoptColumns(SpliceKeptRows(
-        store, left.name() + " n " + right.name(), keep, memberships));
-  }
+  // The union's probe pass already resolved which rows are merged pairs,
+  // and "key in both sources" holds exactly for those: a left-retained
+  // row's key missed the right index and a right-retained row's key was
+  // never matched. Splice them out of the union's column image — no
+  // re-encoding, no row materialization.
+  std::vector<uint8_t> merged_tags;
   EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation merged,
-                           Union(left, right, options));
-  ExtendedRelation out(left.name() + " n " + right.name(), merged.schema());
-  out.Reserve(merged.size());
-  std::string key;
-  for (const ExtendedTuple& t : merged.rows()) {
-    merged.EncodeKeyOf(t, &key);
-    if (left.ContainsEncodedKey(key) && right.ContainsEncodedKey(key)) {
-      EVIDENT_RETURN_NOT_OK(out.InsertTrusted(t));
-    }
+                           UnionTagged(left, right, options, &merged_tags));
+  const ColumnStore& store = merged.columns();
+  std::vector<uint32_t> keep;
+  std::vector<SupportPair> memberships;
+  for (size_t i = 0; i < merged_tags.size(); ++i) {
+    if (!merged_tags[i]) continue;
+    keep.push_back(static_cast<uint32_t>(i));
+    memberships.push_back(store.membership(i));
   }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*merged.schema(), out.size()));
-  return out;
+  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*merged.schema(), keep.size()));
+  return ExtendedRelation::AdoptColumns(SpliceKeptRows(
+      store, left.name() + " n " + right.name(), keep, memberships));
 }
 
 Result<ExtendedRelation> UnionAll(const std::vector<ExtendedRelation>& sources,
@@ -1219,80 +799,6 @@ Result<ExtendedRelation> UnionAll(const std::vector<ExtendedRelation>& sources,
   }
   return acc;
 }
-
-namespace {
-
-/// Columnar extended projection: each picked column is spliced as one
-/// whole-column copy (no combination, no per-row objects), dropped
-/// columns are never touched. The row path's insert-time duplicate-key
-/// guarantee is preserved by a uniqueness check over encoded keys —
-/// reusing the input's cached encoded-key arena whenever the projection
-/// keeps the key attributes in schema order (it always does for
-/// engine-built projections, which prepend the keys), re-encoding off
-/// the projected key columns otherwise.
-Result<ExtendedRelation> ProjectColumnar(const ExtendedRelation& input,
-                                         const std::vector<size_t>& indices,
-                                         const SchemaPtr& schema) {
-  const ColumnStore& store = input.columns();
-  const size_t n = store.rows();
-  ColumnStore out =
-      ColumnStore::EmptyLike(schema, "project(" + input.name() + ")");
-  out.ReserveRows(n);
-  for (size_t a = 0; a < schema->size(); ++a) {
-    const size_t src_attr = indices[a];
-    switch (store.kind(src_attr)) {
-      case ColumnStore::ColumnKind::kValue:
-        out.value_column_mut(a).values = store.value_column(src_attr).values;
-        break;
-      case ColumnStore::ColumnKind::kEvidence: {
-        const ColumnStore::EvidenceColumn& src =
-            store.evidence_column(src_attr);
-        ColumnStore::EvidenceColumn& dst = out.evidence_column_mut(a);
-        dst.words = src.words;
-        dst.masses = src.masses;
-        dst.offsets = src.offsets;
-        break;
-      }
-      case ColumnStore::ColumnKind::kBoxed:
-        out.boxed_column_mut(a).sets = store.boxed_column(src_attr).sets;
-        break;
-    }
-  }
-  for (size_t r = 0; r < n; ++r) out.AppendMembership(store.membership(r));
-
-  // Key-uniqueness check, mirroring the row path's insert-time duplicate
-  // check (identical error message). Projections retain every key
-  // attribute, so this can only fire on an input whose own keys were
-  // corrupted — but the row path would report it, so this path must too.
-  const bool same_key_order = [&] {
-    const std::vector<size_t>& in_keys = input.schema()->key_indices();
-    const std::vector<size_t>& out_keys = schema->key_indices();
-    if (in_keys.size() != out_keys.size()) return false;
-    for (size_t k = 0; k < out_keys.size(); ++k) {
-      if (indices[out_keys[k]] != in_keys[k]) return false;
-    }
-    return true;
-  }();
-  EncodedKeyIndex unique;
-  unique.Reserve(n);
-  std::string scratch;
-  for (size_t r = 0; r < n; ++r) {
-    std::string_view key;
-    if (same_key_order) {
-      key = store.encoded_keys().key(r);
-    } else {
-      out.EncodeKeyOfRow(r, &scratch);
-      key = scratch;
-    }
-    if (unique.Insert(key) != EncodedKeyIndex::kNoRow) {
-      return MakeDuplicateKeyError(KeyOfStoreRow(out, r), out.name());
-    }
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, n));
-  return ExtendedRelation::AdoptColumns(std::move(out));
-}
-
-}  // namespace
 
 Result<SchemaPtr> ResolveProjectionSchema(
     const RelationSchema& schema, const std::vector<std::string>& attributes,
@@ -1324,6 +830,13 @@ Result<SchemaPtr> ResolveProjectionSchema(
   return RelationSchema::Make(std::move(defs));
 }
 
+/// Each picked column is spliced as one whole-column copy (no
+/// combination, no per-row objects), dropped columns are never touched.
+/// Key uniqueness is checked over encoded keys — reusing the input's
+/// cached encoded-key arena whenever the projection keeps the key
+/// attributes in schema order (it always does for engine-built
+/// projections, which prepend the keys), re-encoding off the projected
+/// key columns otherwise.
 Result<ExtendedRelation> Project(const ExtendedRelation& input,
                                  const std::vector<std::string>& attributes) {
   if (input.schema() == nullptr) {
@@ -1333,20 +846,62 @@ Result<ExtendedRelation> Project(const ExtendedRelation& input,
   EVIDENT_ASSIGN_OR_RETURN(
       SchemaPtr schema,
       ResolveProjectionSchema(*input.schema(), attributes, &indices));
-  if (ColumnarExecutionEnabled()) {
-    return ProjectColumnar(input, indices, schema);
+  const ColumnStore& store = input.columns();
+  const size_t n = store.rows();
+  ColumnStore out =
+      ColumnStore::EmptyLike(schema, "project(" + input.name() + ")");
+  out.ReserveRows(n);
+  for (size_t a = 0; a < schema->size(); ++a) {
+    const size_t src_attr = indices[a];
+    switch (store.kind(src_attr)) {
+      case ColumnStore::ColumnKind::kValue:
+        out.value_column_mut(a).values = store.value_column(src_attr).values;
+        break;
+      case ColumnStore::ColumnKind::kEvidence: {
+        const ColumnStore::EvidenceColumn& src =
+            store.evidence_column(src_attr);
+        ColumnStore::EvidenceColumn& dst = out.evidence_column_mut(a);
+        dst.words = src.words;
+        dst.masses = src.masses;
+        dst.offsets = src.offsets;
+        break;
+      }
+      case ColumnStore::ColumnKind::kBoxed:
+        out.boxed_column_mut(a).sets = store.boxed_column(src_attr).sets;
+        break;
+    }
   }
-  ExtendedRelation out("project(" + input.name() + ")", schema);
-  out.Reserve(input.size());
-  for (const ExtendedTuple& r : input.rows()) {
-    ExtendedTuple t;
-    t.cells.reserve(indices.size());
-    for (size_t index : indices) t.cells.push_back(r.cells[index]);
-    t.membership = r.membership;
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(std::move(t)));
+  for (size_t r = 0; r < n; ++r) out.AppendMembership(store.membership(r));
+
+  // Key-uniqueness check, with the insert path's duplicate-key message.
+  // Projections retain every key attribute, so this can only fire on an
+  // input whose own keys were corrupted.
+  const bool same_key_order = [&] {
+    const std::vector<size_t>& in_keys = input.schema()->key_indices();
+    const std::vector<size_t>& out_keys = schema->key_indices();
+    if (in_keys.size() != out_keys.size()) return false;
+    for (size_t k = 0; k < out_keys.size(); ++k) {
+      if (indices[out_keys[k]] != in_keys[k]) return false;
+    }
+    return true;
+  }();
+  EncodedKeyIndex unique;
+  unique.Reserve(n);
+  std::string scratch;
+  for (size_t r = 0; r < n; ++r) {
+    std::string_view key;
+    if (same_key_order) {
+      key = store.encoded_keys().key(r);
+    } else {
+      out.EncodeKeyOfRow(r, &scratch);
+      key = scratch;
+    }
+    if (unique.Insert(key) != EncodedKeyIndex::kNoRow) {
+      return MakeDuplicateKeyError(KeyOfStoreRow(out, r), out.name());
+    }
   }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, out.size()));
-  return out;
+  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, n));
+  return ExtendedRelation::AdoptColumns(std::move(out));
 }
 
 Result<SchemaPtr> MakeProductSchema(const ExtendedRelation& left,
@@ -1465,8 +1020,8 @@ ColumnStore SplicePairColumns(const SchemaPtr& schema, std::string name,
   return out;
 }
 
-/// Hash of the definite cells at `indices` of store row `row`, mixed
-/// exactly like RowKeyHash so the splice probe partitions identically.
+/// Hash of the definite cells at `indices` of store row `row` (Value::Hash
+/// makes 1 and 1.0 agree, matching operator==).
 uint64_t StoreKeyHash(const ColumnStore& store, size_t row,
                       const std::vector<size_t>& indices) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
@@ -1490,26 +1045,29 @@ bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
   return true;
 }
 
-/// The columnar splice form of the hash equi-join, taken when the
-/// residual predicate binds completely (or is absent). Three phases over
-/// the operands' column stores:
+/// The hash equi-join executor. Three phases over the operands' column
+/// stores:
 ///
-///  1. Build — the same open-addressing table as HashEquiJoin, keyed by
-///     hashes taken straight off the contiguous key/definite value
-///     columns (chains in ascending row order).
-///  2. Probe — probe rows sharded across threads; each matched
-///     (left, right) pair runs the bound residual column-at-a-time over
-///     the packed spans (EvaluatePairColumns), computes the revised
-///     membership, and survives CWA_ER + threshold filtering before
-///     anything is allocated for it.
+///  1. Build — an open-addressing table on `build`'s equi-key cells
+///     (slots hold the first row of each distinct key; duplicate-key
+///     rows chain in ascending row order), keyed by hashes taken
+///     straight off the contiguous key/definite value columns.
+///  2. Probe — probe rows over morsels; each matched (left, right) pair
+///     evaluates the residual, computes the revised membership, and
+///     survives CWA_ER + threshold filtering before anything is
+///     allocated for it. A bound residual runs over the packed spans
+///     (EvaluatePairColumns); an `interpreted` residual (one that does
+///     not bind) is evaluated over a transient concatenated tuple, and
+///     the first failing morsel in morsel order — which holds the first
+///     failing probe row — reports its error.
 ///  3. Splice — the surviving pairs' column slices are copied by span
 ///     into a fresh column image (SplicePairColumns) and adopted as a
 ///     columnar-mode relation.
 ///
-/// Neither operand rows nor result rows are ever materialized, and the
+/// Neither operand's row image nor result rows are ever built, and the
 /// pair emission order (probe rows ascending, build chains ascending,
-/// morsels concatenated in order) is identical to the row path's, so the
-/// result is bit-identical to HashEquiJoin for any thread count.
+/// morsels concatenated in order) is fixed, so the result is
+/// bit-identical for any thread count.
 ///
 /// `probe_filter` (may be null) is the fused-pipeline probe: prefilter
 /// conjuncts bound against the probe operand's schema, evaluated per
@@ -1518,10 +1076,11 @@ bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
 /// Identical to probing FilterPositiveSupport(probe, conjuncts) — the
 /// per-row conjunct supports, surviving row order and memberships are
 /// the same — without materializing the intermediate relation.
-Result<ExtendedRelation> HashEquiJoinColumnarSplice(
+Result<ExtendedRelation> HashEquiJoin(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const JoinPlan& plan, const SchemaPtr& schema,
     const MembershipThreshold& threshold, const BoundPredicate* residual,
+    const PredicatePtr& interpreted,
     const std::vector<BoundPredicate>* probe_filter, bool build_left,
     std::string name) {
   const ColumnStore& lstore = left.columns();
@@ -1586,6 +1145,7 @@ Result<ExtendedRelation> HashEquiJoinColumnarSplice(
   const size_t morsel_count =
       ParallelMorselCount(probe.rows(), kParallelGrain);
   std::vector<MorselPairs> morsels(morsel_count);
+  std::vector<Status> morsel_status(morsel_count);
   // Fused-probe scratch: morsels write disjoint absolute slices. Rows of
   // pruned probe partitions start dropped — exactly the flag the refuted
   // conjunct would have set — so the survivor charge below is unchanged.
@@ -1636,6 +1196,19 @@ Result<ExtendedRelation> HashEquiJoinColumnarSplice(
             SupportPair support = SupportPair::Certain();
             if (residual != nullptr) {
               support = residual->EvaluatePairColumns(lstore, l, rstore, r);
+            } else if (interpreted != nullptr) {
+              ExtendedTuple pair = lstore.MaterializeRow(l);
+              ExtendedTuple right_row = rstore.MaterializeRow(r);
+              pair.cells.insert(pair.cells.end(),
+                                std::make_move_iterator(right_row.cells.begin()),
+                                std::make_move_iterator(right_row.cells.end()));
+              Result<SupportPair> evaluated =
+                  interpreted->Evaluate(pair, *schema);
+              if (!evaluated.ok()) {
+                morsel_status[morsel] = evaluated.status();
+                return;
+              }
+              support = *evaluated;
             }
             const SupportPair revised = lstore.membership(l)
                                             .Multiply(rstore.membership(r))
@@ -1648,16 +1221,19 @@ Result<ExtendedRelation> HashEquiJoinColumnarSplice(
           }
         }
         if (probe_filter == nullptr) {
-          // Incremental row-cap charge at the mode-invariant emission
-          // site (see HashEquiJoin). With a fused probe filter every
-          // charge is deferred to the post-pass block below, where the
-          // unfused filter-then-join sequence is replayed exactly.
+          // Incremental row-cap charge at the emission site: per-morsel
+          // pair counts are thread-count invariant, so the cap trips
+          // (count-free message) identically; errors are sticky and the
+          // post-pass check surfaces them. With a fused probe filter
+          // every charge is deferred to the post-pass block below, where
+          // the unfused filter-then-join sequence is replayed exactly.
           if (QueryContext* const ctx = CurrentQueryContext()) {
             (void)ctx->ChargeRows(out.pair_left.size());
           }
         }
       });
   EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  for (const Status& status : morsel_status) EVIDENT_RETURN_NOT_OK(status);
 
   size_t total = 0;
   for (const MorselPairs& morsel : morsels) total += morsel.pair_left.size();
@@ -1692,13 +1268,27 @@ Result<ExtendedRelation> HashEquiJoinColumnarSplice(
                         pair_right, memberships));
 }
 
-/// Columnar cartesian product: left columns repeat each row |R| times,
-/// right columns tile |L| times, memberships are the F_TM products — in
-/// the row path's left-major order, spliced straight into the output's
-/// column image.
-Result<ExtendedRelation> ProductColumnarSplice(const ExtendedRelation& left,
-                                               const ExtendedRelation& right,
-                                               const SchemaPtr& schema) {
+/// The splice executors address operand rows with uint32 ids; an operand
+/// at or beyond that bound — unreachable for in-memory relations today —
+/// fails cleanly instead of silently aliasing rows.
+Status CheckRowIdRange(const ExtendedRelation& rel) {
+  if (rel.size() < static_cast<size_t>(std::numeric_limits<uint32_t>::max())) {
+    return Status::OK();
+  }
+  return Status::OutOfRange("relation '" + rel.name() +
+                            "' exceeds the executor's 2^32-1 row limit");
+}
+
+/// Cartesian product over an already-built product schema, shared by
+/// Product and the join's product + select routes: left columns repeat
+/// each row |R| times, right columns tile |L| times, memberships are the
+/// F_TM products — in left-major order, spliced straight into the
+/// output's column image.
+Result<ExtendedRelation> ProductWithSchema(const ExtendedRelation& left,
+                                           const ExtendedRelation& right,
+                                           const SchemaPtr& schema) {
+  EVIDENT_RETURN_NOT_OK(CheckRowIdRange(left));
+  EVIDENT_RETURN_NOT_OK(CheckRowIdRange(right));
   const ColumnStore& lstore = left.columns();
   const ColumnStore& rstore = right.columns();
   const size_t ln = lstore.rows();
@@ -1712,8 +1302,7 @@ Result<ExtendedRelation> ProductColumnarSplice(const ExtendedRelation& left,
   // The governed tiling loop charges the row cap in kGovernorTick-sized
   // batches and polls the deadline with them: |L|·|R| can dwarf the
   // operand sizes, so a runaway product must trip mid-loop, not after
-  // materializing everything. The row executor uses the identical
-  // batching over the identical pair order.
+  // materializing everything.
   QueryContext* const ctx = CurrentQueryContext();
   uint64_t pending = 0;
   for (size_t i = 0; i < ln; ++i) {
@@ -1739,43 +1328,6 @@ Result<ExtendedRelation> ProductColumnarSplice(const ExtendedRelation& left,
       pair_right, memberships));
 }
 
-/// Product materialization over an already-built product schema, shared
-/// by Product and the hash join's no-equi-conjunct fallback.
-Result<ExtendedRelation> ProductWithSchema(const ExtendedRelation& left,
-                                           const ExtendedRelation& right,
-                                           const SchemaPtr& schema) {
-  if (ColumnarExecutionEnabled()) {
-    return ProductColumnarSplice(left, right, schema);
-  }
-  ExtendedRelation out(left.name() + " x " + right.name(), schema);
-  out.Reserve(CappedProductReserve(left.size(), right.size()));
-  // Same batched governor charges as ProductColumnarSplice, over the
-  // identical pair order.
-  QueryContext* const ctx = CurrentQueryContext();
-  uint64_t pending = 0;
-  for (const ExtendedTuple& r : left.rows()) {
-    for (const ExtendedTuple& s : right.rows()) {
-      if (ctx != nullptr && ++pending == kGovernorTick) {
-        EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(pending));
-        pending = 0;
-        EVIDENT_RETURN_NOT_OK(ctx->PollTick());
-      }
-      ExtendedTuple t;
-      t.cells.reserve(r.cells.size() + s.cells.size());
-      t.cells.insert(t.cells.end(), r.cells.begin(), r.cells.end());
-      t.cells.insert(t.cells.end(), s.cells.begin(), s.cells.end());
-      t.membership = r.membership.Multiply(s.membership);  // F_TM
-      EVIDENT_RETURN_NOT_OK(out.InsertTrusted(std::move(t)));
-    }
-  }
-  if (ctx != nullptr) {
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(pending));
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(
-        *schema, static_cast<uint64_t>(left.size()) * right.size()));
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<ExtendedRelation> Product(const ExtendedRelation& left,
@@ -1796,8 +1348,7 @@ Result<ExtendedRelation> Join(const ExtendedRelation& left,
 namespace {
 
 /// The materializing fallback for a fused probe that cannot run in the
-/// probe loop (row mode, interpreted residual, no equi-conjunct, unbound
-/// conjunct): filter the probe side exactly as the unfused plan would
+/// probe loop (interpreted residual, no equi-conjunct, unbound conjunct): filter the probe side exactly as the unfused plan would
 /// have, then join without fusion — identical semantics by construction.
 Result<ExtendedRelation> JoinWithMaterializedProbe(
     const ExtendedRelation& left, const ExtendedRelation& right,
@@ -1838,76 +1389,56 @@ Result<ExtendedRelation> JoinWithProductSchema(
   EVIDENT_ASSIGN_OR_RETURN(
       JoinPlan plan,
       AnalyzeJoinPredicate(predicate, *schema, left.schema()->size()));
-  bool build_left;
-  switch (build_side) {
-    case JoinBuildSide::kAuto:
-      build_left = left.size() < right.size();
-      break;
-    case JoinBuildSide::kLeft:
-      build_left = true;
-      break;
-    case JoinBuildSide::kRight:
-      build_left = false;
-      break;
-  }
+  const bool build_left = build_side == JoinBuildSide::kAuto
+                              ? left.size() < right.size()
+                              : build_side == JoinBuildSide::kLeft;
   // The hash table stores row indices (and its empty-slot sentinel) in
   // uint32_t; a build operand at or beyond that bound — unreachable for
-  // in-memory relations today — takes the materialized path rather than
-  // silently aliasing rows.
+  // in-memory relations today — takes the product + select route, whose
+  // row-id check fails it cleanly rather than silently aliasing rows.
   const bool table_fits =
       (build_left ? left.size() : right.size()) <
       static_cast<size_t>(std::numeric_limits<uint32_t>::max());
-  if (plan.keys.empty() || !table_fits) {
-    if (fused_probe != nullptr) {
-      return JoinWithMaterializedProbe(left, right, predicate, threshold,
-                                       std::move(schema), build_side,
-                                       probe_is_left, *fused_probe);
+  // A residual that does not bind is interpreted per matched pair; the
+  // fused probe only runs in the probe loop when its conjuncts and the
+  // residual all bind (the optimizer only fuses bindables, so the
+  // materialized prefilter is a safety net).
+  BoundPredicate bound_residual;
+  bool residual_bound = plan.residual == nullptr;
+  if (plan.residual != nullptr) {
+    bound_residual = BoundPredicate::BindPair(plan.residual, schema,
+                                              left.schema()->size());
+    residual_bound = bound_residual.fully_bound();
+  }
+  std::vector<BoundPredicate> probe_filter;
+  bool fuse = fused_probe != nullptr && residual_bound;
+  if (fuse) {
+    const ExtendedRelation& probe_rel = probe_is_left ? left : right;
+    probe_filter.reserve(fused_probe->conjuncts.size());
+    for (const PredicatePtr& conjunct : fused_probe->conjuncts) {
+      probe_filter.push_back(
+          BoundPredicate::Bind(conjunct, probe_rel.schema()));
+      fuse = fuse && probe_filter.back().fully_bound();
     }
+  }
+  if (fused_probe != nullptr && (!fuse || plan.keys.empty() || !table_fits)) {
+    return JoinWithMaterializedProbe(left, right, predicate, threshold,
+                                     std::move(schema), build_side,
+                                     probe_is_left, *fused_probe);
+  }
+  if (plan.keys.empty() || !table_fits) {
     // No definite equi-conjunct to partition on: the paper's definition,
     // σ̃ over the materialized product.
     EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation product,
                              ProductWithSchema(left, right, schema));
     return Select(product, predicate, threshold);
   }
-  if (ColumnarExecutionEnabled()) {
-    // The splice path requires the residual to bind completely (then
-    // evaluation cannot fail); interpreted residuals — which can error
-    // per pair — keep the materializing executor below.
-    BoundPredicate bound_residual;
-    bool splice = plan.residual == nullptr;
-    if (plan.residual != nullptr) {
-      bound_residual = BoundPredicate::BindPair(plan.residual, schema,
-                                                left.schema()->size());
-      splice = bound_residual.fully_bound();
-    }
-    std::vector<BoundPredicate> probe_filter;
-    if (splice && fused_probe != nullptr) {
-      const ExtendedRelation& probe_rel = probe_is_left ? left : right;
-      probe_filter.reserve(fused_probe->conjuncts.size());
-      for (const PredicatePtr& conjunct : fused_probe->conjuncts) {
-        probe_filter.push_back(
-            BoundPredicate::Bind(conjunct, probe_rel.schema()));
-        if (!probe_filter.back().fully_bound()) {
-          splice = false;  // safety net; the optimizer only fuses bindables
-          break;
-        }
-      }
-    }
-    if (splice) {
-      return HashEquiJoinColumnarSplice(
-          left, right, plan, schema, threshold,
-          plan.residual != nullptr ? &bound_residual : nullptr,
-          fused_probe != nullptr ? &probe_filter : nullptr, build_left,
-          out.name());
-    }
-  }
-  if (fused_probe != nullptr) {
-    return JoinWithMaterializedProbe(left, right, predicate, threshold,
-                                     std::move(schema), build_side,
-                                     probe_is_left, *fused_probe);
-  }
-  return HashEquiJoin(left, right, plan, schema, threshold, build_left,
-                      std::move(out));
+  return HashEquiJoin(
+      left, right, plan, schema, threshold,
+      plan.residual != nullptr && residual_bound ? &bound_residual : nullptr,
+      residual_bound ? nullptr : plan.residual,
+      fused_probe != nullptr ? &probe_filter : nullptr, build_left,
+      out.name());
 }
 
 Result<SchemaPtr> MakeMultiwayProductSchema(
@@ -1946,67 +1477,6 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
   }
   return RelationSchema::Make(std::move(defs));
 }
-
-namespace {
-
-/// The n-way reference executor: materializes the flat product in
-/// left-major (FROM) order — rightmost operand cycling fastest, exactly
-/// like nested ProductWithSchema row loops — folding memberships
-/// left-to-right, then selects with the full predicate. The flat schema
-/// is built directly (iterated binary products would re-qualify names a
-/// second time), so this IS the paper definition the fast path must be
-/// bit-identical to.
-Result<ExtendedRelation> MultiwayReferenceJoin(
-    const std::vector<const ExtendedRelation*>& operands,
-    const SchemaPtr& schema, const PredicatePtr& predicate,
-    const MembershipThreshold& threshold, std::string product_name) {
-  const size_t n_ops = operands.size();
-  size_t total_attrs = 0;
-  size_t bound = 1;
-  for (const ExtendedRelation* op : operands) {
-    total_attrs += op->schema()->size();
-    bound = CappedProductReserve(bound, op->size());
-  }
-  ExtendedRelation product(std::move(product_name), schema);
-  product.Reserve(bound);
-  std::vector<size_t> idx(n_ops, 0);
-  // The odometer enumerates the full cross product — the internal
-  // reference materialization stays uncharged (the enumerate path's
-  // intermediate match set has a different size, and only the final
-  // operator output may be charged for mode parity), so the deadline
-  // poll is what bounds a runaway product here.
-  QueryContext* const ctx = CurrentQueryContext();
-  uint64_t tick = 0;
-  while (true) {
-    if (ctx != nullptr && ++tick % kGovernorTick == 0) {
-      EVIDENT_RETURN_NOT_OK(ctx->PollTick());
-    }
-    ExtendedTuple t;
-    t.cells.reserve(total_attrs);
-    for (size_t i = 0; i < n_ops; ++i) {
-      const ExtendedTuple& r = operands[i]->row(idx[i]);
-      t.cells.insert(t.cells.end(), r.cells.begin(), r.cells.end());
-      t.membership = i == 0 ? r.membership
-                            : t.membership.Multiply(r.membership);  // F_TM
-    }
-    EVIDENT_RETURN_NOT_OK(product.InsertTrusted(std::move(t)));
-    size_t pos = n_ops;
-    while (pos > 0 && ++idx[pos - 1] == operands[pos - 1]->size()) {
-      idx[pos - 1] = 0;
-      --pos;
-    }
-    if (pos == 0) break;
-  }
-  if (predicate == nullptr) {
-    // The product IS the operator output here; with a predicate the
-    // Select below charges the (mode-identical) final output instead.
-    EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, product.size()));
-    return product;
-  }
-  return Select(product, predicate, threshold);
-}
-
-}  // namespace
 
 Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<const ExtendedRelation*>& operands,
@@ -2054,21 +1524,17 @@ Result<ExtendedRelation> MultiwayJoinProduct(
     }
   }
 
-  bool enumerate = ColumnarExecutionEnabled();
-  if (enumerate && predicate != nullptr) {
-    enumerate = BoundPredicate::Bind(predicate, product_schema).fully_bound();
-  }
-  // Match-set row ids are uint32; oversized operands — unreachable for
-  // in-memory relations today — take the reference path.
   for (const ExtendedRelation* op : operands) {
-    if (op->size() >=
-        static_cast<size_t>(std::numeric_limits<uint32_t>::max())) {
-      enumerate = false;
-    }
+    EVIDENT_RETURN_NOT_OK(CheckRowIdRange(*op));
   }
-  if (!enumerate) {
-    return MultiwayReferenceJoin(operands, product_schema, predicate,
-                                 threshold, std::move(product_name));
+  // A predicate that does not bind completely prunes nothing: the full
+  // cross product is enumerated in FROM order, then selected — exactly
+  // the definition.
+  const bool prune =
+      predicate != nullptr &&
+      BoundPredicate::Bind(predicate, product_schema).fully_bound();
+  if (!prune) {
+    for (size_t i = 0; i < n_ops; ++i) order[i] = i;
   }
 
   std::vector<const ColumnStore*> stores;
@@ -2080,7 +1546,8 @@ Result<ExtendedRelation> MultiwayJoinProduct(
     attr_counts.push_back(op->schema()->size());
   }
   const std::vector<MultiJoinEdge> edges =
-      AnalyzeMultiJoinEdges(predicate, *product_schema, attr_counts);
+      prune ? AnalyzeMultiJoinEdges(predicate, *product_schema, attr_counts)
+            : std::vector<MultiJoinEdge>{};
 
   // The match set: cols[k][t] is the row of operand order[k] in the t-th
   // surviving combination. Tuples stay sorted join_order-major because
@@ -2102,8 +1569,9 @@ Result<ExtendedRelation> MultiwayJoinProduct(
 
   // Enumeration is serial and can visit far more combinations than it
   // keeps; poll the governed deadline every ~kGovernorTick visited
-  // tuples. The intermediate match set is deliberately uncharged — see
-  // MultiwayReferenceJoin — so only the polls bound a hostile shape.
+  // tuples. The intermediate match set is deliberately uncharged (its
+  // size depends on the join order; only the final output is charged),
+  // so only the polls bound a hostile shape.
   QueryContext* const query_ctx = CurrentQueryContext();
   uint64_t tick = 0;
 
@@ -2270,9 +1738,9 @@ Result<ExtendedRelation> MultiwayJoinProduct(
   }
   ExtendedRelation product = ExtendedRelation::AdoptColumns(std::move(out));
   if (predicate == nullptr) {
-    // Pure product: no edges bind, so the enumerate and reference paths
-    // materialize the identical full cross — charge it as the operator
-    // output (see MultiwayReferenceJoin for the with-predicate case).
+    // Pure product: no edges bind, so the full cross is the operator
+    // output; with a predicate the Select below charges the final
+    // output instead.
     EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*product_schema, count));
     return product;
   }
@@ -2292,23 +1760,15 @@ Result<ExtendedRelation> RenameAttribute(const ExtendedRelation& input,
   std::vector<AttributeDef> defs = input.schema()->attributes();
   defs[index].name = to;
   EVIDENT_ASSIGN_OR_RETURN(SchemaPtr schema, RelationSchema::Make(defs));
-  // The logical charge model bills the renamed output in both modes even
-  // though the columnar path adopts the image zero-copy: charges must
-  // depend on the logical plan, not the storage layout.
+  // The renamed output is billed even though the image is adopted
+  // zero-copy: charges depend on the logical plan, not the storage
+  // layout.
   EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, input.size()));
-  if (ColumnarExecutionEnabled()) {
-    // A rename changes no cell: adopt the operand's column image under
-    // the renamed schema (same attribute kinds and domains, so the
-    // column layout is identical) without materializing a single row.
-    return ExtendedRelation::AdoptColumns(
-        ColumnStore::WithSchema(input.columns(), schema, input.name()));
-  }
-  ExtendedRelation out(input.name(), schema);
-  out.Reserve(input.size());
-  for (const ExtendedTuple& r : input.rows()) {
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(r));
-  }
-  return out;
+  // A rename changes no cell: adopt the operand's column image under the
+  // renamed schema (same attribute kinds and domains, so the column
+  // layout is identical) without materializing a single row.
+  return ExtendedRelation::AdoptColumns(
+      ColumnStore::WithSchema(input.columns(), schema, input.name()));
 }
 
 }  // namespace evident

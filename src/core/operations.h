@@ -12,20 +12,6 @@
 
 namespace evident {
 
-/// \brief Selects the storage mode the relational operators execute in.
-///
-/// Columnar execution (the default) runs the hot operators —
-/// Select's predicate evaluation, Union/MergeTuples' per-key combination
-/// pass, and the hash-join probe's residual filtering — column-at-a-time
-/// over each relation's packed ColumnStore image and the batch
-/// combination kernel. Row execution is the reference interpretation,
-/// tuple-at-a-time over the row store. Both modes produce bit-identical
-/// relations and identical first-error behaviour (enforced by
-/// kernel_differential_test); the toggle exists for that differential
-/// and for embedders that want to avoid the column image's memory.
-void SetColumnarExecution(bool enabled);
-bool ColumnarExecutionEnabled();
-
 /// \brief Extended selection σ̃^Q_P (§3.1).
 ///
 /// For each tuple r: computes the predicate support F_SS(r, P), revises
@@ -55,8 +41,9 @@ Result<ExtendedRelation> Select(const ExtendedRelation& input,
 /// multiply in their original order). The output keeps the input's
 /// *name* so product-schema qualification downstream is unchanged.
 /// Callers (the optimizer) only push conjuncts that bind completely, so
-/// evaluation cannot fail; a conjunct that does not bind falls back to
-/// the interpreted row path, preserving error behaviour.
+/// evaluation cannot fail; if a conjunct does not bind, every conjunct
+/// is interpreted per row over a transient tuple (the relation's row
+/// image is never built), with per-row error behaviour.
 Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input, const std::vector<PredicatePtr>& conjuncts);
 
@@ -112,10 +99,10 @@ Result<ExtendedRelation> Union(const ExtendedRelation& left,
 /// paper*: like the extended union but keeping only entities present in
 /// both sources (inner merge). Useful when the integrator only trusts
 /// corroborated entities. Matched tuples are combined exactly as in
-/// Union; unmatched tuples are dropped. Under columnar execution the
-/// kept rows (exactly the union's merged pairs, known from the keys the
-/// union pass already encoded and probed) are spliced straight out of
-/// the union's column image — no re-encoding, no row materialization.
+/// Union; unmatched tuples are dropped. The kept rows (exactly the
+/// union's merged pairs, known from the keys the union pass already
+/// encoded and probed) are spliced straight out of the union's column
+/// image — no re-encoding, no row materialization.
 Result<ExtendedRelation> Intersect(const ExtendedRelation& left,
                                    const ExtendedRelation& right,
                                    const UnionOptions& options =
@@ -131,12 +118,11 @@ Result<ExtendedRelation> UnionAll(const std::vector<ExtendedRelation>& sources,
 
 /// \brief Extended projection π̃_Ã (§3.3). `attributes` must include every
 /// key attribute (the paper projects key + membership always); the
-/// implicit membership attribute is always carried. Under columnar
-/// execution the picked columns are spliced as whole column copies (no
-/// combination, no row materialization); the row path's insert-time
-/// duplicate-key guarantee is preserved by a uniqueness check over the
-/// encoded keys (which reuses the input's cached encoded-key arena when
-/// the projection keeps the key order).
+/// implicit membership attribute is always carried. The picked columns
+/// are spliced as whole column copies (no combination, no row
+/// materialization); the insert path's duplicate-key guarantee is kept
+/// by a uniqueness check over the encoded keys (which reuses the input's
+/// cached encoded-key arena when the projection keeps the key order).
 Result<ExtendedRelation> Project(const ExtendedRelation& input,
                                  const std::vector<std::string>& attributes);
 
@@ -160,9 +146,8 @@ Result<SchemaPtr> MakeProductSchema(const ExtendedRelation& left,
 /// \brief Extended cartesian product R ×̃ S (§3.4): concatenates tuple
 /// pairs and multiplies memberships via F_TM. Attribute name collisions
 /// are qualified as "<relation>.<attribute>"; the result's key is the
-/// union of both keys. Under columnar execution the output's column
-/// image is spliced directly from the operands' images (no row objects
-/// are built); the result is bit-identical to the row path.
+/// union of both keys. The output's column image is spliced directly
+/// from the operands' images (no row objects are built).
 Result<ExtendedRelation> Product(const ExtendedRelation& left,
                                  const ExtendedRelation& right);
 
@@ -174,15 +159,16 @@ Result<ExtendedRelation> Product(const ExtendedRelation& left,
 /// the join hash-partitions — an open-addressing table is built on the
 /// smaller operand keyed by the equi-key cell values, the larger operand
 /// probes it (tuple ranges sharded across threads), and only matching
-/// pairs are materialized and filtered by the residual + threshold.
+/// pairs are filtered by the residual + threshold.
 /// Equality of definite cells contributes exactly (1,1)/(0,0) support,
 /// and sn = 0 pairs are always dropped under CWA_ER, so the result is
 /// identical (bit-for-bit on masses and memberships) to the definition;
 /// predicates without equi-conjuncts fall back to Select-over-Product.
-/// Under columnar execution with a fully-bindable residual, the join
-/// probes the operands' column stores and splices the matched pairs'
-/// column slices straight into the output's column image — neither
-/// operand rows nor result rows are materialized.
+/// The join probes the operands' column stores and splices the matched
+/// pairs' column slices straight into the output's column image —
+/// neither operand rows nor result rows are materialized. A residual
+/// that does not bind is interpreted per matched pair over a transient
+/// concatenated tuple.
 /// Relations are sets: the result's *row order* is implementation-
 /// defined (the hash path emits rows grouped by probe-side tuple, and
 /// the probe side is whichever operand is larger), deterministic for
@@ -211,7 +197,10 @@ enum class JoinBuildSide { kAuto, kLeft, kRight };
 /// support — the result is bit-identical to joining against the
 /// materialized prefilter output. Requires an explicit build side (the
 /// fused side must be the probe side, and kAuto's size heuristic would
-/// otherwise see the unfiltered cardinality).
+/// otherwise see the unfiltered cardinality). When the conjuncts or the
+/// join's residual do not bind, or the join has no equi-conjunct, the
+/// join materializes FilterPositiveSupport(probe, conjuncts) first —
+/// the same result.
 struct FusedJoinProbe {
   std::vector<PredicatePtr> conjuncts;
 };
@@ -222,10 +211,7 @@ struct FusedJoinProbe {
 /// Saves rebuilding the schema once per call — Join(l, r, p, q) is
 /// exactly this with a fresh schema. When `fused_probe` is non-null the
 /// probe-side operand (the side opposite `build_side`, which must not be
-/// kAuto) is prefiltered in the probe loop itself (see FusedJoinProbe);
-/// execution routes that cannot fuse (row mode, interpreted residuals,
-/// no equi-conjunct) materialize the prefilter first and behave
-/// identically.
+/// kAuto) is prefiltered in the probe loop itself (see FusedJoinProbe).
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
@@ -249,8 +235,8 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
 /// with memberships folded left-to-right via F_TM, then one extended
 /// selection with the full predicate — and is bit-identical to that
 /// definition for *any* `join_order` (a permutation of 0..n-1; the
-/// identity when empty). Under columnar execution with a fully-bindable
-/// predicate, the executor enumerates the combinations surviving the
+/// identity when empty). With a fully-bindable predicate, the executor
+/// enumerates the combinations surviving the
 /// predicate's definite equi edges (AnalyzeMultiJoinEdges) by pairwise
 /// hash joins in `join_order` — building a table on each incoming
 /// operand and probing with the current match set, cross-stepping when
@@ -259,8 +245,8 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
 /// predicate. Since dropped combinations carry an exact (0,0) equi
 /// factor (always removed under CWA_ER) and kept ones re-evaluate the
 /// complete predicate, the order only decides intermediate sizes, never
-/// the result. Row mode and non-bindable predicates take the
-/// materialized reference path.
+/// the result. A predicate that does not bind prunes nothing: the full
+/// cross product is enumerated in FROM order and selected.
 Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<const ExtendedRelation*>& operands,
     const SchemaPtr& product_schema, const PredicatePtr& predicate,
@@ -268,9 +254,9 @@ Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<size_t>& join_order = {});
 
 /// \brief Renames one attribute; useful before Product/Union when names
-/// collide or differ across sources. Under columnar execution this is a
-/// schema-only change: the output adopts the operand's column image
-/// under the renamed schema without materializing any rows.
+/// collide or differ across sources. This is a schema-only change: the
+/// output adopts the operand's column image under the renamed schema
+/// without materializing any rows.
 Result<ExtendedRelation> RenameAttribute(const ExtendedRelation& input,
                                          const std::string& from,
                                          const std::string& to);

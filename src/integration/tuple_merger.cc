@@ -15,15 +15,16 @@ namespace evident {
 
 namespace {
 
-/// The columnar rekey pass: instead of materializing every right tuple
-/// to rewrite its key cells and re-inserting it row by row, validate the
-/// matching over the operands' cached encoded-key arenas (same checks,
-/// same order, same messages as the row pass — including the insert-time
-/// duplicate-key check, replayed through an EncodedKeyIndex) and splice
-/// the rekeyed relation's column image directly: key columns take the
-/// left row's values for matched rows, every other column is copied from
-/// the right row's slice. No row objects exist before the union.
-Result<ExtendedRelation> RekeyRightColumnar(const ExtendedRelation& left,
+/// The rekey pass: rewrites each matched right tuple's key to the left
+/// tuple's key so the extended union (which matches by key) merges them
+/// — one implementation of Dempster-based merging. The matching is
+/// validated over the operands' cached encoded-key arenas (including the
+/// insert path's duplicate-key check, replayed through an
+/// EncodedKeyIndex) and the rekeyed relation's column image is spliced
+/// directly: key columns take the left row's values for matched rows,
+/// every other column is copied from the right row's slice. No row
+/// objects exist before the union.
+Result<ExtendedRelation> RekeyRight(const ExtendedRelation& left,
                                             const ExtendedRelation& right,
                                             const MatchingInfo& matching) {
   const ColumnStore& lstore = left.columns();
@@ -155,85 +156,10 @@ Result<ExtendedRelation> MergeTuples(const ExtendedRelation& left,
     return Status::Incompatible(
         "tuple merging requires union-compatible relations");
   }
-  if (ColumnarExecutionEnabled()) {
-    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation rekeyed,
-                             RekeyRightColumnar(left, right, matching));
-    // Both executors materialize the rekeyed right side (right.size()
-    // rows); charge it before the union so governed charges stay
-    // mode-invariant.
-    if (QueryContext* const ctx = CurrentQueryContext()) {
-      EVIDENT_RETURN_NOT_OK(
-          ctx->ChargeOutput(*right.schema(), rekeyed.size()));
-    }
-    return Union(left, rekeyed, options);
-  }
-  // Rewrite each matched right tuple's key to the left tuple's key, then
-  // reuse the extended union machinery (which matches by key, and runs
-  // the per-tuple combination pass on the parallel executor). This keeps
-  // one implementation of Dempster-based merging.
-  ExtendedRelation rekeyed(right.name(), right.schema());
-  rekeyed.Reserve(right.size());
-  const auto& key_indices = right.schema()->key_indices();
-  std::vector<uint8_t> is_matched_right(right.size(), 0);
-  // Matched left keys in the index's encoded form: probing and inserting
-  // reuse one buffer instead of materializing a KeyVector (with its
-  // Value copies) per match.
-  std::unordered_set<std::string, EncodedKeyHash, std::equal_to<>>
-      matched_left_keys;
-  matched_left_keys.reserve(matching.matches.size());
-  std::string encoded_key;
-  for (const TupleMatch& m : matching.matches) {
-    if (m.left_row >= left.size() || m.right_row >= right.size()) {
-      return Status::InvalidArgument("matching references rows out of range");
-    }
-    if (is_matched_right[m.right_row]) {
-      return Status::InvalidArgument(
-          "matching assigns right row " + std::to_string(m.right_row) +
-          " twice");
-    }
-    is_matched_right[m.right_row] = 1;
-    ExtendedTuple t = right.row(m.right_row);
-    const ExtendedTuple& l = left.row(m.left_row);
-    for (size_t k : key_indices) t.cells[k] = l.cells[k];
-    left.EncodeKeyOf(l, &encoded_key);
-    matched_left_keys.insert(encoded_key);
-    // Every cell of the rekeyed tuple comes from a row already validated
-    // against one of the two union-compatible (Equals, incl. domains)
-    // schemas, so the tuple is schema-valid by construction; the trusted
-    // insert still performs the duplicate-key check.
-    EVIDENT_RETURN_NOT_OK(rekeyed.InsertTrusted(std::move(t)));
-  }
-
-  for (size_t j : matching.unmatched_right) {
-    if (j >= right.size()) {
-      return Status::InvalidArgument("matching references rows out of range");
-    }
-    if (is_matched_right[j]) {
-      return Status::InvalidArgument(
-          "row " + std::to_string(j) + " is both matched and unmatched");
-    }
-    is_matched_right[j] = 1;
-    // An unmatched right tuple whose key collides with an (unmatched)
-    // left key would wrongly merge; the matching info is authoritative,
-    // so such a collision is an error the caller must resolve by
-    // renaming keys. Matched left keys were collected above, replacing
-    // the former rescan of the whole match list per unmatched row.
-    right.EncodeKeyOf(right.row(j), &encoded_key);
-    if (left.ContainsEncodedKey(encoded_key) &&
-        matched_left_keys.count(encoded_key) == 0) {
-      return Status::InvalidArgument(
-          "unmatched right tuple shares key with a left tuple; matching "
-          "info and keys disagree");
-    }
-    EVIDENT_RETURN_NOT_OK(rekeyed.InsertTrusted(right.row(j)));
-  }
-  for (size_t j = 0; j < right.size(); ++j) {
-    if (!is_matched_right[j]) {
-      return Status::InvalidArgument(
-          "matching info does not cover right row " + std::to_string(j));
-    }
-  }
-  // Mirror of the columnar branch's rekeyed-materialization charge.
+  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation rekeyed,
+                           RekeyRight(left, right, matching));
+  // The rekeyed right side (right.size() rows) is an operator output in
+  // its own right; charge it before the union.
   if (QueryContext* const ctx = CurrentQueryContext()) {
     EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*right.schema(), rekeyed.size()));
   }

@@ -68,8 +68,8 @@ void OptimizePlan(LogicalPlan* plan);
 /// catalog's shared column image and splices only surviving, projected
 /// rows into the output — no intermediate relation per chain node —
 /// with output bit-identical to executing the chain it replaced (the
-/// chain is kept as the fused node's child for the row-mode fallback
-/// and EXPLAIN). Chains with interpreted (not fully bindable)
+/// chain is kept as the fused node's child for EXPLAIN and the governed
+/// charge replay). Chains with interpreted (not fully bindable)
 /// predicates, rename nodes, or non-scan leaves are left untouched.
 /// Runs after OptimizePlan so pushdown prefilters and pruning
 /// projections are already in place; QueryEngine exposes

@@ -540,8 +540,7 @@ class PlanExecutor {
         // first. The build side must be explicit (the optimizer assigns
         // one to every fully-bound join) so kAuto's run-time size
         // comparison never sees the unfiltered cardinality.
-        if (ColumnarExecutionEnabled() &&
-            node.build_side != JoinBuildSide::kAuto) {
+        if (node.build_side != JoinBuildSide::kAuto) {
           const bool probe_is_left = node.build_side == JoinBuildSide::kRight;
           const PlanNode* candidate =
               (probe_is_left ? node.left : node.right).get();
@@ -606,13 +605,8 @@ class PlanExecutor {
                                  Exec(*node.right));
         return MergeTuples(*l, *r, node.matching, node.options);
       }
-      case PlanNode::Op::kFused: {
-        // Row mode has no column image to fuse over: execute the
-        // original chain the node replaced (kept as its child), which
-        // is the reference interpretation the fused pass must match.
-        if (!ColumnarExecutionEnabled()) return ExecOwned(*node.left);
+      case PlanNode::Op::kFused:
         return ExecuteFusedPipeline(node);
-      }
       case PlanNode::Op::kMultiJoin: {
         std::vector<const ExtendedRelation*> rels;
         rels.reserve(node.operands.size());

@@ -127,8 +127,8 @@ struct PlanNode {
   // kFused: a Scan→(Prefilter|Select|Project)* chain lowered to one
   // per-morsel pass over the scan's shared column image — no
   // intermediate relation per chain node. The original chain is kept as
-  // `left`: the row-mode executor falls back to it and EXPLAIN renders
-  // it indented beneath the fused node. `rel` points at the chain's
+  // `left`: EXPLAIN renders it indented beneath the fused node and the
+  // governed executor replays its per-node charges. `rel` points at the chain's
   // catalog scan, `relation` holds the composed output name the unfused
   // chain would have produced, `fused_stages` are the filter stages in
   // bottom-up order, and `fused_projection` maps each output attribute

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
@@ -904,18 +903,11 @@ Result<Catalog> LoadErelFile(const std::string& path) {
 Result<Catalog> LoadErelFile(const std::string& path,
                              const LoadOptions& options, LoadInfo* info) {
   if (info != nullptr) *info = LoadInfo{};
-  LoadOptions::Map map = options.map;
-  if (map == LoadOptions::Map::kAuto) {
-    const char* env = std::getenv("EVIDENT_MMAP");
-    if (env != nullptr && std::string_view(env) == "0") {
-      map = LoadOptions::Map::kNever;
-    }
-  }
   // One guard over the whole load: every allocation (mapping bookkeeping,
   // error-message strings, the parse itself) fails as a clean Status. The
   // read loop keeps its own inner guard — it must close the fd first.
   try {
-    return LoadErelFileImpl(path, map, info);
+    return LoadErelFileImpl(path, options.map, info);
   } catch (const std::bad_alloc&) {
     return Status::ExecError("out of memory loading '" + path + "'");
   }

@@ -319,8 +319,7 @@ struct LoadOptions {
   enum class Map {
     /// Map v3 images when the file is mappable, fall back to the copied
     /// path otherwise (including v1/v2 files, which lack the alignment
-    /// padding mapping needs). Setting EVIDENT_MMAP=0 in the
-    /// environment turns kAuto into kNever.
+    /// padding mapping needs).
     kAuto,
     kNever,
     /// Map or fail — an unmappable file or a non-v3 image is an error,

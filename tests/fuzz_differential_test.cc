@@ -1,20 +1,22 @@
 // Randomized differential fuzz harness for the extended relational
 // algebra: random schemas (mixed key/definite/uncertain attributes,
 // frames of 2-96 values — wide frames past the 64-value inline word
-// exercise the boxed-column and interpreted-predicate fallbacks —
+// exercise the boxed columns and interpreted (unbindable) predicates —
 // adversarial focal densities straddling the
 // kAuto pairwise <-> fast-Möbius boundary), random relations, and random
 // operator trees (Select / Project / Union / Intersect / Join / Product
 // / MergeTuples with random predicates, including equi- and non-equi
-// joins). Every tree executes under every storage/kernel/thread mode —
-// {row, columnar} x {SIMD, scalar} x {threads 1, 7} — and the results
-// must be *bit-identical*: same schemas, same row order, exactly equal
-// focal structures, masses and memberships, and identical first-error
-// statuses (code and message). Trees additionally round-trip their
-// inputs through both .erel file formats (the v2 column image exactly,
-// the v1 text format within the serialized precision) and their
-// columnar outputs through the v2 format without ever materializing row
-// objects.
+// joins). Every tree executes under every kernel/thread mode —
+// {SIMD, scalar} x {threads 1, 7} — and the results must be
+// *bit-identical*: same schemas, same row order, exactly equal focal
+// structures, masses and memberships, and identical first-error
+// statuses (code and message). The engine must also agree with the
+// naive reference evaluator (tests/reference), keyed by key: the same
+// outcomes and status codes, bit-identical cells and memberships. Trees
+// additionally round-trip their inputs through both .erel file formats
+// (the v2 column image exactly, the v1 text format within the
+// serialized precision) and their outputs through the v2 format without
+// ever materializing row objects.
 //
 // The default seed runs kDefaultCases cases (one operator tree each);
 // set EVIDENT_FUZZ_ITERS for deeper runs.
@@ -38,6 +40,7 @@
 #include "integration/entity_identifier.h"
 #include "integration/tuple_merger.h"
 #include "query/engine.h"
+#include "reference/reference.h"
 #include "storage/erel_format.h"
 
 namespace evident {
@@ -56,32 +59,26 @@ size_t FuzzCases() {
 // Execution modes.
 
 struct Mode {
-  bool columnar;
   bool simd;
   size_t threads;
   const char* name;
 };
 
-/// kModes[0] is the reference: the row-store interpretation, serial.
-/// The batch SIMD toggle only affects the columnar path, so the row mode
-/// appears once per thread count.
+/// kModes[0] is the baseline the other modes must match row for row:
+/// the scalar batch kernel, serial.
 constexpr Mode kModes[] = {
-    {false, true, 1, "row/t1"},
-    {false, true, 7, "row/t7"},
-    {true, false, 1, "columnar/scalar/t1"},
-    {true, false, 7, "columnar/scalar/t7"},
-    {true, true, 1, "columnar/simd/t1"},
-    {true, true, 7, "columnar/simd/t7"},
+    {false, 1, "scalar/t1"},
+    {false, 7, "scalar/t7"},
+    {true, 1, "simd/t1"},
+    {true, 7, "simd/t7"},
 };
 
 void SetMode(const Mode& mode) {
-  SetColumnarExecution(mode.columnar);
   SetBatchSimdEnabled(mode.simd);
   SetParallelMaxThreads(mode.threads);
 }
 
 void RestoreDefaults() {
-  SetColumnarExecution(true);
   SetBatchSimdEnabled(true);
   SetParallelMaxThreads(0);
 }
@@ -395,6 +392,39 @@ Result<ExtendedRelation> ExecuteNode(
   return Status::Internal("unreachable node op");
 }
 
+/// The same node evaluated by the naive reference evaluator.
+Result<ExtendedRelation> ExecuteReferenceNode(
+    const Node& node, const std::vector<ExtendedRelation>& slots) {
+  switch (node.op) {
+    case Node::Op::kSelect:
+      return reference::Select(slots[node.left], node.predicate,
+                               node.threshold);
+    case Node::Op::kProject:
+      return reference::Project(slots[node.left], node.project_attrs);
+    case Node::Op::kUnion:
+      return reference::Union(slots[node.left], slots[node.right],
+                              node.options);
+    case Node::Op::kIntersect:
+      return reference::Intersect(slots[node.left], slots[node.right],
+                                  node.options);
+    case Node::Op::kMerge:
+      return reference::MergeTuples(slots[node.left], slots[node.right],
+                                    node.matching, node.options);
+    case Node::Op::kJoin:
+      return reference::Join(slots[node.left], slots[node.right],
+                             node.predicate, node.threshold);
+    case Node::Op::kProduct:
+      return reference::Product(slots[node.left], slots[node.right]);
+    case Node::Op::kRename:
+      return reference::Rename(slots[node.left], node.rename_from,
+                               node.rename_to);
+  }
+  return Status::Internal("unreachable node op");
+}
+
+using NodeExecutor = Result<ExtendedRelation> (*)(
+    const Node&, const std::vector<ExtendedRelation>&);
+
 struct FuzzCase {
   std::vector<ExtendedRelation> bases;
   std::vector<Node> nodes;
@@ -402,23 +432,48 @@ struct FuzzCase {
 
 /// Runs the plan over `bases`, collecting one Result per node. A node
 /// whose execution succeeds contributes a new slot consumable by later
-/// nodes (so deep pipelines carry each mode's own intermediates).
+/// nodes (so deep pipelines carry each run's own intermediates).
+/// node.matching indexes the generation-time row order; `rematch`
+/// recomputes each kMerge node's matching by key against the run's own
+/// slots, for runs whose rows may come in another order (partitioned
+/// images, the reference evaluator).
 std::vector<Result<ExtendedRelation>> RunPlan(
     const std::vector<ExtendedRelation>& bases,
-    const std::vector<Node>& nodes) {
+    const std::vector<Node>& nodes, NodeExecutor execute = ExecuteNode,
+    bool rematch = false) {
   std::vector<ExtendedRelation> slots = bases;
   std::vector<Result<ExtendedRelation>> results;
   results.reserve(nodes.size());
   for (const Node& node : nodes) {
-    Result<ExtendedRelation> result = ExecuteNode(node, slots);
+    Node fixed = node;
+    if (rematch && node.op == Node::Op::kMerge) {
+      auto matching = MatchByKey(slots[node.left], slots[node.right]);
+      if (!matching.ok()) {
+        results.push_back(matching.status());
+        continue;
+      }
+      fixed.matching = std::move(matching).value();
+    }
+    Result<ExtendedRelation> result = execute(fixed, slots);
     if (result.ok()) slots.push_back(*result);
     results.push_back(std::move(result));
   }
   return results;
 }
 
+/// Engine outcomes against the reference evaluator's, op by op, keyed.
+void ExpectMatchesReference(const std::vector<Result<ExtendedRelation>>& got,
+                            const std::vector<Result<ExtendedRelation>>& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(reference::DiffByKey(got[i], want[i]), "")
+        << what << " op " << i;
+  }
+}
+
 /// Generates a case: base relations plus an operator tree. The planner
-/// executes each candidate node on reference slots as it goes, both to
+/// executes each candidate node on baseline slots as it goes, both to
 /// know intermediate schemas/sizes (for choosing compatible operands
 /// and bounding growth) and because error nodes end no slot.
 FuzzCase GenerateCase(uint64_t seed, bool big) {
@@ -440,7 +495,7 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
         RandomRelation(&rng, "R3", schema_b, rows, key_range, string_keys));
   }
 
-  SetMode(kModes[0]);  // plan against the reference interpretation
+  SetMode(kModes[0]);  // plan against the baseline mode
   std::vector<ExtendedRelation> slots = c.bases;
   const size_t steps = 2 + rng.Below(4);
   const size_t max_pairs = big ? 8192 : 20000;
@@ -452,7 +507,7 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
       const size_t pick = rng.Below(11);
       node.left = rng.Below(slots.size());
       const ExtendedRelation& l = slots[node.left];
-      if (pick == 10) {  // rename (schema-only; columnar adopts the image)
+      if (pick == 10) {  // rename (schema-only; adopts the column image)
         const auto& nonkeys = l.schema()->nonkey_indices();
         if (nonkeys.empty()) continue;
         const std::string from =
@@ -611,14 +666,21 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
     const std::string tag = "case " + std::to_string(case_index);
 
     SetMode(kModes[0]);
-    const std::vector<Result<ExtendedRelation>> reference =
+    const std::vector<Result<ExtendedRelation>> baseline =
         RunPlan(c.bases, c.nodes);
+    const std::vector<Result<ExtendedRelation>> reference_run =
+        RunPlan(c.bases, c.nodes, ExecuteReferenceNode, /*rematch=*/true);
+    ExpectMatchesReference(baseline, reference_run, tag + " vs reference");
+    if (::testing::Test::HasFatalFailure()) {
+      RestoreDefaults();
+      return;
+    }
 
     for (size_t m = 1; m < std::size(kModes); ++m) {
       SetMode(kModes[m]);
       const std::vector<Result<ExtendedRelation>> got =
           RunPlan(c.bases, c.nodes);
-      ExpectOutcomesMatch(reference, got, /*eps=*/0.0,
+      ExpectOutcomesMatch(baseline, got, /*eps=*/0.0,
                           /*compare_messages=*/true,
                           tag + " mode " + kModes[m].name);
       if (::testing::Test::HasFatalFailure()) {
@@ -645,7 +707,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         EXPECT_TRUE(loaded->columnar_mode()) << tag;
         v2_bases.push_back(*loaded);
       }
-      ExpectOutcomesMatch(reference, RunPlan(v2_bases, c.nodes),
+      ExpectOutcomesMatch(baseline, RunPlan(v2_bases, c.nodes),
                           /*eps=*/0.0, /*compare_messages=*/true,
                           tag + " v2 round trip");
       // v1 text: exact to the serialized precision; error *codes* must
@@ -656,7 +718,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       for (const ExtendedRelation& base : c.bases) {
         v1_bases.push_back(*v1->GetRelation(base.name()).value());
       }
-      ExpectOutcomesMatch(reference, RunPlan(v1_bases, c.nodes),
+      ExpectOutcomesMatch(baseline, RunPlan(v1_bases, c.nodes),
                           /*eps=*/1e-6, /*compare_messages=*/false,
                           tag + " text round trip");
       if (::testing::Test::HasFatalFailure()) {
@@ -665,19 +727,23 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       }
     }
 
-    // Round-trip columnar *outputs* through the v2 format: saving must
-    // not materialize rows, and load must reproduce them bit-exactly.
+    // Round-trip operator *outputs* through the v2 format: every
+    // non-empty output is a column image (no operator builds rows, not
+    // even for interpreted predicates), saving must not materialize
+    // rows, and load must reproduce them bit-exactly.
     if (case_index % 5 == 2) {
-      SetMode(kModes[2]);  // columnar, scalar, serial
-      const std::vector<Result<ExtendedRelation>> columnar =
+      // A fresh run: the comparisons above read the baseline's rows.
+      SetMode(kModes[0]);
+      const std::vector<Result<ExtendedRelation>> fresh =
           RunPlan(c.bases, c.nodes);
       Catalog outputs;
       std::vector<size_t> saved_ops;
-      for (size_t i = 0; i < columnar.size(); ++i) {
-        if (!columnar[i].ok() || columnar[i]->size() == 0) continue;
-        // Interpreted-predicate fallbacks still build rows; skip those.
-        if (!columnar[i]->columnar_mode()) continue;
-        ExtendedRelation copy = *columnar[i];
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        if (!fresh[i].ok() || fresh[i]->size() == 0) continue;
+        EXPECT_TRUE(fresh[i]->columnar_mode())
+            << tag << ": op " << i << " (" << NodeOpName(c.nodes[i].op)
+            << ") built row objects";
+        ExtendedRelation copy = *fresh[i];
         copy.set_name("out" + std::to_string(i));
         ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok()) << tag;
         saved_ops.push_back(i);
@@ -696,7 +762,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         const ExtendedRelation* rel =
             loaded->GetRelation("out" + std::to_string(i)).value();
         EXPECT_TRUE(rel->columnar_mode()) << tag;
-        ExpectRelationsMatch(*columnar[i], *rel, /*eps=*/0.0,
+        ExpectRelationsMatch(*fresh[i], *rel, /*eps=*/0.0,
                              tag + " v2 output round trip op " +
                                  std::to_string(i) + " (" +
                                  NodeOpName(c.nodes[i].op) + ")");
@@ -764,36 +830,16 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         mapped_bases.push_back(*m);
       }
 
-      // node.matching indexes the generation-time row order, and a
-      // partitioned image reorders rows — rematch kMerge nodes by key
-      // against the actual slots. Both runs see the same file, hence the
-      // same order, hence the same rematching.
-      auto run_rematched = [&c](const std::vector<ExtendedRelation>& run_bases)
-          -> std::vector<Result<ExtendedRelation>> {
-        std::vector<ExtendedRelation> slots = run_bases;
-        std::vector<Result<ExtendedRelation>> results;
-        results.reserve(c.nodes.size());
-        for (const Node& node : c.nodes) {
-          Node fixed = node;
-          if (node.op == Node::Op::kMerge) {
-            auto matching = MatchByKey(slots[node.left], slots[node.right]);
-            if (!matching.ok()) {
-              results.push_back(matching.status());
-              continue;
-            }
-            fixed.matching = std::move(matching).value();
-          }
-          Result<ExtendedRelation> result = ExecuteNode(fixed, slots);
-          if (result.ok()) slots.push_back(*result);
-          results.push_back(std::move(result));
-        }
-        return results;
-      };
+      // A partitioned image may reorder rows, so kMerge nodes are
+      // rematched by key; both runs see the same file, hence the same
+      // order, hence the same rematching.
       const std::vector<Result<ExtendedRelation>> owned_run =
-          run_rematched(owned_bases);
-      ExpectOutcomesMatch(owned_run, run_rematched(mapped_bases),
-                          /*eps=*/0.0, /*compare_messages=*/true,
-                          tag + " v3 mmap vs owned plan");
+          RunPlan(owned_bases, c.nodes, ExecuteNode, /*rematch=*/true);
+      ExpectOutcomesMatch(
+          owned_run,
+          RunPlan(mapped_bases, c.nodes, ExecuteNode, /*rematch=*/true),
+          /*eps=*/0.0, /*compare_messages=*/true,
+          tag + " v3 mmap vs owned plan");
 
       // One random corrupt byte, diagnosed identically by both modes.
       std::string bytes;
@@ -849,8 +895,10 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
     // row cap must behave identically in every mode — the identical
     // nodes trip, with the identical ExecError message — and a budget
     // that suffices in one mode must suffice in all (the logical-charge
-    // model bills the same totals regardless of executor). Deadlines are
-    // excluded: *when* they fire is inherently nondeterministic.
+    // model bills the same totals regardless of threads or kernel).
+    // Until the first trip, governed outcomes must equal the reference
+    // evaluator's. Deadlines are excluded: *when* they fire is
+    // inherently nondeterministic.
     if (case_index % 7 == 3) {
       Rng gov_rng(seed ^ 0x60BE44EDULL);
       QueryContext ctx;
@@ -882,16 +930,24 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       };
 
       SetMode(kModes[0]);
-      const std::vector<Result<ExtendedRelation>> gov_reference =
+      const std::vector<Result<ExtendedRelation>> gov_baseline =
           run_governed();
       const uint64_t ref_rows = ctx.rows_charged();
       const uint64_t ref_bytes = ctx.bytes_charged();
+      for (size_t i = 0; i < gov_baseline.size(); ++i) {
+        if (!gov_baseline[i].ok() &&
+            gov_baseline[i].status().code() == StatusCode::kExecError) {
+          break;  // a limit tripped; the reference has no governor
+        }
+        ASSERT_EQ(reference::DiffByKey(gov_baseline[i], reference_run[i]), "")
+            << tag << " governed vs reference op " << i;
+      }
 
       for (size_t m = 1; m < std::size(kModes); ++m) {
         SetMode(kModes[m]);
         const std::vector<Result<ExtendedRelation>> gov_got =
             run_governed();
-        ExpectOutcomesMatch(gov_reference, gov_got, /*eps=*/0.0,
+        ExpectOutcomesMatch(gov_baseline, gov_got, /*eps=*/0.0,
                             /*compare_messages=*/true,
                             tag + " governed mode " + kModes[m].name);
         // When no limit tripped, the charge totals themselves must be
@@ -914,12 +970,13 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
 
 // ---------------------------------------------------------------------------
 // Random EQL statements through the query engine, differential across
-// {optimized, unoptimized} x {row, columnar} x {fused, unfused} (+ a
-// threaded fused mode). Pushdown must not change the result set by a single bit nor
-// reorder which error fires first; the optimizer may flip a join's hash
-// build side, which only permutes the (implementation-defined) row
-// order, so join-shaped statements compare as keyed sets and every
-// other shape compares with strict row order.
+// {optimized, unoptimized} x {fused, unfused} x {SIMD, scalar} x
+// {threads 1, 7}, and against the reference evaluator walking the
+// unoptimized plan. Pushdown must not change the result set by a single
+// bit nor reorder which error fires first; the optimizer may flip a
+// join's hash build side, which only permutes the
+// (implementation-defined) row order, so join-shaped statements compare
+// as keyed sets and every other shape compares with strict row order.
 
 /// Exact keyed comparison: same schema, same cardinality, and for every
 /// reference row an equal-keyed row with bitwise-equal cells and
@@ -1038,24 +1095,24 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
   struct EqlMode {
     bool optimize;
     bool fuse;
-    bool columnar;
+    bool simd;
     size_t threads;
     const char* name;
     /// Mode index whose result must match with strict row order (same
-    /// plan, different storage/threading/fusion); -1 compares keyed vs
+    /// plan, different kernel/threading/fusion); -1 compares keyed vs
     /// mode 0.
     int strict_against;
   };
   static constexpr EqlMode kEqlModes[] = {
-      {false, false, false, 1, "unopt/row", -1},
-      {false, false, true, 1, "unopt/columnar", 0},
-      {true, false, false, 1, "opt/row", -1},
+      {false, false, true, 1, "unopt", -1},
+      {false, false, false, 7, "unopt/scalar/t7", 0},
       // The set_pipeline_fusion_enabled(false) escape hatch executes the
       // unfused plan; the fused modes below must match it row-for-row,
       // bit-for-bit.
-      {true, false, true, 1, "opt/columnar/nofuse", 2},
-      {true, true, true, 1, "opt/columnar/fused", 3},
-      {true, true, true, 7, "opt/columnar/fused/t7", 4},
+      {true, false, true, 1, "opt/nofuse", -1},
+      {true, true, true, 1, "opt/fused", 2},
+      {true, true, true, 7, "opt/fused/t7", 3},
+      {true, true, false, 1, "opt/fused/scalar", 3},
   };
 
   const size_t cases = std::max<size_t>(FuzzCases() / 2, 50);
@@ -1207,7 +1264,7 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
 
     std::vector<Result<ExtendedRelation>> outcomes;
     for (const EqlMode& mode : kEqlModes) {
-      SetColumnarExecution(mode.columnar);
+      SetBatchSimdEnabled(mode.simd);
       SetParallelMaxThreads(mode.threads);
       QueryEngine engine(&catalog);
       engine.set_optimizer_enabled(mode.optimize);
@@ -1216,6 +1273,10 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
     }
     RestoreDefaults();
 
+    ASSERT_EQ(reference::DiffByKey(outcomes[0],
+                                   reference::ExecuteQuery(catalog, stmt)),
+              "")
+        << tag << " [reference]";
     for (size_t m = 1; m < outcomes.size(); ++m) {
       const std::string where = tag + " [" + kEqlModes[m].name + "]";
       ASSERT_EQ(outcomes[0].ok(), outcomes[m].ok())

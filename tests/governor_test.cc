@@ -2,7 +2,7 @@
 // memory budgets and row caps threaded through the engine — and the
 // robustness contract around them. A tripped limit must surface as one
 // deterministic ExecError whose message is identical across
-// {row, columnar} x {fused, unfused} x thread counts, and the engine,
+// {SIMD, scalar} x {fused, unfused} x thread counts, and the engine,
 // worker pool and shared catalog images must stay fully usable: the next
 // query on the same engine returns exactly what a fresh engine returns.
 #include "core/query_context.h"
@@ -19,7 +19,9 @@
 #include "core/column_store.h"
 #include "core/operations.h"
 #include "core/parallel.h"
+#include "ds/combination.h"
 #include "query/engine.h"
+#include "reference/reference.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -124,28 +126,24 @@ constexpr char kStarQuery[] =
 /// Restores the global execution-mode toggles a test permutes.
 class ModeGuard {
  public:
-  ModeGuard() : columnar_(ColumnarExecutionEnabled()) {}
   ~ModeGuard() {
-    SetColumnarExecution(columnar_);
+    SetBatchSimdEnabled(true);
     SetParallelMaxThreads(0);
   }
-
- private:
-  bool columnar_;
 };
 
 struct Mode {
-  bool columnar;
+  bool simd;
   bool fused;
   size_t threads;
 };
 
 std::vector<Mode> AllModes() {
   std::vector<Mode> modes;
-  for (bool columnar : {false, true}) {
+  for (bool simd : {false, true}) {
     for (bool fused : {false, true}) {
       for (size_t threads : {size_t{1}, size_t{7}}) {
-        modes.push_back({columnar, fused, threads});
+        modes.push_back({simd, fused, threads});
       }
     }
   }
@@ -157,7 +155,7 @@ Result<ExtendedRelation> RunGoverned(const Catalog& catalog,
                                      QueryContext* ctx,
                                      const std::string& query,
                                      const Mode& mode) {
-  SetColumnarExecution(mode.columnar);
+  SetBatchSimdEnabled(mode.simd);
   SetParallelMaxThreads(mode.threads);
   QueryEngine engine(&catalog);
   engine.set_pipeline_fusion_enabled(mode.fused);
@@ -169,18 +167,22 @@ TEST(GovernorTest, UnconstrainedContextLeavesResultsUnchanged) {
   ModeGuard guard;
   Catalog catalog;
   RegisterPair(&catalog);
-  QueryEngine plain(&catalog);
-  auto expected = plain.Execute(kJoinQuery);
+  const auto expected = reference::ExecuteQuery(catalog, kJoinQuery);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   QueryContext ctx;  // no limits set: governed but unconstrained
+  std::vector<Result<ExtendedRelation>> runs;
   for (const Mode& mode : AllModes()) {
-    auto got = RunGoverned(catalog, &ctx, kJoinQuery, mode);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_TRUE(got->ApproxEquals(*expected, 1e-12));
+    runs.push_back(RunGoverned(catalog, &ctx, kJoinQuery, mode));
+    ASSERT_TRUE(runs.back().ok()) << runs.back().status();
     EXPECT_GT(ctx.rows_charged(), 0u);
     EXPECT_GT(ctx.bytes_charged(), 0u);
   }
+  // Fusion only fuses the same plan, so every mode agrees row for row.
+  for (size_t m = 1; m < runs.size(); ++m) {
+    EXPECT_EQ(reference::DiffInOrder(runs[0], runs[m]), "") << "mode " << m;
+  }
+  EXPECT_EQ(reference::DiffByKey(runs[0], expected), "");
 }
 
 TEST(GovernorTest, RowCapMessageIdenticalAcrossAllModes) {
@@ -233,7 +235,8 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
   const uint64_t rows = probe.rows_charged();
   ASSERT_GT(bytes, 0u);
   // ... and that exact total must be enough in every other mode: the
-  // logical-charge model bills identical totals regardless of executor.
+  // logical-charge model bills identical totals regardless of threads,
+  // kernel or fusion.
   QueryContext ctx;
   ctx.set_memory_budget(bytes);
   ctx.set_row_cap(rows);
@@ -364,7 +367,6 @@ TEST(GovernorTest, CancelStormOverFusedPipelines) {
   ModeGuard guard;
   Catalog catalog;
   RegisterPair(&catalog);
-  SetColumnarExecution(true);
   SetParallelMaxThreads(7);
   const std::string query =
       "SELECT lk, ld FROM L WHERE ld < 6 AND lu IS {a0, a1, a2} WITH sn > 0";

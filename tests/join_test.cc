@@ -1,7 +1,8 @@
 // The hash-partitioned equi-join and the parallel tuple-range executor:
-// differential tests against the defining Select-over-Product
-// implementation, plan-analysis unit tests, and threaded-vs-serial
-// determinism for Join / Union / MergeTuples.
+// differential tests against the reference evaluator's
+// Select-over-Product definition (tests/reference), plan-analysis unit
+// tests, and threaded-vs-serial determinism for Join / Union /
+// MergeTuples.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "core/parallel.h"
 #include "integration/entity_identifier.h"
 #include "integration/tuple_merger.h"
+#include "reference/reference.h"
 #include "workload/generator.h"
 
 namespace evident {
@@ -25,31 +27,33 @@ class ScopedMaxThreads {
   ~ScopedMaxThreads() { SetParallelMaxThreads(0); }
 };
 
-/// The paper's definition of the extended join, kept as the reference
-/// implementation: σ̃^Q_P over the materialized product.
-Result<ExtendedRelation> ReferenceJoin(const ExtendedRelation& left,
-                                       const ExtendedRelation& right,
-                                       const PredicatePtr& predicate,
-                                       const MembershipThreshold& threshold =
-                                           MembershipThreshold()) {
-  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation product, Product(left, right));
-  return Select(product, predicate, threshold);
-}
-
-void ExpectSameRelation(const Result<ExtendedRelation>& got,
-                        const Result<ExtendedRelation>& want, double eps,
-                        const std::string& what) {
-  ASSERT_EQ(got.ok(), want.ok()) << what << ": got " << got.status()
-                                 << " want " << want.status();
-  if (!got.ok()) {
-    EXPECT_EQ(got.status().code(), want.status().code()) << what;
-    return;
+/// The engine's join under {scalar, SIMD} x {threads 1, 7}: bit-identical
+/// with strict row order across the modes (same error message on
+/// failure), and equal to the reference evaluator's σ̃ over the product
+/// keyed by key — bit-identical cells and memberships, same status code.
+void ExpectJoinMatchesReference(const ExtendedRelation& left,
+                                const ExtendedRelation& right,
+                                const PredicatePtr& predicate,
+                                const MembershipThreshold& threshold,
+                                const std::string& what) {
+  std::vector<Result<ExtendedRelation>> outcomes;
+  for (bool simd : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{7}}) {
+      SetBatchSimdEnabled(simd);
+      ScopedMaxThreads cap(threads);
+      outcomes.push_back(Join(left, right, predicate, threshold));
+    }
   }
-  EXPECT_EQ(got->size(), want->size()) << what;
-  EXPECT_TRUE(got->ApproxEquals(*want, eps))
-      << what << "\nhash join:\n"
-      << got->ToString(12) << "reference:\n"
-      << want->ToString(12);
+  SetBatchSimdEnabled(true);
+  for (size_t m = 1; m < outcomes.size(); ++m) {
+    EXPECT_EQ(reference::DiffInOrder(outcomes[0], outcomes[m]), "")
+        << what << " mode " << m;
+  }
+  EXPECT_EQ(reference::DiffByKey(outcomes[0], reference::Join(left, right,
+                                                              predicate,
+                                                              threshold)),
+            "")
+      << what;
 }
 
 /// Two generated relations joinable on their "key" attribute, with a
@@ -174,18 +178,16 @@ TEST(HashJoinDifferentialTest, KeyEquiJoinBitIdentical) {
   auto [left, right] = MakeKeyedPair(96, 0.5);
   PredicatePtr pred = Theta(ThetaOperand::Attr("L.key"), ThetaOp::kEq,
                             ThetaOperand::Attr("R.key"));
-  ExpectSameRelation(Join(left, right, pred),
-                     ReferenceJoin(left, right, pred),
-                     /*eps=*/0.0, "unique-key equi-join");
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "unique-key equi-join");
 }
 
 TEST(HashJoinDifferentialTest, SkewedManyToManyKeys) {
   auto [left, right] = MakeSkewedPair();
   PredicatePtr pred = Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                             ThetaOperand::Attr("R.grp"));
-  ExpectSameRelation(Join(left, right, pred),
-                     ReferenceJoin(left, right, pred),
-                     /*eps=*/0.0, "skewed grp join");
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "skewed grp join");
 }
 
 TEST(HashJoinDifferentialTest, ResidualPredicatesAndThresholds) {
@@ -207,10 +209,8 @@ TEST(HashJoinDifferentialTest, ResidualPredicatesAndThresholds) {
       PredicatePtr pred = And(Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                                     ThetaOperand::Attr("R.grp")),
                               residuals[ri]);
-      ExpectSameRelation(
-          Join(left, right, pred, thresholds[ti]),
-          ReferenceJoin(left, right, pred, thresholds[ti]),
-          /*eps=*/1e-12,
+      ExpectJoinMatchesReference(
+          left, right, pred, thresholds[ti],
           "residual " + std::to_string(ri) + " threshold " +
               std::to_string(ti));
     }
@@ -225,8 +225,8 @@ TEST(HashJoinDifferentialTest, EmptyMatchSets) {
   auto joined = Join(left, right, pred);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->size(), 0u);
-  ExpectSameRelation(joined, ReferenceJoin(left, right, pred), 0.0,
-                     "empty-match join");
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "empty-match join");
 }
 
 TEST(HashJoinDifferentialTest, EmptyOperands) {
@@ -244,9 +244,8 @@ TEST(HashJoinDifferentialTest, FallbackWithoutEquiConjunct) {
   auto [left, right] = MakeSkewedPair();
   PredicatePtr pred = Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kLt,
                             ThetaOperand::Attr("R.grp"));
-  ExpectSameRelation(Join(left, right, pred),
-                     ReferenceJoin(left, right, pred),
-                     /*eps=*/0.0, "non-equi fallback");
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "non-equi fallback");
 }
 
 TEST(HashJoinDifferentialTest, MultiKeyEquiJoin) {
@@ -260,8 +259,8 @@ TEST(HashJoinDifferentialTest, MultiKeyEquiJoin) {
   auto joined = Join(left, right, pred);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->size(), 0u);
-  ExpectSameRelation(joined, ReferenceJoin(left, right, pred), 0.0,
-                     "two-key join");
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "two-key join");
 }
 
 TEST(HashJoinDifferentialTest, BadIsConstantFailsLikeReference) {
@@ -269,11 +268,9 @@ TEST(HashJoinDifferentialTest, BadIsConstantFailsLikeReference) {
   PredicatePtr pred = And(Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                                 ThetaOperand::Attr("R.grp")),
                           IsSym("L.u", {"not-in-frame"}));
-  auto joined = Join(left, right, pred);
-  auto reference = ReferenceJoin(left, right, pred);
-  ASSERT_FALSE(joined.ok());
-  ASSERT_FALSE(reference.ok());
-  EXPECT_EQ(joined.status().code(), reference.status().code());
+  ASSERT_FALSE(Join(left, right, pred).ok());
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "bad IS constant");
 }
 
 TEST(HashJoinDifferentialTest, CappedArenaReservationOnHighMatchRateJoin) {
@@ -281,7 +278,7 @@ TEST(HashJoinDifferentialTest, CappedArenaReservationOnHighMatchRateJoin) {
   // constant definite attribute, so the splice path's focal-span arena
   // *bound* (surviving pairs x dense average span) crosses the 2^20
   // reservation cap — the arena must be reserved capped and grown, and
-  // the result must still be bit-identical to the row path.
+  // the result must still equal the reference in every mode.
   Rng rng(20260729);
   auto filter_dom = Domain::MakeSymbolic(
       "filt8", {"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"}).value();
@@ -326,27 +323,12 @@ TEST(HashJoinDifferentialTest, CappedArenaReservationOnHighMatchRateJoin) {
       And({Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                  ThetaOperand::Attr("R.grp")),
            IsSym("L.f", {"v0", "v1"}), IsSym("R.f", {"v0", "v1"})});
-  SetColumnarExecution(true);
-  auto columnar = Join(left, right, pred);
-  SetColumnarExecution(false);
-  auto row = Join(left, right, pred);
-  SetColumnarExecution(true);
-  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  EXPECT_TRUE(columnar->columnar_mode());
-  EXPECT_GT(columnar->size(), 10000u);
-  ASSERT_EQ(columnar->size(), row->size());
-  ASSERT_TRUE(columnar->schema()->Equals(*row->schema()));
-  for (size_t i = 0; i < row->size(); ++i) {
-    ASSERT_EQ(columnar->row(i).membership.sn, row->row(i).membership.sn);
-    ASSERT_EQ(columnar->row(i).membership.sp, row->row(i).membership.sp);
-    for (size_t c = 0; c < row->row(i).cells.size(); ++c) {
-      ASSERT_TRUE(
-          CellApproxEquals(columnar->row(i).cells[c], row->row(i).cells[c],
-                           0.0))
-          << "row " << i << " cell " << c;
-    }
-  }
+  auto joined = Join(left, right, pred);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_TRUE(joined->columnar_mode());
+  EXPECT_GT(joined->size(), 10000u);
+  ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
+                             "high-match-rate join");
 }
 
 // ---------------------------------------------------------------------------

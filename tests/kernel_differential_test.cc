@@ -18,6 +18,7 @@
 #include "core/parallel.h"
 #include "ds/combination.h"
 #include "integration/tuple_merger.h"
+#include "reference/reference.h"
 #include "workload/generator.h"
 
 namespace evident {
@@ -251,52 +252,35 @@ TEST(ValueSetBoundaryTest, InlineWordRoundTripAt64) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar vs row storage-mode differentials: every operator must produce
-// *bit-identical* relations in both modes — same row order, same focal
-// structures, exactly equal masses and memberships — and identical
-// error behaviour, for any thread count.
+// Operator differentials: every operator must produce *bit-identical*
+// relations — same row order, same focal structures, exactly equal
+// masses and memberships — and identical first errors under every
+// kernel/thread mode, and must agree with the naive reference evaluator
+// (tests/reference) keyed by key.
 
-/// Exact relation equality: same schema, same row order, cells equal
-/// with eps 0 (focal sets identical, masses bitwise equal through the
-/// |a-b| <= 0 comparison), memberships bitwise equal.
-void ExpectBitIdentical(const ExtendedRelation& a, const ExtendedRelation& b,
-                        const std::string& what) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema())) << what;
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const ExtendedTuple& x = a.row(i);
-    const ExtendedTuple& y = b.row(i);
-    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t c = 0; c < x.cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[c], y.cells[c], 0.0))
-          << what << " row " << i << " cell " << c;
+/// Runs `op` under {scalar, SIMD} x {threads 1, 7} and asserts
+/// bit-identical results (strict row order) and identical statuses
+/// (code and message) across the modes, then asserts the first mode's
+/// outcome equals `reference_op`'s keyed by key.
+void ExpectModesAgreeWithReference(
+    const std::function<Result<ExtendedRelation>()>& op,
+    const std::function<Result<ExtendedRelation>()>& reference_op,
+    const std::string& what) {
+  std::vector<Result<ExtendedRelation>> outcomes;
+  for (bool simd : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{7}}) {
+      SetBatchSimdEnabled(simd);
+      SetParallelMaxThreads(threads);
+      outcomes.push_back(op());
     }
   }
-}
-
-/// Runs `op` in row mode then in columnar mode (restoring the global
-/// toggle) and asserts bit-identical results and identical statuses.
-void ExpectModeIdentical(
-    const std::function<Result<ExtendedRelation>()>& op,
-    const std::string& what) {
-  SetColumnarExecution(false);
-  Result<ExtendedRelation> row_result = op();
-  SetColumnarExecution(true);
-  Result<ExtendedRelation> columnar_result = op();
-  ASSERT_EQ(row_result.ok(), columnar_result.ok())
-      << what << "\nrow: " << row_result.status().ToString()
-      << "\ncolumnar: " << columnar_result.status().ToString();
-  if (!row_result.ok()) {
-    EXPECT_EQ(row_result.status().code(), columnar_result.status().code())
-        << what;
-    EXPECT_EQ(row_result.status().message(),
-              columnar_result.status().message())
-        << what;
-    return;
+  SetBatchSimdEnabled(true);
+  SetParallelMaxThreads(0);
+  for (size_t m = 1; m < outcomes.size(); ++m) {
+    EXPECT_EQ(reference::DiffInOrder(outcomes[0], outcomes[m]), "")
+        << what << " mode " << m;
   }
-  ExpectBitIdentical(*row_result, *columnar_result, what);
+  EXPECT_EQ(reference::DiffByKey(outcomes[0], reference_op()), "") << what;
 }
 
 std::pair<ExtendedRelation, ExtendedRelation> MakeSources(uint64_t seed,
@@ -321,11 +305,11 @@ TEST(ColumnarDifferentialTest, ColumnStoreRoundTripIsLossless) {
   ColumnStore store = ColumnStore::FromRelation(a);
   auto back = store.ToRelation();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectBitIdentical(a, *back, "column store round trip");
+  EXPECT_EQ(reference::DiffInOrder(a, back), "") << "column store round trip";
   // The adopted (columnar-mode) relation materializes the same rows.
   ExtendedRelation adopted =
       ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(a));
-  ExpectBitIdentical(a, adopted, "adopted column image");
+  EXPECT_EQ(reference::DiffInOrder(a, adopted), "") << "adopted column image";
   // And serves key probes from its lazily-built index.
   for (size_t i = 0; i < a.size(); ++i) {
     auto found = adopted.FindByKey(a.KeyOf(a.row(i)));
@@ -334,7 +318,7 @@ TEST(ColumnarDifferentialTest, ColumnStoreRoundTripIsLossless) {
   }
 }
 
-TEST(ColumnarDifferentialTest, SelectMatchesRowModeBitForBit) {
+TEST(ColumnarDifferentialTest, SelectMatchesReferenceInEveryMode) {
   auto [a, b] = MakeSources(7, 120, 0.0);
   (void)b;
   const ExtendedRelation input = a;
@@ -345,17 +329,18 @@ TEST(ColumnarDifferentialTest, SelectMatchesRowModeBitForBit) {
             ThetaOperand::Attr("unc1")),
       Theta(ThetaOperand::Attr("def0"), ThetaOp::kEq,
             ThetaOperand::Attr("def1")),
-      // Unknown attribute: both modes must report the identical error.
+      // Unknown attribute: every mode must report the identical error.
       IsSym("nope", {"v0"}),
   };
   for (size_t p = 0; p < predicates.size(); ++p) {
-    ExpectModeIdentical(
+    ExpectModesAgreeWithReference(
         [&, p] { return Select(input, predicates[p]); },
+        [&, p] { return reference::Select(input, predicates[p]); },
         "select predicate " + std::to_string(p));
   }
 }
 
-TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
+TEST(ColumnarDifferentialTest, UnionMatchesReferenceAcrossRulesAndPolicies) {
   for (double conflict : {0.0, 0.5}) {
     auto [a, b] = MakeSources(1000 + static_cast<uint64_t>(conflict * 10),
                               100, conflict);
@@ -368,8 +353,9 @@ TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
         UnionOptions options;
         options.rule = rule;
         options.on_total_conflict = policy;
-        ExpectModeIdentical(
+        ExpectModesAgreeWithReference(
             [&] { return Union(a, b, options); },
+            [&] { return reference::Union(a, b, options); },
             std::string("union rule ") + CombinationRuleToString(rule) +
                 " policy " + std::to_string(static_cast<int>(policy)) +
                 " conflict " + std::to_string(conflict));
@@ -378,7 +364,7 @@ TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
   }
 }
 
-TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchRowMode) {
+TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchReference) {
   auto [a, b] = MakeSources(77, 90, 0.3);
   a.set_name("L");
   b.set_name("R");
@@ -387,24 +373,27 @@ TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchRowMode) {
       And(Theta(ThetaOperand::Attr("L.key"), ThetaOp::kEq,
                 ThetaOperand::Attr("R.key")),
           IsSym("L.unc0", {"v0", "v1", "v2", "v3"}));
-  ExpectModeIdentical([&] { return Join(a, b, join_pred); },
-                      "hash join with residual");
+  ExpectModesAgreeWithReference(
+      [&] { return Join(a, b, join_pred); },
+      [&] { return reference::Join(a, b, join_pred); },
+      "hash join with residual");
   // MergeTuples via key matching (inherits Union's merge pass).
   auto matching = MatchByKey(a, b);
   ASSERT_TRUE(matching.ok()) << matching.status().ToString();
   UnionOptions options;
   options.on_total_conflict = TotalConflictPolicy::kVacuous;
-  ExpectModeIdentical(
+  ExpectModesAgreeWithReference(
       [&] { return MergeTuples(a, b, *matching, options); },
+      [&] { return reference::MergeTuples(a, b, *matching, options); },
       "merge tuples by key");
 }
 
 TEST(ColumnarDifferentialTest, PreferRightKeepsLeftCellOnCrossKindEquality) {
   // int 1 and real 1.0 compare equal (Value's cross-kind numeric rule),
-  // so ApproxEquals cannot distinguish them — but the row path keeps the
-  // *left* cell on equality, and the columnar build must too, or the
+  // so ApproxEquals cannot distinguish them — but the definition keeps
+  // the *left* cell on equality, and the union build must too, or the
   // merged cell's kind flips under kPreferRight and kind-sensitive
-  // consumers (serialization) diverge between modes.
+  // consumers (serialization) see a real where the source had an int.
   auto schema = RelationSchema::Make({AttributeDef::Key("k"),
                                       AttributeDef::Definite("d")})
                     .value();
@@ -418,36 +407,139 @@ TEST(ColumnarDifferentialTest, PreferRightKeepsLeftCellOnCrossKindEquality) {
                   .ok());
   UnionOptions options;
   options.on_definite_conflict = DefiniteConflictPolicy::kPreferRight;
-  for (bool columnar : {false, true}) {
-    SetColumnarExecution(columnar);
-    auto merged = Union(a, b, options);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    ASSERT_EQ(merged->size(), 1u);
-    const Value& cell = std::get<Value>(merged->row(0).cells[1]);
-    EXPECT_TRUE(cell.is_int()) << "columnar=" << columnar;
-  }
-  SetColumnarExecution(true);
+  auto merged = Union(a, b, options);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged->size(), 1u);
+  EXPECT_TRUE(std::get<Value>(merged->row(0).cells[1]).is_int());
+  // DiffByKey compares Value kinds too.
+  EXPECT_EQ(reference::DiffByKey(merged, reference::Union(a, b, options)),
+            "");
 }
 
 TEST(ColumnarDifferentialTest, FirstErrorIdenticalAcrossModesAndThreads) {
   auto [a, b] = MakeSources(555, 150, 0.6);
   UnionOptions options;  // kError policies
-  for (size_t threads : {size_t{1}, size_t{7}}) {
-    SetParallelMaxThreads(threads);
-    ExpectModeIdentical(
-        [&] { return Union(a, b, options); },
-        "union first-error threads=" + std::to_string(threads));
+  ASSERT_FALSE(Union(a, b, options).ok());
+  ExpectModesAgreeWithReference(
+      [&] { return Union(a, b, options); },
+      [&] { return reference::Union(a, b, options); }, "union first-error");
+}
+
+/// A relation with a 70-value uncertain attribute `w` (past the 64-value
+/// inline word: stored boxed, and no predicate over it binds), a 6-value
+/// uncertain attribute `u` and a definite join attribute `d`.
+ExtendedRelation WideFrameRelation(const std::string& name, size_t rows,
+                                   uint64_t seed) {
+  std::vector<std::string> wide, narrow;
+  for (int i = 0; i < 70; ++i) wide.push_back("v" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) narrow.push_back("u" + std::to_string(i));
+  const DomainPtr wdom = Domain::MakeSymbolic("wide70", wide).value();
+  const DomainPtr udom = Domain::MakeSymbolic("narrow6", narrow).value();
+  const SchemaPtr schema =
+      RelationSchema::Make({AttributeDef::Key("k"),
+                            AttributeDef::Definite("d"),
+                            AttributeDef::Uncertain("w", wdom),
+                            AttributeDef::Uncertain("u", udom)})
+          .value();
+  Rng rng(seed);
+  // Focal sets of 1-2 of the first ten values, so IS conditions keep
+  // positive belief often enough to leave work for every operator.
+  auto small_focals = [&rng] {
+    MassFunction m(70);
+    const size_t focals = 1 + rng.Below(3);
+    for (size_t f = 0; f < focals; ++f) {
+      ValueSet set(70);
+      set.Set(rng.Below(10));
+      if (rng.Chance(0.5)) set.Set(rng.Below(10));
+      EXPECT_TRUE(m.Add(set, 1.0 / static_cast<double>(focals)).ok());
+    }
+    return m;
+  };
+  ExtendedRelation rel(name, schema);
+  for (size_t i = 0; i < rows; ++i) {
+    ExtendedTuple t;
+    t.cells = {Value(static_cast<int64_t>(i)),
+               Value(static_cast<int64_t>(rng.Below(6))),
+               EvidenceSet::MakeTrusted(wdom, small_focals()),
+               EvidenceSet::MakeTrusted(udom,
+                                        RandomMass(&rng, 6, 1 + rng.Below(4)))};
+    t.membership = SupportPair{0.25 + 0.5 * rng.NextDouble(), 1.0};
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
   }
-  // The error itself must also agree across thread counts.
-  SetParallelMaxThreads(1);
-  auto serial = Union(a, b, options);
-  SetParallelMaxThreads(7);
-  auto threaded = Union(a, b, options);
-  SetParallelMaxThreads(0);
-  ASSERT_EQ(serial.ok(), threaded.ok());
-  if (!serial.ok()) {
-    EXPECT_EQ(serial.status().message(), threaded.status().message());
+  return rel;
+}
+
+TEST(ColumnarDifferentialTest, InterpretedPredicatesMatchReference) {
+  // Predicates that do not bind — over a frame wider than 64 values, or
+  // naming a constant outside the frame — are interpreted per row (per
+  // matched pair in the join) on transient tuples. Sizes span several
+  // 256-row morsels.
+  const ExtendedRelation l = WideFrameRelation("L", 700, 1);
+  const ExtendedRelation r = WideFrameRelation("R", 600, 2);
+  const std::vector<PredicatePtr> selections = {
+      IsSym("w", {"v1", "v3", "v5"}),
+      And(IsSym("u", {"u0", "u1"}),
+          Theta(ThetaOperand::Attr("w"), ThetaOp::kLe,
+                ThetaOperand::LitValue(Value("v9")))),
+      IsSym("u", {"u0", "not-in-frame"}),  // fails on the first row
+  };
+  for (size_t p = 0; p < selections.size(); ++p) {
+    ExpectModesAgreeWithReference(
+        [&, p] { return Select(l, selections[p]); },
+        [&, p] { return reference::Select(l, selections[p]); },
+        "interpreted select " + std::to_string(p));
   }
+  const std::vector<PredicatePtr> conjuncts = {IsSym("w", {"v2", "v4"}),
+                                               Is("d", {Value(int64_t{1})})};
+  ExpectModesAgreeWithReference(
+      [&] { return FilterPositiveSupport(l, conjuncts); },
+      [&] { return reference::FilterPositiveSupport(l, conjuncts); },
+      "interpreted prefilter");
+  // Key equi-join on the definite attribute with a residual over the
+  // wide frame: probed by key, the residual interpreted per pair.
+  const PredicatePtr join_pred =
+      And(Theta(ThetaOperand::Attr("L.d"), ThetaOp::kEq,
+                ThetaOperand::Attr("R.d")),
+          IsSym("R.w", {"v0", "v7", "v8"}));
+  ExpectModesAgreeWithReference(
+      [&] { return Join(l, r, join_pred); },
+      [&] { return reference::Join(l, r, join_pred); },
+      "interpreted join residual");
+  // An unbindable multiway predicate prunes nothing: the full cross
+  // product in FROM order, then selection.
+  const ExtendedRelation a = WideFrameRelation("A", 9, 3);
+  const ExtendedRelation b = WideFrameRelation("B", 7, 4);
+  const ExtendedRelation c = WideFrameRelation("C", 8, 5);
+  const std::vector<const ExtendedRelation*> operands = {&a, &b, &c};
+  const SchemaPtr schema = MakeMultiwayProductSchema(operands).value();
+  const PredicatePtr multi_pred =
+      And({Theta(ThetaOperand::Attr("A.d"), ThetaOp::kEq,
+                 ThetaOperand::Attr("B.d")),
+           Theta(ThetaOperand::Attr("B.k"), ThetaOp::kEq,
+                 ThetaOperand::Attr("C.d")),
+           IsSym("C.w", {"v0", "v1", "v2", "v3"})});
+  ExpectModesAgreeWithReference(
+      [&] {
+        return MultiwayJoinProduct(operands, schema, multi_pred,
+                                   MembershipThreshold(), {2, 0, 1});
+      },
+      [&] { return reference::MultiwayJoin(operands, schema, multi_pred); },
+      "interpreted multiway join");
+  // The engine never builds an operand's row image, not even for
+  // interpreted predicates.
+  const ExtendedRelation lc =
+      ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(l));
+  const ExtendedRelation rc =
+      ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(r));
+  const auto selected = Select(lc, selections[0]);
+  const auto filtered = FilterPositiveSupport(lc, conjuncts);
+  const auto joined = Join(lc, rc, join_pred);
+  ASSERT_TRUE(selected.ok() && filtered.ok() && joined.ok());
+  EXPECT_GT(selected->size(), 0u);
+  EXPECT_GT(filtered->size(), 0u);
+  EXPECT_GT(joined->size(), 1000u);
+  EXPECT_EQ(lc.rows_materialized(), 0u);
+  EXPECT_EQ(rc.rows_materialized(), 0u);
 }
 
 // ---------------------------------------------------------------------------

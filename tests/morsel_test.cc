@@ -182,7 +182,6 @@ TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
   // equi-join on the skewed ld drives the morsel-scheduled probe.
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu IS {a0, a1, a2}";
-  SetColumnarExecution(true);
   QueryEngine engine(&catalog);
   ASSERT_TRUE(engine.pipeline_fusion_enabled());
   auto plan = engine.Explain(stmt);

@@ -15,9 +15,12 @@
 #include "common/domain.h"
 #include "core/column_store.h"
 #include "core/operations.h"
+#include "core/parallel.h"
+#include "ds/combination.h"
 #include "query/engine.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
+#include "reference/reference.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -83,34 +86,40 @@ class PlanTest : public ::testing::Test {
   }
 
   /// Runs `eql` under {optimizer on, off} x {fusion on, off} x
-  /// {columnar, row} and asserts all eight agree exactly (as keyed sets
-  /// — the optimizer may pick a different hash build side, which only
-  /// permutes rows).
+  /// {SIMD, scalar} x {threads 1, 7}. For each optimizer/fusion setting
+  /// the kernel/thread modes must agree with strict row order, and every
+  /// run must equal the reference evaluator's result keyed by key,
+  /// bit-identical (the optimizer may pick a different hash build side,
+  /// which only permutes rows).
   void ExpectAllModesAgree(const std::string& eql) {
-    QueryEngine reference(&catalog_);
-    reference.set_optimizer_enabled(false);
-    reference.set_pipeline_fusion_enabled(false);
-    for (bool columnar : {true, false}) {
-      SetColumnarExecution(columnar);
-      auto b = reference.Execute(eql);
-      ASSERT_TRUE(b.ok()) << eql << ": " << b.status();
-      for (bool optimize : {true, false}) {
-        for (bool fuse : {true, false}) {
-          if (!optimize && !fuse) continue;  // the reference itself
-          QueryEngine engine(&catalog_);
-          engine.set_optimizer_enabled(optimize);
-          engine.set_pipeline_fusion_enabled(fuse);
-          auto a = engine.Execute(eql);
-          ASSERT_TRUE(a.ok()) << eql << ": " << a.status();
-          EXPECT_TRUE(a->ApproxEquals(*b, 0.0))
-              << eql << " (columnar=" << columnar
-              << ", optimize=" << optimize << ", fuse=" << fuse
-              << ")\ngot:\n"
-              << a->ToString() << "reference:\n" << b->ToString();
+    const Result<ExtendedRelation> expected =
+        reference::ExecuteQuery(catalog_, eql);
+    ASSERT_TRUE(expected.ok()) << eql << ": " << expected.status();
+    for (bool optimize : {true, false}) {
+      for (bool fuse : {true, false}) {
+        QueryEngine engine(&catalog_);
+        engine.set_optimizer_enabled(optimize);
+        engine.set_pipeline_fusion_enabled(fuse);
+        std::vector<Result<ExtendedRelation>> runs;
+        for (bool simd : {true, false}) {
+          for (size_t threads : {size_t{1}, size_t{7}}) {
+            SetBatchSimdEnabled(simd);
+            SetParallelMaxThreads(threads);
+            runs.push_back(engine.Execute(eql));
+          }
         }
+        SetBatchSimdEnabled(true);
+        SetParallelMaxThreads(0);
+        const std::string where = eql + " (optimize=" +
+                                  std::to_string(optimize) +
+                                  ", fuse=" + std::to_string(fuse) + ")";
+        for (size_t m = 1; m < runs.size(); ++m) {
+          EXPECT_EQ(reference::DiffInOrder(runs[0], runs[m]), "")
+              << where << " mode " << m;
+        }
+        EXPECT_EQ(reference::DiffByKey(runs[0], expected), "") << where;
       }
     }
-    SetColumnarExecution(true);
   }
 
   Catalog catalog_;
@@ -294,28 +303,25 @@ TEST_F(PlanTest, PrefilterDropsOnlyZeroSupportRowsAndKeepsMemberships) {
   std::vector<PredicatePtr> conjuncts = {
       Is("ld", {Value(int64_t{3})}),
   };
-  for (bool columnar : {true, false}) {
-    SetColumnarExecution(columnar);
-    auto filtered = FilterPositiveSupport(l, conjuncts);
-    ASSERT_TRUE(filtered.ok()) << filtered.status();
-    EXPECT_EQ(filtered->name(), "L");  // name preserved for qualification
-    EXPECT_EQ(filtered->size(), 5u);   // ld == 3 <=> lk % 8 == 3
-    for (size_t i = 0; i < filtered->size(); ++i) {
-      const ExtendedTuple& t = filtered->row(i);
-      EXPECT_EQ(std::get<Value>(t.cells[1]), Value(int64_t{3}));
-      // Membership untouched (no F_TM revision).
-      const ExtendedTuple& src =
-          l.row(l.FindByKey(l.KeyOf(t)).value());
-      EXPECT_EQ(t.membership.sn, src.membership.sn);
-      EXPECT_EQ(t.membership.sp, src.membership.sp);
-    }
+  auto filtered = FilterPositiveSupport(l, conjuncts);
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  EXPECT_EQ(filtered->name(), "L");  // name preserved for qualification
+  EXPECT_EQ(filtered->size(), 5u);   // ld == 3 <=> lk % 8 == 3
+  for (size_t i = 0; i < filtered->size(); ++i) {
+    const ExtendedTuple& t = filtered->row(i);
+    EXPECT_EQ(std::get<Value>(t.cells[1]), Value(int64_t{3}));
+    // Membership untouched (no F_TM revision).
+    const ExtendedTuple& src = l.row(l.FindByKey(l.KeyOf(t)).value());
+    EXPECT_EQ(t.membership.sn, src.membership.sn);
+    EXPECT_EQ(t.membership.sp, src.membership.sp);
   }
-  SetColumnarExecution(true);
+  EXPECT_EQ(reference::DiffByKey(
+                filtered, reference::FilterPositiveSupport(l, conjuncts)),
+            "");
 }
 
 TEST_F(PlanTest, RenameAdoptsColumnImageWithoutMaterializingRows) {
   const ExtendedRelation& l = *catalog_.GetRelation("L").value();
-  SetColumnarExecution(true);
   ExtendedRelation columnar =
       ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(l));
   auto renamed = RenameAttribute(columnar, "ld", "ld_renamed");
@@ -324,11 +330,9 @@ TEST_F(PlanTest, RenameAdoptsColumnImageWithoutMaterializingRows) {
   EXPECT_EQ(renamed->rows_materialized(), 0u);
   EXPECT_EQ(columnar.rows_materialized(), 0u);
   EXPECT_TRUE(renamed->schema()->Has("ld_renamed"));
-  SetColumnarExecution(false);
-  auto reference = RenameAttribute(l, "ld", "ld_renamed");
-  SetColumnarExecution(true);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(renamed->ApproxEquals(*reference, 0.0));
+  EXPECT_EQ(reference::DiffByKey(
+                renamed, reference::Rename(l, "ld", "ld_renamed")),
+            "");
 }
 
 TEST_F(PlanTest, RenameAndMergeNodesExecuteProgrammatically) {

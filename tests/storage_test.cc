@@ -5,10 +5,12 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/rng.h"
 #include "core/column_store.h"
 #include "core/operations.h"
 #include "core/scan_stats.h"
 #include "query/engine.h"
+#include "reference/reference.h"
 #include "storage/csv.h"
 #include "storage/erel_format.h"
 #include "storage/mmap_file.h"
@@ -189,7 +191,6 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   // to rows) serializes without materializing rows and round-trips
   // exactly.
   Catalog catalog = GeneratedCatalog(23, 80);
-  SetColumnarExecution(true);
   auto selected = Select(*catalog.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1", "v2", "v3"}));
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
@@ -232,7 +233,6 @@ TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
   EXPECT_EQ(first_bytes(), "# evid");
   // A columnar relation present: kAuto must not force row
   // materialization, so the column image is written.
-  SetColumnarExecution(true);
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
@@ -749,6 +749,81 @@ TEST(ColumnImageV3Test, ZoneMapPruningMatchesMonolithicAndShowsInExplain) {
   EXPECT_EQ(selected->size(), 12u);
   std::remove(parts_path.c_str());
   std::remove(mono_path.c_str());
+}
+
+/// W (key k, definite d, uncertain u) and V (key vk, definite vd,
+/// uncertain vu), with u and vu over a 70-value frame: past the 64-value
+/// inline word, so no predicate over them binds and the operators
+/// interpret them per row (per matched pair in a join).
+Catalog WideFrameCatalog() {
+  std::vector<std::string> symbols;
+  for (int i = 0; i < 70; ++i) symbols.push_back("v" + std::to_string(i));
+  const DomainPtr wide = Domain::MakeSymbolic("wide70", symbols).value();
+  Rng rng(70);
+  auto make = [&](const std::string& name, const std::string& prefix) {
+    SchemaPtr schema =
+        RelationSchema::Make({AttributeDef::Key(prefix + "k"),
+                              AttributeDef::Definite(prefix + "d"),
+                              AttributeDef::Uncertain(prefix + "u", wide)})
+            .value();
+    ExtendedRelation rel(name, schema);
+    for (int64_t i = 0; i < 40; ++i) {
+      MassFunction m(70);
+      ValueSet a(70), b(70);
+      a.Set(rng.Below(8));
+      b.Set(rng.Below(8));
+      b.Set(rng.Below(8));
+      EXPECT_TRUE(m.Add(a, 0.5).ok());
+      EXPECT_TRUE(m.Add(b, 0.5).ok());
+      ExtendedTuple t;
+      t.cells = {Value(i), Value(i % 4),
+                 EvidenceSet::MakeTrusted(wide, std::move(m))};
+      t.membership = SupportPair{0.5 + 0.01 * static_cast<double>(i), 1.0};
+      EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    }
+    return rel;
+  };
+  Catalog catalog;
+  EXPECT_TRUE(catalog.RegisterRelation(make("W", "")).ok());
+  EXPECT_TRUE(catalog.RegisterRelation(make("V", "v")).ok());
+  return catalog;
+}
+
+TEST(ColumnImageV3Test, InterpretedPredicatesNeverMaterializeCatalogRows) {
+  // A query thread must never build (and cache) the row image of a
+  // shared, loaded catalog relation — not even when its predicate does
+  // not bind and is interpreted tuple by tuple.
+  const std::string path = "/tmp/evident_test_v3_wide_frame.erel";
+  ASSERT_TRUE(SaveErelFile(WideFrameCatalog(), path, PartitionSpec{}).ok());
+  auto loaded = LoadErelFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::vector<std::string> statements = {
+      // Interpreted selection.
+      "SELECT * FROM W WHERE u IS {v3}",
+      // Single-side conjuncts under a join, one of them interpreted.
+      "SELECT * FROM W JOIN V WHERE k = vk AND u IS {v3, v5} AND vd >= 1",
+      // Key equi-join whose residual is interpreted.
+      "SELECT * FROM W JOIN V WHERE k = vk AND u = vu",
+  };
+  QueryEngine engine(&*loaded);
+  std::vector<Result<ExtendedRelation>> results;
+  for (const std::string& stmt : statements) {
+    results.push_back(engine.Execute(stmt));
+    ASSERT_TRUE(results.back().ok()) << stmt << ": " << results.back().status();
+    EXPECT_GT(results.back()->size(), 0u) << stmt;
+    for (const char* name : {"W", "V"}) {
+      EXPECT_EQ(loaded->GetRelation(name).value()->rows_materialized(), 0u)
+          << stmt << " materialized the rows of catalog relation " << name;
+    }
+  }
+  // The reference reads the catalog's rows, so it runs last.
+  for (size_t i = 0; i < statements.size(); ++i) {
+    EXPECT_EQ(reference::DiffByKey(
+                  results[i], reference::ExecuteQuery(*loaded, statements[i])),
+              "")
+        << statements[i];
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ColumnImageV3Test, PrunedPartitionsAreNeverVerified) {

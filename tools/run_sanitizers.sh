@@ -2,13 +2,14 @@
 # Configure, build and run the sensitive suites under sanitizers with
 # one command — the recipe ROADMAP.md used to carry as prose.
 #
-#   asan (default): storage/join/fuzz/plan/governor/fault-injection/
-#                   session suites under ASan + UBSan (the session suite
-#                   pins catalog snapshots across replaces — the UAF
-#                   regression lives there).
+#   asan (default): storage/join/fuzz/kernel-differential/plan/
+#                   governor/fault-injection/session suites under ASan +
+#                   UBSan (the session suite pins catalog snapshots
+#                   across replaces — the UAF regression lives there).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
-#                   fused pipelines, the differential fuzz harness —
-#                   which runs every operator at threads=7 — the
+#                   fused pipelines, the differential fuzz harness and
+#                   the operator differentials against the reference
+#                   evaluator — which run every operator at threads=7 — the
 #                   governor's cross-thread cancellation storms, and the
 #                   concurrent-session suite with mid-flight catalog
 #                   republishes) under ThreadSanitizer.
@@ -39,13 +40,6 @@ esac
 : "${EVIDENT_FUZZ_ITERS:=40}"
 export EVIDENT_FUZZ_ITERS
 
-# Pin the mmap open path ON for the sanitized suites: the storage and
-# partition tests exercise both open modes explicitly, but any other
-# LoadErelFile call resolves Map::kAuto — force-enable so an inherited
-# EVIDENT_MMAP=0 cannot silently shrink ASan/TSan coverage of the
-# borrowed-memory code paths.
-export EVIDENT_MMAP=1
-
 run_pass() {
   local preset="$1"; shift
   local build_dir="build-${preset}"
@@ -54,9 +48,10 @@ run_pass() {
     asan) flags="-fsanitize=address,undefined -fno-sanitize-recover=all" ;;
     tsan) flags="-fsanitize=thread -fno-sanitize-recover=all" ;;
   esac
-  local targets=(storage_test join_test fuzz_differential_test plan_test
-                 morsel_test governor_test fault_injection_test session_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test)$'
+  local targets=(storage_test join_test fuzz_differential_test
+                 kernel_differential_test plan_test morsel_test governor_test
+                 fault_injection_test session_test)
+  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test)$'
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
