@@ -10,8 +10,9 @@
 //   \explain <eql>          show the query plan
 //   \load <path>            load an .erel file (reports mapped/copied)
 //   \save <path> [hash|range <P>]
-//                           save the catalog as .erel; with a scheme and
-//                           partition count, as a partitioned v3 image
+//                           save the catalog as a monolithic column image;
+//                           with a scheme and partition count, as a
+//                           partitioned one
 //   \deadline <ms>          per-query deadline in milliseconds (0 = off)
 //   \budget <bytes>         per-query memory budget (0 = unlimited)
 //   \rowcap <rows>          per-query output row cap (0 = unlimited)
@@ -129,9 +130,10 @@ int main(int argc, char** argv) {
   };
 
   std::printf("evident shell — type \\tables, \\show <rel>, \\explain "
-              "<eql>, \\load <path>, \\save <path>, \\deadline <ms>, "
-              "\\budget <bytes>, \\rowcap <rows>, \\limits, \\quit, or an "
-              "EQL query\n");
+              "<eql>, \\load <path>, \\save <path> (a monolithic column "
+              "image; append hash|range <P> to partition it), \\deadline "
+              "<ms>, \\budget <bytes>, \\rowcap <rows>, \\limits, \\quit, "
+              "or an EQL query\n");
   std::string line;
   while (true) {
     std::printf("eql> ");
@@ -176,14 +178,11 @@ int main(int argc, char** argv) {
       // "\save <path>" or "\save <path> hash|range <P>".
       const std::string rest = Trim(input.substr(6));
       const size_t space = rest.find(' ');
-      Status st;
-      if (space == std::string::npos) {
-        st = SaveErelFile(catalog, rest);
-      } else {
-        const std::string path = rest.substr(0, space);
+      const std::string path = rest.substr(0, space);
+      PartitionSpec spec;
+      if (space != std::string::npos) {
         const std::string spec_text = Trim(rest.substr(space + 1));
         const size_t spec_space = spec_text.find(' ');
-        PartitionSpec spec;
         uint64_t parts = 0;
         if (spec_space == std::string::npos ||
             !ParseLimit(Trim(spec_text.substr(spec_space + 1)), &parts) ||
@@ -202,9 +201,8 @@ int main(int argc, char** argv) {
           continue;
         }
         spec.partitions = static_cast<uint32_t>(parts);
-        st = SaveErelFile(catalog, path, spec);
       }
-      std::printf("%s\n", st.ToString().c_str());
+      std::printf("%s\n", SaveErelFile(catalog, path, spec).ToString().c_str());
       continue;
     }
     if (StartsWith(input, "\\deadline ")) {

@@ -29,6 +29,16 @@ class Value {
   explicit Value(std::string v) : rep_(std::move(v)) {}
   explicit Value(const char* v) : rep_(std::string(v)) {}
 
+  // The copy constructor builds the held alternative in place.
+  // libstdc++ 12's variant copy constructor, when the string copy throws
+  // (bad_alloc), destroys the half-built copy through an invalid index —
+  // undefined behaviour an out-of-memory save or operator would hit.
+  // (Its copy assignment already builds through the in-place path.)
+  Value(const Value& other) : rep_(CopyRep(other.rep_)) {}
+  Value(Value&&) noexcept = default;
+  Value& operator=(const Value&) = default;
+  Value& operator=(Value&&) noexcept = default;
+
   Kind kind() const { return static_cast<Kind>(rep_.index()); }
   bool is_int() const { return kind() == Kind::kInt; }
   bool is_real() const { return kind() == Kind::kReal; }
@@ -78,7 +88,20 @@ class Value {
   void AppendCanonicalKey(std::string* out) const;
 
  private:
-  std::variant<int64_t, double, std::string> rep_;
+  using Rep = std::variant<int64_t, double, std::string>;
+
+  static Rep CopyRep(const Rep& rep) {
+    switch (rep.index()) {
+      case 0:
+        return Rep(std::in_place_index<0>, std::get<0>(rep));
+      case 1:
+        return Rep(std::in_place_index<1>, std::get<1>(rep));
+      default:
+        return Rep(std::in_place_index<2>, std::get<2>(rep));
+    }
+  }
+
+  Rep rep_;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Value& v) {

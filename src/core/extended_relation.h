@@ -157,9 +157,9 @@ class ExtendedRelation {
   const ColumnStore& columns() const;
 
   /// \brief True while this relation holds only its column image (rows
-  /// not yet materialized). Storage decides how it is serialized: the
-  /// column-image file format persists a columnar relation without ever
-  /// building row objects.
+  /// not yet materialized). The column-image file format persists a
+  /// relation from its column image in either mode, so saving never
+  /// builds row objects.
   bool columnar_mode() const { return !rows_built_; }
 
   /// \brief How many times this relation converted its column image to

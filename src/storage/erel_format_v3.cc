@@ -1,37 +1,42 @@
-// The EVCIMG03 partitioned column image: writer, structural reader and
-// per-partition semantic verifier. The layout is documented bytes-exactly
-// in erel_format.h.
+// The EVCIMG03 column image: writer, structural reader and per-partition
+// semantic verifier. The layout is documented bytes-exactly in
+// erel_format.h.
 //
 // The reader splits validation in two. Everything needed for memory
-// safety is checked eagerly on open — magic, counts, every chunk
-// offset/size, focal-offset array, key-arena offset and index slot is
-// bounds-checked, so no access through the loaded store can read out of
-// bounds. The O(bytes) semantic checks (chunk CRCs, mass-function
-// invariants, CWA_ER, zone containment, key-arena/index agreement) run
-// per partition through one shared VerifyRelationPartition: eagerly (in
-// partition order) for a copied load, lazily on first touch for a mapped
-// load — so both modes report byte-identical messages for the same
-// corruption, and a mapped open stays O(partitions), not O(bytes).
+// safety and for trusting the image's metadata is checked eagerly on
+// open — magic, counts, every chunk offset/size, focal-offset array,
+// key-arena offset and index slot is bounds-checked, so no access
+// through the loaded store can read out of bounds, and the header CRC
+// proves the domains, schemas, manifests (zone maps included) and
+// statistics are the ones the writer stored, so a scan can prune on a
+// zone map it never verified row by row. The O(bytes) semantic checks
+// (chunk CRCs, mass-function invariants, CWA_ER, zone containment,
+// key-arena/index agreement) run per partition through one shared
+// VerifyRelationPartition: eagerly (in partition order) for a copied
+// load, lazily on first touch for a mapped load — so both modes report
+// byte-identical messages for the same corruption, and a mapped open
+// stays O(partitions), not O(bytes).
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/math_util.h"
+#include "common/value.h"
 #include "core/column_store.h"
 #include "core/extended_relation.h"
 #include "core/key_index.h"
 #include "storage/erel_format.h"
-#include "storage/erel_internal.h"
 #include "storage/erel_v3.h"
 #include "storage/mmap_file.h"
 
@@ -44,21 +49,324 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
-using erel_detail::ByteReader;
-using erel_detail::Crc32;
-using erel_detail::kStatisticsFooterMagic;
-using erel_detail::PutF64;
-using erel_detail::PutStr;
-using erel_detail::PutU32;
-using erel_detail::PutU64;
-using erel_detail::PutU8;
-using erel_detail::PutValue;
-using erel_detail::ReadStatisticsBody;
-using erel_detail::ValidateEvidenceRows;
-using erel_detail::WriteStatisticsBody;
-
 constexpr char kV3Magic[] = "EVCIMG03";
+constexpr char kStatisticsMagic[] = "STATS001";
 constexpr uint32_t kNoDomain = std::numeric_limits<uint32_t>::max();
+
+/// IEEE CRC-32 (the zlib/PNG polynomial 0xEDB88320, reflected, init and
+/// final xor 0xFFFFFFFF). Passing the CRC of a prefix as `crc` continues
+/// it: Crc32(b, nb, Crc32(a, na)) is the CRC of a followed by b.
+uint32_t Crc32(const char* data, size_t n, uint32_t crc = 0) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc ^= 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = kTable[(crc ^ static_cast<uint8_t>(data[i])) & 0xffu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// The header CRC of an image: CRC-32 over every byte outside the chunk
+/// areas and the key arrays, in file order. Writer and reader drive it
+/// identically as they walk the image — Cover() folds in the bytes since
+/// the previous call, Skip() steps over an excluded section — so both
+/// checksum the same byte stream.
+class HeaderChecksum {
+ public:
+  void Cover(const char* data, size_t end) {
+    crc_ = Crc32(data + pos_, end - pos_, crc_);
+    pos_ = end;
+  }
+  void Skip(size_t end) { pos_ = end; }
+  uint32_t value() const { return crc_; }
+
+ private:
+  uint32_t crc_ = 0;
+  size_t pos_ = 0;
+};
+
+void PutU8(std::string* out, uint8_t v) {
+  out->push_back(static_cast<char>(v));
+}
+
+void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutF64(std::string* out, double v) {
+  PutU64(out, std::bit_cast<uint64_t>(v));
+}
+
+void PutStr(std::string* out, const std::string& s) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
+}
+
+void PutValue(std::string* out, const Value& v) {
+  PutU8(out, static_cast<uint8_t>(v.kind()));
+  switch (v.kind()) {
+    case Value::Kind::kInt:
+      PutU64(out, static_cast<uint64_t>(v.int_value()));
+      break;
+    case Value::Kind::kReal:
+      PutF64(out, v.real_value());
+      break;
+    case Value::Kind::kString:
+      PutStr(out, v.string_value());
+      break;
+  }
+}
+
+/// Bounds-checked cursor over a serialized blob. Every read names what
+/// it was reading so truncation errors point at the damaged section;
+/// the reader annotates any failure with the source (file path) and the
+/// cursor position via Annotate().
+class ByteReader {
+ public:
+  /// Reads `data[0, limit)`; `source` names where the bytes came from
+  /// (a file path, or "<memory>").
+  ByteReader(const char* data, size_t limit, std::string source)
+      : data_(data), limit_(limit), source_(std::move(source)) {}
+
+  size_t remaining() const { return limit_ - pos_; }
+  size_t pos() const { return pos_; }
+
+  /// Stamps a failure with the source and the byte position the reader
+  /// had reached — the section that failed ends at (or just before)
+  /// that offset.
+  Status Annotate(const Status& status) const {
+    if (status.ok()) return status;
+    return Status(status.code(), source_ + ": " + status.message() +
+                                     " [near byte " + std::to_string(pos_) +
+                                     "]");
+  }
+
+  Status Take(size_t n, const char* what, const char** bytes) {
+    if (remaining() < n) {
+      return Status::ParseError(
+          std::string("column-image file truncated reading ") + what);
+    }
+    *bytes = data_ + pos_;
+    pos_ += n;
+    return Status::OK();
+  }
+
+  /// Consumes the zero-or-more padding bytes before the next 8-aligned
+  /// file offset (the alignment the mapped loader's borrowed numeric
+  /// spans rely on).
+  Status Align8(const char* what) {
+    const size_t pad = (8 - pos_ % 8) % 8;
+    const char* ignored;
+    return Take(pad, what, &ignored);
+  }
+
+  Result<uint8_t> U8(const char* what) {
+    const char* p;
+    EVIDENT_RETURN_NOT_OK(Take(1, what, &p));
+    return static_cast<uint8_t>(*p);
+  }
+
+  Result<uint32_t> U32(const char* what) {
+    const char* p;
+    EVIDENT_RETURN_NOT_OK(Take(4, what, &p));
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+    }
+    return v;
+  }
+
+  Result<uint64_t> U64(const char* what) {
+    const char* p;
+    EVIDENT_RETURN_NOT_OK(Take(8, what, &p));
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+    }
+    return v;
+  }
+
+  Result<double> F64(const char* what) {
+    EVIDENT_ASSIGN_OR_RETURN(uint64_t bits, U64(what));
+    return std::bit_cast<double>(bits);
+  }
+
+  Result<std::string> Str(const char* what) {
+    EVIDENT_ASSIGN_OR_RETURN(uint32_t n, U32(what));
+    const char* p;
+    EVIDENT_RETURN_NOT_OK(Take(n, what, &p));
+    return std::string(p, n);
+  }
+
+  Result<Value> ReadValue(const char* what) {
+    EVIDENT_ASSIGN_OR_RETURN(uint8_t kind, U8(what));
+    switch (kind) {
+      case 0: {
+        EVIDENT_ASSIGN_OR_RETURN(uint64_t v, U64(what));
+        return Value(static_cast<int64_t>(v));
+      }
+      case 1: {
+        EVIDENT_ASSIGN_OR_RETURN(double v, F64(what));
+        return Value(v);
+      }
+      case 2: {
+        EVIDENT_ASSIGN_OR_RETURN(std::string v, Str(what));
+        return Value(std::move(v));
+      }
+      default:
+        return Status::ParseError("unknown value kind tag " +
+                                  std::to_string(kind) + " in " + what);
+    }
+  }
+
+  /// Rejects an element count whose minimal serialized size already
+  /// exceeds the remaining bytes — a corrupt count must fail here, not
+  /// in a multi-gigabyte vector reserve.
+  Status CheckCount(uint64_t count, size_t min_bytes_each, const char* what) {
+    if (min_bytes_each != 0 && count > remaining() / min_bytes_each) {
+      return Status::ParseError(std::string("implausible ") + what +
+                                " count " + std::to_string(count) +
+                                " for the remaining file size");
+    }
+    return Status::OK();
+  }
+
+ private:
+  const char* data_;
+  size_t limit_;
+  size_t pos_ = 0;
+  std::string source_;
+};
+
+/// Validates rows [begin_row, end_row) of one packed evidence column:
+/// non-empty per-row spans of strictly ascending nonzero in-frame words,
+/// masses in (0, 1], per-row sums within tolerance of 1 — the invariants
+/// MassFunction::Validate enforces, checked straight on the spans of one
+/// partition's row range.
+Status ValidateEvidenceRows(const std::string& attr_name, size_t universe,
+                            const ColumnStore::EvidenceColumn& col,
+                            size_t begin_row, size_t end_row) {
+  const uint64_t frame_mask =
+      universe >= 64 ? ~uint64_t{0} : (uint64_t{1} << universe) - 1;
+  auto fail = [&](size_t row, const std::string& msg) {
+    return Status::ParseError("attribute '" + attr_name + "' row " +
+                              std::to_string(row) + ": " + msg);
+  };
+  for (size_t r = begin_row; r < end_row; ++r) {
+    const uint32_t first = col.offsets[r];
+    const uint32_t last = col.offsets[r + 1];
+    if (last < first || last > col.words.size()) {
+      return fail(r, "focal offsets not monotone within the span arena");
+    }
+    if (first == last) return fail(r, "empty mass function");
+    double sum = 0.0;
+    uint64_t prev = 0;
+    for (uint32_t k = first; k < last; ++k) {
+      const uint64_t w = col.words[k];
+      if (w == 0) return fail(r, "mass on the empty set");
+      if ((w & ~frame_mask) != 0) return fail(r, "focal word outside frame");
+      if (k > first && w <= prev) {
+        return fail(r, "focal words not strictly ascending");
+      }
+      prev = w;
+      const double m = col.masses[k];
+      if (!(m > 0.0) || m > 1.0 + kMassEpsilon) {
+        return fail(r, "focal mass outside (0, 1]");
+      }
+      sum += m;
+    }
+    // Same tolerance as MassFunction::Validate: relations built from
+    // rounded text literals carry sums within 1e-6 of 1, not 1e-9.
+    if (!ApproxEqual(sum, 1.0, 1e-6)) {
+      return fail(r, "focal masses sum to " + std::to_string(sum) +
+                         ", expected 1");
+    }
+  }
+  return Status::OK();
+}
+
+/// Serializes a TableStatistics as a STATS001 body (no magic): row
+/// count, per-attribute distinct + exact flag, the two 16-bin support
+/// histograms.
+void WriteStatisticsBody(std::string* out, const TableStatistics& s) {
+  PutU64(out, s.row_count);
+  PutU32(out, static_cast<uint32_t>(s.attributes.size()));
+  for (const TableStatistics::Attribute& attr : s.attributes) {
+    PutU64(out, attr.distinct);
+    PutU8(out, attr.exact ? 1 : 0);
+  }
+  for (uint64_t count : s.sn_histogram) PutU64(out, count);
+  for (uint64_t count : s.sp_histogram) PutU64(out, count);
+}
+
+/// Parses and structurally validates a STATS001 body written by
+/// WriteStatisticsBody; `context` prefixes every error (e.g.
+/// "statistics for relation 'x'").
+Status ReadStatisticsBody(ByteReader& in, const std::string& context,
+                          uint64_t expected_rows, size_t expected_attrs,
+                          TableStatistics* stats) {
+  auto fail = [&](const std::string& msg) {
+    return Status::ParseError(context + ": " + msg);
+  };
+  EVIDENT_ASSIGN_OR_RETURN(stats->row_count, in.U64("statistics row count"));
+  if (stats->row_count != expected_rows) {
+    return fail("row count disagrees with the relation");
+  }
+  EVIDENT_ASSIGN_OR_RETURN(uint32_t attr_count,
+                           in.U32("statistics attribute count"));
+  if (attr_count != expected_attrs) {
+    return fail("attribute count disagrees with the schema");
+  }
+  stats->attributes.reserve(attr_count);
+  for (uint32_t a = 0; a < attr_count; ++a) {
+    TableStatistics::Attribute attr;
+    EVIDENT_ASSIGN_OR_RETURN(attr.distinct,
+                             in.U64("statistics distinct count"));
+    if (attr.distinct > stats->row_count) {
+      return fail("distinct count exceeds the row count");
+    }
+    EVIDENT_ASSIGN_OR_RETURN(uint8_t exact, in.U8("statistics exact flag"));
+    if (exact > 1) return fail("exact flag is not 0 or 1");
+    attr.exact = exact != 0;
+    stats->attributes.push_back(attr);
+  }
+  for (std::vector<uint64_t>* hist :
+       {&stats->sn_histogram, &stats->sp_histogram}) {
+    hist->reserve(TableStatistics::kHistogramBins);
+    uint64_t sum = 0;
+    for (size_t b = 0; b < TableStatistics::kHistogramBins; ++b) {
+      EVIDENT_ASSIGN_OR_RETURN(uint64_t count,
+                               in.U64("statistics histogram bin"));
+      if (count > stats->row_count - sum) {
+        return fail("support histogram does not sum to the row count");
+      }
+      sum += count;
+      hist->push_back(count);
+    }
+    if (sum != stats->row_count) {
+      return fail("support histogram does not sum to the row count");
+    }
+  }
+  return Status::OK();
+}
+
 
 // ---------------------------------------------------------------------------
 // Writer.
@@ -197,7 +505,7 @@ void AppendChunk(const ColumnStore& sub, std::string* chunk,
     zone->sp_min = std::min(zone->sp_min, sub.sp()[r]);
     zone->sp_max = std::max(zone->sp_max, sub.sp()[r]);
   }
-  chunk->append(kStatisticsFooterMagic, 8);
+  chunk->append(kStatisticsMagic, 8);
   WriteStatisticsBody(chunk, sub.statistics());
   PadTo8(chunk);
 }
@@ -205,11 +513,12 @@ void AppendChunk(const ColumnStore& sub, std::string* chunk,
 }  // namespace
 
 std::string WriteErelColumnImageV3(const Catalog& catalog,
-                                   const PartitionSpec& partitioning,
-                                   bool include_statistics) {
-  // One snapshot for the whole image, as in the v2 writer.
+                                   const PartitionSpec& partitioning) {
+  // One snapshot for the whole image: a mid-serialization republish
+  // must not produce a torn image.
   const std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
   std::string out;
+  HeaderChecksum header_crc;
   out.append(kV3Magic, 8);
 
   const std::vector<std::string> domain_names = snapshot->DomainNames();
@@ -284,7 +593,9 @@ std::string WriteErelColumnImageV3(const Catalog& catalog,
       }
     }
     PadTo8(&out);
+    header_crc.Cover(out.data(), out.size());
     for (const std::string& chunk : chunks) out += chunk;
+    header_crc.Skip(out.size());
 
     // Trailer: keys, the persisted index and the relation statistics,
     // all in the file's partition-major global row order.
@@ -304,18 +615,18 @@ std::string WriteErelColumnImageV3(const Catalog& catalog,
       }
     }
     PutU64(&out, arena.size());
+    PutU64(&out, index.capacity());
+    header_crc.Cover(out.data(), out.size());
     out += arena;
     for (uint32_t o : key_offsets) PutU32(&out, o);
-    PutU8(&out, 1);  // has_index
-    PutU64(&out, index.capacity());
     for (uint64_t h : index.hashes()) PutU64(&out, h);
     for (uint32_t s : index.slots()) PutU32(&out, s);
-    PutU8(&out, include_statistics ? 1 : 0);
-    if (include_statistics) {
-      out.append(kStatisticsFooterMagic, 8);
-      WriteStatisticsBody(&out, store.statistics());
-    }
+    header_crc.Skip(out.size());
+    out.append(kStatisticsMagic, 8);
+    WriteStatisticsBody(&out, store.statistics());
   }
+  header_crc.Cover(out.data(), out.size());
+  PutU32(&out, header_crc.value());
   return out;
 }
 
@@ -343,7 +654,7 @@ struct VerifyContext {
   const char* base = nullptr;
   size_t chunk_area = 0;  // absolute offset of the chunk area
   std::vector<ChunkMeta> chunks;
-  std::shared_ptr<const EncodedKeyIndex> index;  // null: no persisted index
+  std::shared_ptr<const EncodedKeyIndex> index;
 };
 
 /// The deferred half of the load: the semantic checks over one
@@ -409,16 +720,14 @@ Status VerifyRelationPartition(const ColumnStore& store, size_t p,
     if (keys.key(r) != encoded) {
       return wrap_row(r, "key arena disagrees with the key value columns");
     }
-    if (ctx.index != nullptr) {
-      if (ctx.index->hashes()[r] != StableKeyHash(encoded)) {
-        return wrap_row(r, "key index hash disagrees with the key");
-      }
-      const uint32_t found = ctx.index->Find(encoded);
-      if (found == EncodedKeyIndex::kNoRow) {
-        return wrap_row(r, "key index does not reach the row");
-      }
-      if (found != r) return wrap_row(r, "duplicate key");
+    if (ctx.index->hashes()[r] != StableKeyHash(encoded)) {
+      return wrap_row(r, "key index hash disagrees with the key");
     }
+    const uint32_t found = ctx.index->Find(encoded);
+    if (found == EncodedKeyIndex::kNoRow) {
+      return wrap_row(r, "key index does not reach the row");
+    }
+    if (found != r) return wrap_row(r, "duplicate key");
   }
   return Status::OK();
 }
@@ -434,7 +743,7 @@ void AppendRaw(const char* bytes, size_t count, std::vector<T>* dst) {
 
 struct ParsedRelation {
   ColumnStore store;
-  std::optional<EncodedKeyIndex> index;
+  EncodedKeyIndex index;
   std::shared_ptr<VerifyContext> ctx;
 };
 
@@ -446,13 +755,15 @@ struct EvidenceAccumulator {
   std::vector<uint32_t> offsets{0};
 };
 
-/// The structural parse: domains, schemas, manifests, chunks, trailers.
-/// Errors come back without source context; ReadErelColumnImageV3
-/// annotates them with the source and byte position.
+/// The structural parse: domains, schemas, manifests, chunks, trailers
+/// and the header CRC. Errors come back without source context;
+/// ReadErelColumnImageV3 annotates them with the source and byte
+/// position.
 Status ParseV3(ByteReader& in, const char* data,
                const std::string& source,
                const std::shared_ptr<MappedFile>& mapping, Catalog* catalog,
                std::vector<ParsedRelation>* out) {
+  HeaderChecksum header_crc;
   {
     const char* magic;
     EVIDENT_RETURN_NOT_OK(in.Take(8, "magic", &magic));
@@ -609,6 +920,7 @@ Status ParseV3(ByteReader& in, const char* data,
 
     EVIDENT_RETURN_NOT_OK(in.Align8("chunk area padding"));
     const size_t chunk_area = in.pos();
+    header_crc.Cover(data, chunk_area);
 
     // Chunk parse. A single-partition mapped image is the zero-copy
     // path: its numeric arrays are borrowed straight out of the mapping.
@@ -803,7 +1115,7 @@ Status ParseV3(ByteReader& in, const char* data,
       {
         const char* magic;
         EVIDENT_RETURN_NOT_OK(in.Take(8, "chunk statistics magic", &magic));
-        if (std::string_view(magic, 8) != kStatisticsFooterMagic) {
+        if (std::string_view(magic, 8) != kStatisticsMagic) {
           return Status::ParseError("relation '" + rel_name + "' partition " +
                                     std::to_string(p) +
                                     ": chunk statistics magic missing");
@@ -824,6 +1136,7 @@ Status ParseV3(ByteReader& in, const char* data,
       }
       row_base += chunk_rows;
     }
+    header_crc.Skip(in.pos());
 
     if (borrow) {
       store.AdoptMemberships(
@@ -843,15 +1156,28 @@ Status ParseV3(ByteReader& in, const char* data,
                              ColumnSpan<double>(std::move(sp_acc)));
     }
 
-    // Trailer: key arena + offsets (copied — the key columns above are
-    // decoded Values anyway), the persisted index, relation statistics.
+    // Trailer: the key arrays (copied — the key columns above are
+    // decoded Values anyway), then the relation statistics.
     EVIDENT_ASSIGN_OR_RETURN(uint64_t arena_size, in.U64("key arena size"));
+    EVIDENT_ASSIGN_OR_RETURN(uint64_t capacity, in.U64("key index capacity"));
+    if (capacity != EncodedKeyIndex::TableCapacityFor(rows)) {
+      return Status::ParseError(
+          "relation '" + rel_name +
+          "': key index capacity disagrees with the row count");
+    }
+    header_crc.Cover(data, in.pos());
     const char* arena_bytes;
     EVIDENT_RETURN_NOT_OK(in.Take(static_cast<size_t>(arena_size),
                                   "key arena", &arena_bytes));
     const char* offset_bytes;
     EVIDENT_RETURN_NOT_OK(
         in.Take((rows + 1) * 4, "key offset", &offset_bytes));
+    const char* hash_bytes;
+    EVIDENT_RETURN_NOT_OK(in.Take(rows * 8, "key index hash", &hash_bytes));
+    const char* slot_bytes;
+    EVIDENT_RETURN_NOT_OK(in.Take(static_cast<size_t>(capacity) * 4,
+                                  "key index slot", &slot_bytes));
+    header_crc.Skip(in.pos());
     std::vector<uint32_t> key_offsets(rows + 1);
     std::memcpy(key_offsets.data(), offset_bytes, (rows + 1) * 4);
     if (key_offsets[0] != 0 || key_offsets[rows] != arena_size) {
@@ -865,72 +1191,43 @@ Status ParseV3(ByteReader& in, const char* data,
       }
     }
     std::string arena(arena_bytes, static_cast<size_t>(arena_size));
-
-    EVIDENT_ASSIGN_OR_RETURN(uint8_t has_index, in.U8("key index flag"));
-    if (has_index > 1) {
-      return Status::ParseError("relation '" + rel_name +
-                                "': invalid key index flag");
-    }
-    std::optional<EncodedKeyIndex> index;
-    if (has_index == 1) {
-      EVIDENT_ASSIGN_OR_RETURN(uint64_t capacity,
-                               in.U64("key index capacity"));
-      if (capacity != EncodedKeyIndex::TableCapacityFor(rows)) {
-        return Status::ParseError(
-            "relation '" + rel_name +
-            "': key index capacity disagrees with the row count");
-      }
-      const char* hash_bytes;
-      EVIDENT_RETURN_NOT_OK(in.Take(rows * 8, "key index hash", &hash_bytes));
-      const char* slot_bytes;
-      EVIDENT_RETURN_NOT_OK(in.Take(static_cast<size_t>(capacity) * 4,
-                                    "key index slot", &slot_bytes));
-      std::vector<uint64_t> hashes(rows);
-      // rows == 0 leaves both pointers null; memcpy forbids that even
-      // for a zero count.
-      if (rows > 0) std::memcpy(hashes.data(), hash_bytes, rows * 8);
-      std::vector<uint32_t> slots(static_cast<size_t>(capacity));
-      std::memcpy(slots.data(), slot_bytes,
-                  static_cast<size_t>(capacity) * 4);
-      // Structural: every slot names a real row or is empty, and the
-      // filled count equals the row count. The latter guarantees empty
-      // slots exist (capacity > rows by the load-factor bound), so index
-      // probes always terminate even on a corrupt table.
-      size_t filled = 0;
-      for (uint32_t slot : slots) {
-        if (slot == EncodedKeyIndex::kNoRow) continue;
-        ++filled;
-        if (slot >= rows) {
-          return Status::ParseError("relation '" + rel_name +
-                                    "': key index slot out of range");
-        }
-      }
-      if (filled != rows) {
-        return Status::ParseError(
-            "relation '" + rel_name +
-            "': key index slot count disagrees with the row count");
-      }
-      index.emplace();
-      index->AdoptParts(arena, key_offsets, std::move(hashes),
-                        std::move(slots));
-    }
-
-    EVIDENT_ASSIGN_OR_RETURN(uint8_t has_stats, in.U8("statistics flag"));
-    if (has_stats > 1) {
-      return Status::ParseError("relation '" + rel_name +
-                                "': invalid statistics flag");
-    }
-    if (has_stats == 1) {
-      const char* magic;
-      EVIDENT_RETURN_NOT_OK(
-          in.Take(8, "statistics footer magic", &magic));
-      if (std::string_view(magic, 8) != kStatisticsFooterMagic) {
+    std::vector<uint64_t> hashes(rows);
+    // rows == 0 leaves the hash pointer null; memcpy forbids that even
+    // for a zero count.
+    if (rows > 0) std::memcpy(hashes.data(), hash_bytes, rows * 8);
+    std::vector<uint32_t> slots(static_cast<size_t>(capacity));
+    std::memcpy(slots.data(), slot_bytes, static_cast<size_t>(capacity) * 4);
+    // Structural: every slot names a real row or is empty, and the
+    // filled count equals the row count. The latter guarantees empty
+    // slots exist (capacity > rows by the load-factor bound), so index
+    // probes always terminate even on a corrupt table.
+    size_t filled = 0;
+    for (uint32_t slot : slots) {
+      if (slot == EncodedKeyIndex::kNoRow) continue;
+      ++filled;
+      if (slot >= rows) {
         return Status::ParseError("relation '" + rel_name +
-                                  "': statistics footer magic missing");
+                                  "': key index slot out of range");
+      }
+    }
+    if (filled != rows) {
+      return Status::ParseError(
+          "relation '" + rel_name +
+          "': key index slot count disagrees with the row count");
+    }
+    EncodedKeyIndex index;
+    index.AdoptParts(arena, key_offsets, std::move(hashes), std::move(slots));
+
+    {
+      const char* magic;
+      EVIDENT_RETURN_NOT_OK(in.Take(8, "statistics magic", &magic));
+      if (std::string_view(magic, 8) != kStatisticsMagic) {
+        return Status::ParseError("relation '" + rel_name +
+                                  "': statistics magic missing");
       }
       TableStatistics stats;
       EVIDENT_RETURN_NOT_OK(ReadStatisticsBody(
-          in, "statistics footer for relation '" + rel_name + "'", rows,
+          in, "statistics for relation '" + rel_name + "'", rows,
           schema->size(), &stats));
       store.AdoptStatistics(std::move(stats));
     }
@@ -945,16 +1242,19 @@ Status ParseV3(ByteReader& in, const char* data,
     ctx->base = data;
     ctx->chunk_area = chunk_area;
     ctx->chunks = std::move(chunks);
-    if (index.has_value()) {
-      // The verifier gets its own copy: the relation's index moves out
-      // of reach once the relation is registered.
-      ctx->index = std::make_shared<const EncodedKeyIndex>(*index);
-    }
+    // The verifier gets its own copy: the relation's index moves out of
+    // reach once the relation is registered.
+    ctx->index = std::make_shared<const EncodedKeyIndex>(index);
     out->push_back(
         ParsedRelation{std::move(store), std::move(index), std::move(ctx)});
   }
+  header_crc.Cover(data, in.pos());
+  EVIDENT_ASSIGN_OR_RETURN(uint32_t stored_crc, in.U32("header checksum"));
+  if (stored_crc != header_crc.value()) {
+    return Status::ParseError("header checksum mismatch: the file is corrupt");
+  }
   if (in.remaining() != 0) {
-    return Status::ParseError("trailing bytes after the last relation");
+    return Status::ParseError("trailing bytes after the header checksum");
   }
   return Status::OK();
 }
@@ -983,12 +1283,9 @@ Result<Catalog> ReadErelColumnImageV3(const char* data, size_t size,
       EVIDENT_RETURN_NOT_OK(rel.store.EnsureAllVerified());
       rel.store.ClearDeferredVerification();
     }
-    ExtendedRelation adopted =
-        rel.index.has_value()
-            ? ExtendedRelation::AdoptColumnsWithIndex(std::move(rel.store),
-                                                      std::move(*rel.index))
-            : ExtendedRelation::AdoptColumns(std::move(rel.store));
-    EVIDENT_RETURN_NOT_OK(catalog.RegisterRelation(std::move(adopted)));
+    EVIDENT_RETURN_NOT_OK(
+        catalog.RegisterRelation(ExtendedRelation::AdoptColumnsWithIndex(
+            std::move(rel.store), std::move(rel.index))));
   }
   return catalog;
 }

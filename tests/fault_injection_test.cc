@@ -144,8 +144,7 @@ class FaultInjectionTest : public ::testing::Test {
     path_ = ::testing::TempDir() + "evident_fault_test.erel";
     // Seed the target with the previous image every failed save must
     // preserve.
-    ASSERT_TRUE(
-        SaveErelFile(SmallCatalog(), path_, ErelFormat::kColumnImage).ok());
+    ASSERT_TRUE(SaveErelFile(SmallCatalog(), path_).ok());
     old_bytes_ = ReadFileBytes(path_);
     ASSERT_FALSE(old_bytes_.empty());
   }
@@ -160,13 +159,21 @@ class FaultInjectionTest : public ::testing::Test {
   std::string old_bytes_;
 };
 
+/// The read-loop tests load through the copied path: a mapped open never
+/// crosses the read hooks.
+LoadOptions Copied() {
+  LoadOptions options;
+  options.map = LoadOptions::Map::kNever;
+  return options;
+}
+
 TEST_F(FaultInjectionTest, EveryWriteFaultFailsCleanlyAndAtomically) {
   const Catalog big = BigCatalog();
   // Discover how many write-hook crossings a full save makes.
   fault::Arm(fault::Site::kWrite, 0);
   {
     const std::string scratch = ::testing::TempDir() + "evident_fault_count";
-    ASSERT_TRUE(SaveErelFile(big, scratch, ErelFormat::kColumnImage).ok());
+    ASSERT_TRUE(SaveErelFile(big, scratch).ok());
     std::remove(scratch.c_str());
   }
   const uint64_t write_hits = fault::Hits();
@@ -175,7 +182,7 @@ TEST_F(FaultInjectionTest, EveryWriteFaultFailsCleanlyAndAtomically) {
 
   for (uint64_t nth = 1; nth <= write_hits; ++nth) {
     fault::Arm(fault::Site::kWrite, nth);
-    const Status s = SaveErelFile(big, path_, ErelFormat::kColumnImage);
+    const Status s = SaveErelFile(big, path_);
     fault::Disarm();
     EXPECT_EQ(s.code(), StatusCode::kExecError) << s;
     ExpectPristine(path_, old_bytes_);
@@ -186,7 +193,7 @@ TEST_F(FaultInjectionTest, FlushAndRenameFaultsFailCleanlyAndAtomically) {
   const Catalog big = BigCatalog();
   for (fault::Site site : {fault::Site::kFlush, fault::Site::kRename}) {
     fault::Arm(site, 1);
-    const Status s = SaveErelFile(big, path_, ErelFormat::kColumnImage);
+    const Status s = SaveErelFile(big, path_);
     fault::Disarm();
     EXPECT_EQ(s.code(), StatusCode::kExecError) << s;
     ExpectPristine(path_, old_bytes_);
@@ -198,7 +205,7 @@ TEST_F(FaultInjectionTest, ShortWritesAndEintrAreRetriedToSuccess) {
   for (fault::Site site : {fault::Site::kShortWrite, fault::Site::kEintr}) {
     for (uint64_t nth : {uint64_t{1}, uint64_t{2}}) {
       fault::Arm(site, nth);
-      const Status s = SaveErelFile(big, path_, ErelFormat::kColumnImage);
+      const Status s = SaveErelFile(big, path_);
       fault::Disarm();
       ASSERT_TRUE(s.ok()) << s;
       EXPECT_FALSE(FileExists(path_ + ".tmp"));
@@ -208,8 +215,7 @@ TEST_F(FaultInjectionTest, ShortWritesAndEintrAreRetriedToSuccess) {
       ASSERT_TRUE(rel.ok());
       EXPECT_EQ((*rel)->size(), 3000u);
       // Restore the small previous image for the next round.
-      ASSERT_TRUE(
-          SaveErelFile(SmallCatalog(), path_, ErelFormat::kColumnImage).ok());
+      ASSERT_TRUE(SaveErelFile(SmallCatalog(), path_).ok());
     }
   }
 }
@@ -219,7 +225,7 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringSaveFailCleanly) {
   fault::Arm(fault::Site::kAllocation, 0);
   {
     const std::string scratch = ::testing::TempDir() + "evident_fault_count";
-    ASSERT_TRUE(SaveErelFile(big, scratch, ErelFormat::kColumnImage).ok());
+    ASSERT_TRUE(SaveErelFile(big, scratch).ok());
     std::remove(scratch.c_str());
   }
   const uint64_t alloc_hits = fault::Hits();
@@ -239,7 +245,7 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringSaveFailCleanly) {
   for (uint64_t nth : picks) {
     if (nth == 0) continue;
     fault::Arm(fault::Site::kAllocation, nth);
-    const Status s = SaveErelFile(big, path_, ErelFormat::kColumnImage);
+    const Status s = SaveErelFile(big, path_);
     fault::Disarm();
     if (s.ok()) continue;  // allocation count shifted below nth: benign
     EXPECT_EQ(s.code(), StatusCode::kExecError) << s;
@@ -248,51 +254,48 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringSaveFailCleanly) {
 }
 
 TEST_F(FaultInjectionTest, ReadFaultsFailCleanly) {
-  ASSERT_TRUE(
-      SaveErelFile(BigCatalog(), path_, ErelFormat::kColumnImage).ok());
+  ASSERT_TRUE(SaveErelFile(BigCatalog(), path_).ok());
 
   fault::Arm(fault::Site::kRead, 1);
-  auto read_fault = LoadErelFile(path_);
+  auto read_fault = LoadErelFile(path_, Copied());
   fault::Disarm();
   ASSERT_FALSE(read_fault.ok());
   EXPECT_EQ(read_fault.status().code(), StatusCode::kExecError);
 
   fault::Arm(fault::Site::kEintr, 1);
-  auto eintr = LoadErelFile(path_);
+  auto eintr = LoadErelFile(path_, Copied());
   fault::Disarm();
   ASSERT_TRUE(eintr.ok()) << eintr.status();
   EXPECT_TRUE(eintr->HasRelation("Big"));
 }
 
 TEST_F(FaultInjectionTest, TruncatedReadsAreCleanParseErrors) {
-  ASSERT_TRUE(
-      SaveErelFile(BigCatalog(), path_, ErelFormat::kColumnImage).ok());
+  ASSERT_TRUE(SaveErelFile(BigCatalog(), path_).ok());
   // Count the read-loop iterations of a clean load.
   fault::Arm(fault::Site::kShortRead, 0);
-  ASSERT_TRUE(LoadErelFile(path_).ok());
+  ASSERT_TRUE(LoadErelFile(path_, Copied()).ok());
   const uint64_t read_hits = fault::Hits();
   fault::Disarm();
   ASSERT_GE(read_hits, 3u) << "fixture too small to exercise chunked reads";
 
   for (uint64_t nth = 1; nth <= read_hits; ++nth) {
     fault::Arm(fault::Site::kShortRead, nth);
-    auto loaded = LoadErelFile(path_);
+    auto loaded = LoadErelFile(path_, Copied());
     fault::Disarm();
     if (loaded.ok()) continue;  // EOF injected at the natural end: benign
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
         << loaded.status();
   }
-  // A truncation that drops the checksum trailer but keeps image bytes
-  // must still fail somewhere in parsing, never crash — which the loop
-  // above covers; the very first injection (empty file) parses as an
-  // empty v1 text catalog, which is the documented sniffing fallback.
+  // A truncation anywhere — inside a chunk, the key arrays or the header
+  // checksum — must fail in parsing, never crash, which the loop above
+  // covers; the very first injection (empty file) parses as an empty v1
+  // text catalog, which is the documented sniffing fallback.
 }
 
 TEST_F(FaultInjectionTest, AllocationFaultsDuringLoadFailCleanly) {
-  ASSERT_TRUE(
-      SaveErelFile(BigCatalog(), path_, ErelFormat::kColumnImage).ok());
+  ASSERT_TRUE(SaveErelFile(BigCatalog(), path_).ok());
   fault::Arm(fault::Site::kAllocation, 0);
-  ASSERT_TRUE(LoadErelFile(path_).ok());
+  ASSERT_TRUE(LoadErelFile(path_, Copied()).ok());
   const uint64_t alloc_hits = fault::Hits();
   fault::Disarm();
   ASSERT_GT(alloc_hits, 0u);
@@ -308,7 +311,7 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringLoadFailCleanly) {
   for (uint64_t nth : picks) {
     if (nth == 0) continue;
     fault::Arm(fault::Site::kAllocation, nth);
-    auto loaded = LoadErelFile(path_);
+    auto loaded = LoadErelFile(path_, Copied());
     fault::Disarm();
     if (loaded.ok()) continue;  // count shifted: benign
     EXPECT_EQ(loaded.status().code(), StatusCode::kExecError)
@@ -316,41 +319,60 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringLoadFailCleanly) {
   }
 }
 
-TEST_F(FaultInjectionTest, ChecksumTrailerDetectsBitRot) {
-  ASSERT_TRUE(
-      SaveErelFile(BigCatalog(), path_, ErelFormat::kColumnImage).ok());
+TEST_F(FaultInjectionTest, HeaderAndChunkChecksumsDetectBitRot) {
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kKeyRange;
+  spec.partitions = 4;
+  ASSERT_TRUE(SaveErelFile(BigCatalog(), path_, spec).ok());
   const std::string good = ReadFileBytes(path_);
-  ASSERT_GT(good.size(), 12u);
 
-  // Flip one byte in the body: the CRC must catch it before parsing.
-  for (size_t pos : {size_t{9}, good.size() / 2, good.size() - 13}) {
+  LoadOptions mapped;
+  mapped.map = LoadOptions::Map::kAlways;
+  // The first error of a load, mapped opens driven through their
+  // deferred verification.
+  auto first_error = [&](const LoadOptions& options) {
+    auto loaded = LoadErelFile(path_, options);
+    if (!loaded.ok()) return loaded.status();
+    for (const std::string& name : loaded->RelationNames()) {
+      const Status s =
+          loaded->GetRelation(name).value()->columns().EnsureAllVerified();
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  };
+  // Flip one byte of text the parser accepts either way, so only a
+  // checksum can tell: the domain and relation names (header), a string
+  // payload in the middle of the rows (chunk), and the stored header
+  // CRC itself.
+  const std::string payload = std::string(96, 'a' + 1500 % 26) + "1500";
+  const struct {
+    size_t pos;
+    const char* diagnosis;
+  } flips[] = {
+      {good.find("fi_dom"), "header checksum mismatch: the file is corrupt"},
+      {good.find("Big"), "header checksum mismatch: the file is corrupt"},
+      {good.find(payload), "chunk checksum mismatch: the file is corrupt"},
+      {good.size() - 2, "header checksum mismatch: the file is corrupt"},
+  };
+  for (const auto& flip : flips) {
+    ASSERT_NE(flip.pos, std::string::npos);
     std::string bad = good;
-    bad[pos] = static_cast<char>(bad[pos] ^ 0x40);
+    bad[flip.pos] = static_cast<char>(bad[flip.pos] ^ 0x01);
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out << bad;
     out.close();
-    auto loaded = LoadErelFile(path_);
-    ASSERT_FALSE(loaded.ok()) << "flipped byte " << pos;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-    // The message names the damaged file and carries the core diagnosis.
-    EXPECT_NE(loaded.status().message().find(path_), std::string::npos)
-        << loaded.status();
-    EXPECT_NE(loaded.status().message().find(
-                  "column-image checksum mismatch: the file is corrupt"),
-              std::string::npos)
-        << loaded.status();
+    const Status copied_error = first_error(Copied());
+    ASSERT_FALSE(copied_error.ok()) << "flipped byte " << flip.pos;
+    EXPECT_EQ(copied_error.code(), StatusCode::kParseError);
+    // The message names the damaged file and carries the core diagnosis,
+    // identically for both open modes.
+    EXPECT_NE(copied_error.message().find(path_), std::string::npos)
+        << copied_error;
+    EXPECT_NE(copied_error.message().find(flip.diagnosis), std::string::npos)
+        << copied_error;
+    EXPECT_EQ(first_error(mapped).message(), copied_error.message());
   }
-
-  // Flipping inside the trailer itself must also fail cleanly (either as
-  // a checksum mismatch or, if the magic is damaged, as trailing bytes).
-  std::string bad = good;
-  bad[good.size() - 2] = static_cast<char>(bad[good.size() - 2] ^ 0x01);
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out << bad;
-  out.close();
-  auto loaded = LoadErelFile(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
 }
 
 TEST_F(FaultInjectionTest, MappedOpenFaultsFailCleanlyWithoutLeaks) {
@@ -434,28 +456,6 @@ TEST_F(FaultInjectionTest, AllocationFaultsDuringMappedOpenFailCleanly) {
     EXPECT_EQ(MappedFile::live_mappings(), live_before)
         << "allocation fault at " << nth << " leaked a mapping";
   }
-}
-
-TEST_F(FaultInjectionTest, FooterlessImagesStillLoad) {
-  // Blobs written without the trailer (older writers, in-memory use)
-  // parse identically — the trailer is sniffed, never required.
-  const Catalog big = BigCatalog();
-  const std::string plain =
-      WriteErelColumnImage(big, /*include_statistics=*/true,
-                           /*include_checksum=*/false);
-  auto loaded = ReadErel(plain);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->HasRelation("Big"));
-
-  // And a checksummed blob is exactly plain + 12 trailer bytes.
-  const std::string checksummed =
-      WriteErelColumnImage(big, /*include_statistics=*/true,
-                           /*include_checksum=*/true);
-  ASSERT_EQ(checksummed.size(), plain.size() + 12);
-  EXPECT_EQ(checksummed.compare(0, plain.size(), plain), 0);
-  auto loaded2 = ReadErel(checksummed);
-  ASSERT_TRUE(loaded2.ok()) << loaded2.status();
-  EXPECT_TRUE(loaded2->HasRelation("Big"));
 }
 
 }  // namespace

@@ -14,9 +14,9 @@
 // naive reference evaluator (tests/reference), keyed by key: the same
 // outcomes and status codes, bit-identical cells and memberships. Trees
 // additionally round-trip their inputs through both .erel file formats
-// (the v2 column image exactly, the v1 text format within the
-// serialized precision) and their outputs through the v2 format without
-// ever materializing row objects.
+// (the v3 column image exactly, the v1 text format within the
+// serialized precision) and their outputs through the column image
+// without ever materializing row objects.
 //
 // The default seed runs kDefaultCases cases (one operator tree each);
 // set EVIDENT_FUZZ_ITERS for deeper runs.
@@ -697,19 +697,19 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       }
 
       SetMode(kModes[0]);
-      // v2 column image: bit-exact.
-      auto v2 = ReadErel(WriteErelColumnImage(inputs));
-      ASSERT_TRUE(v2.ok()) << tag << ": " << v2.status().ToString();
-      std::vector<ExtendedRelation> v2_bases;
+      // Monolithic column image: bit-exact, row order preserved.
+      auto v3 = ReadErel(WriteErelColumnImageV3(inputs));
+      ASSERT_TRUE(v3.ok()) << tag << ": " << v3.status().ToString();
+      std::vector<ExtendedRelation> v3_bases;
       for (const ExtendedRelation& base : c.bases) {
         const ExtendedRelation* loaded =
-            v2->GetRelation(base.name()).value();
+            v3->GetRelation(base.name()).value();
         EXPECT_TRUE(loaded->columnar_mode()) << tag;
-        v2_bases.push_back(*loaded);
+        v3_bases.push_back(*loaded);
       }
-      ExpectOutcomesMatch(baseline, RunPlan(v2_bases, c.nodes),
+      ExpectOutcomesMatch(baseline, RunPlan(v3_bases, c.nodes),
                           /*eps=*/0.0, /*compare_messages=*/true,
-                          tag + " v2 round trip");
+                          tag + " v3 round trip");
       // v1 text: exact to the serialized precision; error *codes* must
       // still agree (messages may print the re-rounded masses).
       auto v1 = ReadErel(WriteErel(inputs));
@@ -727,7 +727,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       }
     }
 
-    // Round-trip operator *outputs* through the v2 format: every
+    // Round-trip operator *outputs* through the column image: every
     // non-empty output is a column image (no operator builds rows, not
     // even for interpreted predicates), saving must not materialize
     // rows, and load must reproduce them bit-exactly.
@@ -748,7 +748,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok()) << tag;
         saved_ops.push_back(i);
       }
-      const std::string blob = WriteErelColumnImage(outputs);
+      const std::string blob = WriteErelColumnImageV3(outputs);
       for (size_t i : saved_ops) {
         const ExtendedRelation* rel =
             outputs.GetRelation("out" + std::to_string(i)).value();
@@ -763,7 +763,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
             loaded->GetRelation("out" + std::to_string(i)).value();
         EXPECT_TRUE(rel->columnar_mode()) << tag;
         ExpectRelationsMatch(*fresh[i], *rel, /*eps=*/0.0,
-                             tag + " v2 output round trip op " +
+                             tag + " v3 output round trip op " +
                                  std::to_string(i) + " (" +
                                  NodeOpName(c.nodes[i].op) + ")");
         if (::testing::Test::HasFatalFailure()) {
@@ -873,8 +873,8 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
           if (!deferred.ok()) break;
         }
         if (bad_owned.ok()) {
-          // The flip landed in bytes no check covers (padding): both
-          // modes accept it.
+          // Should a flip ever escape every check, both modes must at
+          // least accept it alike.
           EXPECT_TRUE(deferred.ok())
               << tag << " flipped byte " << pos << ": " << deferred;
         } else {

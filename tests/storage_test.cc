@@ -66,7 +66,7 @@ TEST(CatalogTest, ConflictingDomainRejected) {
             StatusCode::kAlreadyExists);
 }
 
-TEST(ErelFormatTest, RoundTripsPaperTables) {
+TEST(ErelTextFormatTest, RoundTripsPaperTables) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRB().value()).ok());
@@ -81,7 +81,7 @@ TEST(ErelFormatTest, RoundTripsPaperTables) {
   EXPECT_TRUE((*rb)->ApproxEquals(paper::TableRB().value(), 1e-8));
 }
 
-TEST(ErelFormatTest, RoundTripsGeneratedWorkload) {
+TEST(ErelTextFormatTest, RoundTripsGeneratedWorkload) {
   WorkloadGenerator gen(11);
   GeneratorOptions options;
   options.num_tuples = 40;
@@ -94,7 +94,7 @@ TEST(ErelFormatTest, RoundTripsGeneratedWorkload) {
   EXPECT_TRUE((*loaded->GetRelation("W"))->ApproxEquals(relation, 1e-8));
 }
 
-TEST(ErelFormatTest, QuotedNumericStringsRoundTrip) {
+TEST(ErelTextFormatTest, QuotedNumericStringsRoundTrip) {
   auto schema = RelationSchema::Make({AttributeDef::Key("k"),
                                       AttributeDef::Definite("d")})
                     .value();
@@ -111,7 +111,7 @@ TEST(ErelFormatTest, QuotedNumericStringsRoundTrip) {
   EXPECT_TRUE(std::get<Value>(rel->row(0).cells[1]).is_string());
 }
 
-TEST(ErelFormatTest, ParseErrors) {
+TEST(ErelTextFormatTest, ParseErrors) {
   EXPECT_FALSE(ReadErel("garbage line").ok());
   EXPECT_FALSE(ReadErel("relation R\nattr k key\nrow a | (1,1)\n").ok());
   EXPECT_FALSE(ReadErel("relation R\nattr k key\n").ok());  // no end
@@ -124,13 +124,18 @@ TEST(ErelFormatTest, ParseErrors) {
           .ok());
 }
 
-TEST(ErelFormatTest, FileRoundTrip) {
+TEST(ErelTextFormatTest, FileRoundTrip) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
   const std::string path = "/tmp/evident_test_catalog.erel";
-  ASSERT_TRUE(SaveErelFile(catalog, path).ok());
-  auto loaded = LoadErelFile(path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << WriteErel(catalog);
+  }
+  LoadInfo info;
+  auto loaded = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(info.format, "text");
   EXPECT_TRUE(
       (*loaded->GetRelation("RA"))->ApproxEquals(paper::TableRA().value(),
                                                  1e-8));
@@ -138,7 +143,53 @@ TEST(ErelFormatTest, FileRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 column-image format
+// Column images (v3): round trips, versions, truncation, corrupt columns
+
+/// Key-matched equality for partitioned images: a partitioned writer
+/// reorders rows (partition-major), so rows are paired through their
+/// unique keys instead of by position.
+void ExpectKeyMatchedEqual(const ExtendedRelation& a,
+                           const ExtendedRelation& b) {
+  ASSERT_TRUE(a.schema()->Equals(*b.schema()));
+  ASSERT_EQ(a.size(), b.size());
+  const ColumnStore::EncodedKeys& keys_b = b.columns().encoded_keys();
+  std::unordered_map<std::string, size_t> by_key;
+  for (size_t r = 0; r < b.size(); ++r) {
+    by_key.emplace(std::string(keys_b.key(r)), r);
+  }
+  const ColumnStore::EncodedKeys& keys_a = a.columns().encoded_keys();
+  for (size_t i = 0; i < a.size(); ++i) {
+    const auto it = by_key.find(std::string(keys_a.key(i)));
+    ASSERT_NE(it, by_key.end()) << "row " << i << ": key not found";
+    const size_t j = it->second;
+    ASSERT_EQ(a.row(i).membership.sn, b.row(j).membership.sn) << "row " << i;
+    ASSERT_EQ(a.row(i).membership.sp, b.row(j).membership.sp) << "row " << i;
+    for (size_t c = 0; c < a.row(i).cells.size(); ++c) {
+      ASSERT_TRUE(CellApproxEquals(a.row(i).cells[c], b.row(j).cells[c], 0.0))
+          << "row " << i << " cell " << c;
+    }
+  }
+}
+
+/// Whole-catalog equality for images that may reorder rows: the same
+/// domains (names and values), the same relation names, and per relation
+/// the same schema (attribute names, kinds, domains) and keyed
+/// bit-identical contents.
+void ExpectSameCatalog(const Catalog& want, const Catalog& got) {
+  ASSERT_EQ(want.DomainNames(), got.DomainNames());
+  for (const std::string& name : want.DomainNames()) {
+    ASSERT_TRUE(want.GetDomain(name).value()->Equals(
+        *got.GetDomain(name).value()))
+        << "domain " << name;
+  }
+  ASSERT_EQ(want.RelationNames(), got.RelationNames());
+  for (const std::string& name : want.RelationNames()) {
+    const ExtendedRelation* a = want.GetRelation(name).value();
+    const ExtendedRelation* b = got.GetRelation(name).value();
+    ASSERT_EQ(a->name(), b->name());
+    ExpectKeyMatchedEqual(*a, *b);
+  }
+}
 
 /// Exact equality: same schema, row order, focal structures, bitwise
 /// masses and memberships — the column image stores raw doubles, so a
@@ -171,21 +222,6 @@ Catalog GeneratedCatalog(uint64_t seed, size_t tuples) {
   return catalog;
 }
 
-TEST(ColumnImageFormatTest, RoundTripsBitExactlyAndStaysColumnar) {
-  Catalog catalog = GeneratedCatalog(17, 60);
-  const std::string blob = WriteErelColumnImage(catalog);
-  ASSERT_EQ(blob.compare(0, 8, "EVCIMG02"), 0);
-  auto loaded = ReadErel(blob);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  // Adopted columns: scanning the image must not build rows.
-  EXPECT_TRUE(rel->columnar_mode());
-  EXPECT_EQ(rel->rows_materialized(), 0u);
-  (void)rel->columns();
-  EXPECT_EQ(rel->rows_materialized(), 0u);
-  ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
-}
-
 TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   // A columnar Select result (an adopted column image, never converted
   // to rows) serializes without materializing rows and round-trips
@@ -199,7 +235,7 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   copy.set_name("S");
   Catalog outputs;
   ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok());
-  const std::string blob = WriteErelColumnImage(outputs);
+  const std::string blob = WriteErelColumnImageV3(outputs);
   EXPECT_EQ(outputs.GetRelation("S").value()->rows_materialized(), 0u)
       << "serializing a columnar relation materialized rows";
   auto loaded = ReadErel(blob);
@@ -212,81 +248,85 @@ TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(ExtendedRelation("E", schema)).ok());
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
-  auto loaded = ReadErel(WriteErelColumnImage(catalog));
+  auto loaded = ReadErel(WriteErelColumnImageV3(catalog));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded->GetRelation("E"))->size(), 0u);
   ExpectBitExact(*catalog.GetRelation("RA").value(),
                  *loaded->GetRelation("RA").value());
 }
 
-TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
-  const std::string path = "/tmp/evident_test_format_pick.erel";
+TEST(ColumnImageFormatTest, SaveErelFileWritesV3WhateverTheStorageMode) {
+  const std::string path = "/tmp/evident_test_save_v3.erel";
   auto first_bytes = [&path]() {
     std::ifstream in(path, std::ios::binary);
-    std::string head(6, '\0');
-    in.read(head.data(), 6);
+    std::string head(8, '\0');
+    in.read(head.data(), 8);
     return head;
   };
-  // All relations row-mode: the human-readable text format.
-  Catalog rows = GeneratedCatalog(5, 10);
-  ASSERT_TRUE(SaveErelFile(rows, path).ok());
-  EXPECT_EQ(first_bytes(), "# evid");
-  // A columnar relation present: kAuto must not force row
-  // materialization, so the column image is written.
+  // Row-mode relations and columnar operator outputs alike persist as a
+  // monolithic v3 image, from their column images.
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
   ASSERT_TRUE(selected.ok());
+  ASSERT_TRUE(selected->columnar_mode());
   selected->set_name("S");
   ASSERT_TRUE(mixed.RegisterRelation(*selected).ok());
   ASSERT_TRUE(SaveErelFile(mixed, path).ok());
-  EXPECT_EQ(first_bytes(), "EVCIMG");
-  // Explicit format overrides win either way.
-  ASSERT_TRUE(SaveErelFile(mixed, path, ErelFormat::kText).ok());
-  EXPECT_EQ(first_bytes(), "# evid");
-  ASSERT_TRUE(SaveErelFile(rows, path, ErelFormat::kColumnImage).ok());
-  EXPECT_EQ(first_bytes(), "EVCIMG");
-  auto loaded = LoadErelFile(path);
+  EXPECT_EQ(first_bytes(), "EVCIMG03");
+  EXPECT_EQ(mixed.GetRelation("S").value()->rows_materialized(), 0u);
+  LoadInfo info;
+  auto loaded = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectBitExact(*rows.GetRelation("W").value(),
-                 *loaded->GetRelation("W").value());
+  EXPECT_EQ(info.format, "column-image-v3");
+  EXPECT_EQ(info.partitions, 2u);
+  for (const char* name : {"W", "S"}) {
+    ExpectBitExact(*mixed.GetRelation(name).value(),
+                   *loaded->GetRelation(name).value());
+  }
   std::remove(path.c_str());
 }
 
 TEST(ColumnImageFormatTest, RejectsUnsupportedVersion) {
+  // Any column-image version but 03 — including the retired 02 — is a
+  // clean ParseError naming the version, in memory and from a file.
+  const std::string path = "/tmp/evident_test_bad_version.erel";
   Catalog catalog = GeneratedCatalog(7, 4);
-  std::string blob = WriteErelColumnImage(catalog);
-  blob[6] = '9';
-  blob[7] = '9';
-  auto loaded = ReadErel(blob);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
-}
-
-TEST(ColumnImageFormatTest, EveryTruncationIsACleanParseError) {
-  Catalog catalog = GeneratedCatalog(11, 6);
-  // Footerless blob: with the optional statistics footer, the prefix
-  // ending exactly at the footer boundary is itself a valid file (the
-  // footered case is covered below).
-  const std::string blob =
-      WriteErelColumnImage(catalog, /*include_statistics=*/false);
-  // Every proper prefix is missing data somewhere: the reader must
-  // return a Status (never read out of bounds). Prefixes shorter than
-  // the magic fall into the text parser, which rejects them too.
-  for (size_t len = 1; len < blob.size(); ++len) {
-    auto loaded = ReadErel(blob.substr(0, len));
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
-    ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
-        << "prefix of " << len << " bytes";
+  for (const char* version : {"99", "02"}) {
+    std::string blob = WriteErelColumnImageV3(catalog);
+    blob[6] = version[0];
+    blob[7] = version[1];
+    auto loaded = ReadErel(blob);
+    ASSERT_FALSE(loaded.ok()) << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
+        << loaded.status();
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << blob;
+    }
+    // kAuto falls back to the copied path, which rejects the version...
+    auto from_file = LoadErelFile(path);
+    ASSERT_FALSE(from_file.ok()) << version;
+    EXPECT_EQ(from_file.status().code(), StatusCode::kParseError);
+    EXPECT_NE(from_file.status().message().find(path), std::string::npos)
+        << from_file.status();
+    // ...and kAlways refuses to map anything but a v3 image.
+    LoadOptions mapped;
+    mapped.map = LoadOptions::Map::kAlways;
+    auto must_map = LoadErelFile(path, mapped);
+    ASSERT_FALSE(must_map.ok()) << version;
+    EXPECT_EQ(must_map.status().code(), StatusCode::kExecError);
   }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
 }
 
-TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
+TEST(ColumnImageFormatTest, StatisticsRoundTrip) {
   Catalog catalog = GeneratedCatalog(19, 70);
   const TableStatistics& built =
       catalog.GetRelation("W").value()->columns().statistics();
-  const std::string blob = WriteErelColumnImage(catalog);
+  const std::string blob = WriteErelColumnImageV3(catalog);
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
@@ -305,37 +345,12 @@ TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
   ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
 }
 
-TEST(ColumnImageFormatTest, FooterlessFilesLoadAndFooterTruncationsFail) {
-  Catalog catalog = GeneratedCatalog(29, 12);
-  const std::string footerless =
-      WriteErelColumnImage(catalog, /*include_statistics=*/false);
-  const std::string footered = WriteErelColumnImage(catalog);
-  ASSERT_LT(footerless.size(), footered.size());
-  ASSERT_EQ(footered.compare(0, footerless.size(), footerless), 0);
-  // A file without the footer (an older writer) loads identically; its
-  // statistics are just re-profiled on demand.
-  auto loaded = ReadErel(footerless);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectBitExact(*catalog.GetRelation("W").value(),
-                 *loaded->GetRelation("W").value());
-  EXPECT_GT(loaded->GetRelation("W").value()->columns().statistics().row_count,
-            0u);
-  // Truncating strictly inside the footer must fail cleanly; truncating
-  // exactly at the footer boundary is the footerless file above.
-  for (size_t len = footerless.size() + 1; len < footered.size(); ++len) {
-    auto partial = ReadErel(footered.substr(0, len));
-    ASSERT_FALSE(partial.ok()) << "footer prefix of " << len << " bytes";
-    ASSERT_EQ(partial.status().code(), StatusCode::kParseError)
-        << "footer prefix of " << len << " bytes";
-  }
-}
-
 TEST(ColumnImageFormatTest, ByteFlipsNeverCrashTheReader) {
   // Single-byte corruption anywhere in the blob must either fail with a
   // clean Status or produce a catalog that passed every load-time
   // validation — never UB (this test is the ASan/UBSan target).
   Catalog catalog = GeneratedCatalog(13, 5);
-  const std::string blob = WriteErelColumnImage(catalog);
+  const std::string blob = WriteErelColumnImageV3(catalog);
   std::string corrupt = blob;
   for (size_t pos = 0; pos < blob.size(); ++pos) {
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0xFF);
@@ -360,7 +375,7 @@ std::string BlobOf(ColumnStore store) {
   EXPECT_TRUE(
       catalog.RegisterRelation(ExtendedRelation::AdoptColumns(std::move(store)))
           .ok());
-  return WriteErelColumnImage(catalog);
+  return WriteErelColumnImageV3(catalog);
 }
 
 TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
@@ -392,14 +407,24 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     col.offsets = {0, 2, 3};
     expect_parse_error(BlobOf(std::move(store)), "sum");
   }
-  {  // Corrupt (non-monotone) offset array.
+  {  // Corrupt (non-monotone) offset array. The writer cannot serialize
+     // one, so patch row 1's offset of a valid {0, 1, 2} array to 3 —
+     // the structural pass rejects it before any checksum is consulted.
     ColumnStore store;
     base_store(&store);
     auto& col = store.evidence_column_mut(1);
     col.words = {0x1, 0x2};
-    col.masses = {0.6, 0.4};
-    col.offsets = {0, 2, 1};
-    expect_parse_error(BlobOf(std::move(store)), "monotone");
+    col.masses = {1.0, 1.0};
+    col.offsets = {0, 1, 2};
+    std::string blob = BlobOf(std::move(store));
+    // The offsets follow the two masses of 1.0 in the evidence column.
+    const double one = 1.0;
+    const std::string mass(reinterpret_cast<const char*>(&one), sizeof(one));
+    const size_t pos = blob.find(
+        mass + mass + std::string("\0\0\0\0\1\0\0\0\2\0\0\0", 12));
+    ASSERT_NE(pos, std::string::npos);
+    blob[pos + 16 + 4] = '\3';
+    expect_parse_error(blob, "monotone");
   }
   {  // Focal word outside the 4-value frame.
     ColumnStore store;
@@ -419,7 +444,8 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     col.offsets = {0, 1, 2};
     expect_parse_error(BlobOf(std::move(store)), "empty set");
   }
-  {  // Duplicate keys.
+  {  // Duplicate keys: the key index the writer persists cannot hold
+     // both rows, so the loader rejects the image's key index.
     ColumnStore store;
     base_store(&store);
     store.value_column_mut(0).values = {Value(int64_t{1}), Value(int64_t{1})};
@@ -427,7 +453,7 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     col.words = {0x1, 0x2};
     col.masses = {1.0, 1.0};
     col.offsets = {0, 1, 2};
-    expect_parse_error(BlobOf(std::move(store)), "duplicate key");
+    expect_parse_error(BlobOf(std::move(store)), "key index");
   }
   {  // CWA_ER violation: stored row with sn = 0.
     ColumnStore store = ColumnStore::EmptyLike(schema, "Bad");
@@ -442,33 +468,7 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 partitioned column images
-
-/// Key-matched equality for partitioned images: a partitioned writer
-/// reorders rows (partition-major), so rows are paired through their
-/// unique keys instead of by position.
-void ExpectKeyMatchedEqual(const ExtendedRelation& a,
-                           const ExtendedRelation& b) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema()));
-  ASSERT_EQ(a.size(), b.size());
-  const ColumnStore::EncodedKeys& keys_b = b.columns().encoded_keys();
-  std::unordered_map<std::string, size_t> by_key;
-  for (size_t r = 0; r < b.size(); ++r) {
-    by_key.emplace(std::string(keys_b.key(r)), r);
-  }
-  const ColumnStore::EncodedKeys& keys_a = a.columns().encoded_keys();
-  for (size_t i = 0; i < a.size(); ++i) {
-    const auto it = by_key.find(std::string(keys_a.key(i)));
-    ASSERT_NE(it, by_key.end()) << "row " << i << ": key not found";
-    const size_t j = it->second;
-    ASSERT_EQ(a.row(i).membership.sn, b.row(j).membership.sn) << "row " << i;
-    ASSERT_EQ(a.row(i).membership.sp, b.row(j).membership.sp) << "row " << i;
-    for (size_t c = 0; c < a.row(i).cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(a.row(i).cells[c], b.row(j).cells[c], 0.0))
-          << "row " << i << " cell " << c;
-    }
-  }
-}
+// Partitioned images, mapped opens, zone maps and the header checksum
 
 TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   Catalog catalog = GeneratedCatalog(31, 60);
@@ -477,7 +477,11 @@ TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
+  // Adopted columns: scanning the image must not build rows.
   EXPECT_TRUE(rel->columnar_mode());
+  EXPECT_EQ(rel->rows_materialized(), 0u);
+  (void)rel->columns();
+  EXPECT_EQ(rel->rows_materialized(), 0u);
   // A monolithic image is one partition covering every row.
   ASSERT_EQ(rel->columns().partitions().size(), 1u);
   EXPECT_EQ(rel->columns().partitions()[0].end_row, rel->size());
@@ -569,29 +573,36 @@ TEST(ColumnImageV3Test, MappedPartitionedLoadStitchesAndMatches) {
 
 TEST(ColumnImageV3Test, EveryTruncationIsACleanParseError) {
   Catalog catalog = GeneratedCatalog(47, 8);
-  PartitionSpec spec;
-  spec.scheme = PartitionSpec::Scheme::kHash;
-  spec.partitions = 3;
-  // Every proper prefix cuts a manifest field, a chunk, or the trailer
-  // short somewhere: the reader must fail cleanly, never read past the
-  // end, and name the file and offset region in the message.
-  const std::string blob = WriteErelColumnImageV3(catalog, spec);
-  for (size_t len = 8; len < blob.size(); ++len) {
-    auto loaded = ReadErel(blob.substr(0, len), "trunc.erel");
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
-    ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
-        << "prefix of " << len << " bytes";
-    ASSERT_NE(loaded.status().message().find("trunc.erel"), std::string::npos)
-        << loaded.status();
+  PartitionSpec hashed;
+  hashed.scheme = PartitionSpec::Scheme::kHash;
+  hashed.partitions = 3;
+  // Every proper prefix cuts a header field, a chunk, the key trailer or
+  // the header checksum short somewhere: the reader must fail cleanly,
+  // never read past the end, and name the file and offset region in the
+  // message. Prefixes shorter than the magic fall into the text parser,
+  // which rejects them too.
+  for (const PartitionSpec& spec : {PartitionSpec{}, hashed}) {
+    const std::string blob = WriteErelColumnImageV3(catalog, spec);
+    for (size_t len = 1; len < blob.size(); ++len) {
+      auto loaded = ReadErel(blob.substr(0, len), "trunc.erel");
+      ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
+      ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << "prefix of " << len << " bytes";
+      if (len < 6) continue;
+      ASSERT_NE(loaded.status().message().find("trunc.erel"),
+                std::string::npos)
+          << loaded.status();
+    }
   }
 }
 
 TEST(ColumnImageV3Test, MappedAndCopiedLoadsAgreeOnEveryByteFlip) {
-  // Single-byte corruption anywhere — manifest fields, zone maps, chunk
-  // bodies, the key trailer — must fail identically (same first error)
-  // whether the file is copied in (eager verification) or mapped
-  // (deferred verification driven to completion), and must never leak a
-  // mapping.
+  // Single-byte corruption anywhere — names, domains, manifest fields,
+  // zone maps, chunk bodies, the key trailer, the header checksum — must
+  // fail identically (same first error) whether the file is copied in
+  // (eager verification) or mapped (deferred verification driven to
+  // completion), must never leak a mapping, and must never yield a
+  // catalog that differs from the one saved.
   const std::string path = "/tmp/evident_test_v3_flips.erel";
   Catalog catalog = GeneratedCatalog(53, 12);
   PartitionSpec spec;
@@ -629,15 +640,19 @@ TEST(ColumnImageV3Test, MappedAndCopiedLoadsAgreeOnEveryByteFlip) {
       EXPECT_EQ(eager.status().message(), lazy_status.message())
           << "byte " << pos;
     } else {
-      // A surviving flip (e.g. a low mantissa bit inside zone bounds)
-      // must load both ways and stay usable.
+      // A flip that loads must load both ways to the original catalog:
+      // the header CRC covers names, domains and zone maps, the chunk
+      // CRCs the column bytes, so nothing can change silently.
       ASSERT_TRUE(lazy.ok()) << "byte " << pos << ": " << lazy.status();
       for (const std::string& name : lazy->RelationNames()) {
         ASSERT_TRUE(
             lazy->GetRelation(name).value()->columns().EnsureAllVerified().ok())
             << "byte " << pos;
-        (void)lazy->GetRelation(name).value()->ValidateInvariants();
       }
+      SCOPED_TRACE("byte " + std::to_string(pos));
+      ExpectSameCatalog(catalog, *eager);
+      ExpectSameCatalog(catalog, *lazy);
+      if (::testing::Test::HasFatalFailure()) break;
     }
     corrupt[pos] = blob[pos];
   }
@@ -647,7 +662,7 @@ TEST(ColumnImageV3Test, MappedAndCopiedLoadsAgreeOnEveryByteFlip) {
 
 TEST(ColumnImageV3Test, EmptyRelationAndAutoFallback) {
   // An empty relation is always one empty partition; kAuto still maps
-  // v3 files and falls back to the copied path for v2.
+  // v3 files and falls back to the copied path for text.
   auto schema = RelationSchema::Make({AttributeDef::Key("k")}).value();
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(ExtendedRelation("E", schema)).ok());
@@ -660,13 +675,17 @@ TEST(ColumnImageV3Test, EmptyRelationAndAutoFallback) {
   EXPECT_EQ((*loaded->GetRelation("E"))->columns().partitions().size(), 1u);
 
   const std::string path = "/tmp/evident_test_v3_fallback.erel";
-  Catalog v2 = GeneratedCatalog(59, 10);
-  ASSERT_TRUE(SaveErelFile(v2, path, ErelFormat::kColumnImage).ok());
+  Catalog text = GeneratedCatalog(59, 10);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << WriteErel(text);
+  }
   LoadInfo info;
   auto fallback = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
   EXPECT_FALSE(info.mapped);
-  EXPECT_EQ(info.format, "column-image-v2");
+  EXPECT_EQ(info.format, "text");
+  EXPECT_EQ(info.partitions, 1u);
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
 }
@@ -872,6 +891,64 @@ TEST(ColumnImageV3Test, PrunedPartitionsAreNeverVerified) {
     const Status all = rel->columns().EnsureAllVerified();
     ASSERT_FALSE(all.ok());
     EXPECT_EQ(all.message(), eager.status().message());
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ColumnImageV3Test, CorruptZoneMapFailsBothOpens) {
+  // Keys 0..95 key-range split 8 ways: the last partition holds 84..95.
+  // Lowering its key-zone max to 89 keeps the manifest well-formed, but
+  // a mapped scan trusting it would prune the partition from k >= 90 and
+  // silently return no rows. The header checksum must reject the file
+  // at open, mapped and copied alike, with the same error.
+  const std::string path = "/tmp/evident_test_v3_zone_max.erel";
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kKeyRange;
+  spec.partitions = 8;
+  const std::string blob = WriteErelColumnImageV3(PruningCatalog(), spec);
+  // The k zone of the last partition: has_zone 1, then int values 84
+  // and 95 (kind tag 0 + little-endian i64).
+  auto int_value = [](int64_t v) {
+    std::string out(1, '\0');
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) &
+                                      0xff));
+    }
+    return out;
+  };
+  const std::string zone = std::string(1, '\1') + int_value(84) + int_value(95);
+  const size_t pos = blob.find(zone);
+  ASSERT_NE(pos, std::string::npos);
+  ASSERT_EQ(blob.find(zone, pos + 1), std::string::npos);
+  std::string corrupt = blob;
+  corrupt.replace(pos + 1 + 9, 9, int_value(89));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << corrupt;
+  }
+
+  LoadOptions copied;
+  copied.map = LoadOptions::Map::kNever;
+  LoadOptions mapped;
+  mapped.map = LoadOptions::Map::kAlways;
+  auto eager = LoadErelFile(path, copied, nullptr);
+  ASSERT_FALSE(eager.ok());
+  EXPECT_EQ(eager.status().code(), StatusCode::kParseError);
+  {
+    auto lazy = LoadErelFile(path, mapped, nullptr);
+    if (lazy.ok()) {
+      auto result =
+          QueryEngine(&*lazy).Execute("SELECT * FROM P WHERE k >= 90");
+      FAIL() << "mapped open accepted a corrupt zone map; k >= 90 returned "
+             << (result.ok() ? std::to_string(result->size()) + " rows"
+                             : result.status().ToString());
+    }
+    EXPECT_EQ(lazy.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(lazy.status().message(), eager.status().message());
+    EXPECT_NE(lazy.status().message().find("header checksum mismatch"),
+              std::string::npos)
+        << lazy.status();
   }
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
