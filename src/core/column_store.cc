@@ -175,7 +175,6 @@ ColumnStore ColumnStore::WithSchema(const ColumnStore& src, SchemaPtr schema,
   // (the verifier reads the store it is handed, and the relabeled
   // columns are bit-identical).
   store.statistics_ = src.statistics_;
-  store.statistics_built_ = src.statistics_built_;
   store.partitions_ = src.partitions_;
   store.deferred_ = src.deferred_;
   return store;
@@ -255,43 +254,38 @@ void ColumnStore::EncodeKeyOfRow(size_t row, std::string* out) const {
   }
 }
 
-const ColumnStore::EncodedKeys& ColumnStore::encoded_keys() const {
-  if (encoded_keys_built_) return encoded_keys_;
+ColumnStore::EncodedKeys ColumnStore::BuildEncodedKeys() const {
   const size_t n = rows();
-  encoded_keys_.arena.clear();
-  encoded_keys_.offsets.clear();
-  encoded_keys_.offsets.reserve(n + 1);
-  encoded_keys_.offsets.push_back(0);
+  EncodedKeys keys;
+  keys.offsets.reserve(n + 1);
+  keys.offsets.push_back(0);
   for (size_t r = 0; r < n; ++r) {
     for (size_t a : schema_->key_indices()) {
-      value_columns_[slots_[a]].values[r].AppendCanonicalKey(
-          &encoded_keys_.arena);
+      value_columns_[slots_[a]].values[r].AppendCanonicalKey(&keys.arena);
     }
     // The arena is offset-addressed with 32 bits, like the key index's;
     // a 4 GiB key arena exhausts memory long before this, so the limit
     // fails loudly instead of wrapping offsets silently.
-    if (encoded_keys_.arena.size() > std::numeric_limits<uint32_t>::max()) {
+    if (keys.arena.size() > std::numeric_limits<uint32_t>::max()) {
       std::abort();
     }
-    encoded_keys_.offsets.push_back(
-        static_cast<uint32_t>(encoded_keys_.arena.size()));
+    keys.offsets.push_back(static_cast<uint32_t>(keys.arena.size()));
   }
-  encoded_keys_built_ = true;
-  return encoded_keys_;
+  return keys;
 }
 
-const TableStatistics& ColumnStore::statistics() const {
-  if (statistics_built_) return statistics_;
+TableStatistics ColumnStore::BuildStatistics() const {
   const size_t n = rows();
   const size_t attrs = schema_ != nullptr ? schema_->size() : 0;
-  statistics_.row_count = n;
-  statistics_.attributes.assign(attrs, {});
+  TableStatistics stats;
+  stats.row_count = n;
+  stats.attributes.assign(attrs, {});
 
   const bool sole_key =
       schema_ != nullptr && schema_->key_indices().size() == 1;
   std::string encoded;
   for (size_t a = 0; a < attrs; ++a) {
-    TableStatistics::Attribute& stat = statistics_.attributes[a];
+    TableStatistics::Attribute& stat = stats.attributes[a];
     if (kinds_[a] != ColumnKind::kValue) continue;  // uncertain: unknown
     if (sole_key && a == schema_->key_indices()[0]) {
       // A single-attribute key is unique by the relation invariant.
@@ -335,14 +329,13 @@ const TableStatistics& ColumnStore::statistics() const {
     stat.exact = false;
   }
 
-  statistics_.sn_histogram.assign(TableStatistics::kHistogramBins, 0);
-  statistics_.sp_histogram.assign(TableStatistics::kHistogramBins, 0);
+  stats.sn_histogram.assign(TableStatistics::kHistogramBins, 0);
+  stats.sp_histogram.assign(TableStatistics::kHistogramBins, 0);
   for (size_t r = 0; r < n; ++r) {
-    ++statistics_.sn_histogram[TableStatistics::BinOf(sn_[r])];
-    ++statistics_.sp_histogram[TableStatistics::BinOf(sp_[r])];
+    ++stats.sn_histogram[TableStatistics::BinOf(sn_[r])];
+    ++stats.sp_histogram[TableStatistics::BinOf(sp_[r])];
   }
-  statistics_built_ = true;
-  return statistics_;
+  return stats;
 }
 
 ExtendedTuple ColumnStore::MaterializeRow(size_t row) const {

@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "core/column_span.h"
 #include "core/extended_relation.h"
+#include "core/lazy_once.h"
 #include "core/schema.h"
 #include "core/support_pair.h"
 #include "ds/combination.h"
@@ -181,10 +182,10 @@ class ColumnStore {
   /// use and cached alongside the column image. Catalog relations share
   /// their column image across queries, so repeated probe passes (the
   /// union/merge operators, the lazily-built key index) encode each scan
-  /// key once per relation instead of once per query. Like the other
-  /// lazy state, the first call is not thread-safe — operators call it
-  /// on the calling thread before sharding work.
-  const EncodedKeys& encoded_keys() const;
+  /// key once per relation instead of once per query.
+  const EncodedKeys& encoded_keys() const {
+    return encoded_keys_.Get([this] { return BuildEncodedKeys(); });
+  }
 
   /// \brief The statistics of this store, built lazily on first use and
   /// cached alongside the column image (catalog relations share the
@@ -193,16 +194,16 @@ class ColumnStore {
   /// by the uniqueness invariant; other definite columns are counted
   /// exactly up to kStatisticsExactRows rows and estimated from a
   /// deterministic stride sample beyond that; uncertain columns report
-  /// distinct = 0 (unknown). Like encoded_keys(), the first call is not
-  /// thread-safe.
-  const TableStatistics& statistics() const;
+  /// distinct = 0 (unknown).
+  const TableStatistics& statistics() const {
+    return statistics_.Get([this] { return BuildStatistics(); });
+  }
 
   /// \brief Installs precomputed statistics (the column-image loader's
   /// path, restoring the persisted footer so a loaded catalog plans
   /// without re-profiling). Marks the cache built.
   void AdoptStatistics(TableStatistics stats) {
-    statistics_ = std::move(stats);
-    statistics_built_ = true;
+    statistics_.Set(std::move(stats));
   }
 
   /// Rows at or below which non-key distinct counts are exact.
@@ -289,9 +290,7 @@ class ColumnStore {
   /// Installs a precomputed encoded-key arena (the persisted key trailer
   /// of an EVCIMG03 image) and marks the lazy cache built.
   void AdoptEncodedKeys(std::string arena, std::vector<uint32_t> offsets) {
-    encoded_keys_.arena = std::move(arena);
-    encoded_keys_.offsets = std::move(offsets);
-    encoded_keys_built_ = true;
+    encoded_keys_.Set(EncodedKeys{std::move(arena), std::move(offsets)});
   }
   /// Installs the membership arrays wholesale (possibly borrowed from a
   /// mapped image); both must have the same length as every column.
@@ -334,6 +333,9 @@ class ColumnStore {
   /// @}
 
  private:
+  EncodedKeys BuildEncodedKeys() const;
+  TableStatistics BuildStatistics() const;
+
   struct DeferredVerify {
     PartitionVerifier verifier;
     std::mutex mu;
@@ -356,12 +358,8 @@ class ColumnStore {
   // data a copy carries is bit-identical, so a verification performed
   // through any copy stands for all of them). Null = fully verified.
   std::shared_ptr<DeferredVerify> deferred_;
-  // Lazily-built encoded-key cache (see encoded_keys()).
-  mutable EncodedKeys encoded_keys_;
-  mutable bool encoded_keys_built_ = false;
-  // Lazily-built statistics cache (see statistics()).
-  mutable TableStatistics statistics_;
-  mutable bool statistics_built_ = false;
+  LazyOnce<EncodedKeys> encoded_keys_;    // see encoded_keys()
+  LazyOnce<TableStatistics> statistics_;  // see statistics()
 };
 
 /// \brief The scan-side pruning primitive shared by the columnar

@@ -38,41 +38,38 @@ Status MakeDuplicateKeyError(const KeyVector& key,
 
 ExtendedRelation ExtendedRelation::AdoptColumns(ColumnStore store) {
   ExtendedRelation rel(store.name(), store.schema());
-  rel.columns_ = std::make_shared<const ColumnStore>(std::move(store));
-  rel.rows_built_ = false;
-  rel.index_built_ = false;
+  rel.columns_.Set(std::make_shared<const ColumnStore>(std::move(store)));
+  rel.columnar_ = true;
+  rel.rows_.Reset();
+  rel.key_index_.Reset();
   return rel;
 }
 
 ExtendedRelation ExtendedRelation::AdoptColumnsWithIndex(
     ColumnStore store, EncodedKeyIndex index) {
   ExtendedRelation rel = AdoptColumns(std::move(store));
-  rel.key_index_ = std::move(index);
-  rel.index_built_ = true;
+  rel.key_index_.Set(std::move(index));
   return rel;
 }
 
 size_t ExtendedRelation::size() const {
-  return rows_built_ ? rows_.size() : columns_->rows();
+  return columnar_ ? columns().rows() : rows().size();
 }
 
-void ExtendedRelation::MaterializeRows() const {
-  if (rows_built_) return;
-  ++rows_materialized_;
-  const ColumnStore& store = *columns_;
-  rows_.clear();
-  rows_.reserve(store.rows());
+std::vector<ExtendedTuple> ExtendedRelation::MaterializeRows() const {
+  const ColumnStore& store = columns();
+  std::vector<ExtendedTuple> rows;
+  rows.reserve(store.rows());
   for (size_t r = 0; r < store.rows(); ++r) {
-    rows_.push_back(store.MaterializeRow(r));
+    rows.push_back(store.MaterializeRow(r));
   }
-  rows_built_ = true;
+  return rows;
 }
 
-void ExtendedRelation::EnsureKeyIndex() const {
-  if (index_built_) return;
-  key_index_.Clear();
-  const ColumnStore& store = *columns_;
-  key_index_.Reserve(store.rows());
+EncodedKeyIndex ExtendedRelation::BuildKeyIndex() const {
+  const ColumnStore& store = columns();
+  EncodedKeyIndex index;
+  index.Reserve(store.rows());
   // The store's cached encoded-key arena survives across queries for
   // catalog relations (their column image is shared), so the index build
   // re-encodes nothing on repeat probes.
@@ -81,14 +78,16 @@ void ExtendedRelation::EnsureKeyIndex() const {
     // Adopted stores carry unique keys by construction (see
     // AdoptColumns); a duplicate here would be an operator bug, and
     // first-wins matches the insert-time index's behaviour.
-    key_index_.Insert(keys.key(r));
+    index.Insert(keys.key(r));
   }
-  index_built_ = true;
+  return index;
 }
 
 void ExtendedRelation::PrepareForInsert() {
-  MaterializeRows();
-  EnsureKeyIndex();
+  if (!columnar_) return;
+  (void)rows();
+  (void)key_index();
+  columnar_ = false;
 }
 
 Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
@@ -173,11 +172,11 @@ Status ExtendedRelation::InsertTrusted(ExtendedTuple tuple) {
   PrepareForInsert();
   std::string& encoded = EncodeScratch();
   EncodeKeyOf(tuple, &encoded);
-  if (key_index_.Insert(encoded) != EncodedKeyIndex::kNoRow) {
+  if (key_index_.Mutable().Insert(encoded) != EncodedKeyIndex::kNoRow) {
     return MakeDuplicateKeyError(KeyOf(tuple), name_);
   }
-  rows_.push_back(std::move(tuple));
-  columns_.reset();
+  rows_.Mutable().push_back(std::move(tuple));
+  columns_.Reset();
   return Status::OK();
 }
 
@@ -206,8 +205,7 @@ Result<size_t> ExtendedRelation::FindByKey(const KeyVector& key) const {
 
 Result<size_t> ExtendedRelation::FindByEncodedKey(
     std::string_view key) const {
-  EnsureKeyIndex();
-  const uint32_t row = key_index_.Find(key);
+  const uint32_t row = ProbeEncodedKey(key);
   if (row == EncodedKeyIndex::kNoRow) {
     return Status::NotFound("no tuple with the given key in relation '" +
                             name_ + "'");
@@ -222,14 +220,14 @@ bool ExtendedRelation::ContainsKey(const KeyVector& key) const {
 }
 
 const ColumnStore& ExtendedRelation::columns() const {
-  if (columns_ == nullptr) {
-    columns_ = std::make_shared<const ColumnStore>(
+  return *columns_.Get([this] {
+    return std::make_shared<const ColumnStore>(
         ColumnStore::FromRelation(*this));
-  }
-  return *columns_;
+  });
 }
 
 Status ExtendedRelation::ValidateInvariants() const {
+  if (columnar_) EVIDENT_RETURN_NOT_OK(columns().EnsureAllVerified());
   for (const ExtendedTuple& t : rows()) {
     EVIDENT_RETURN_NOT_OK(ValidateTuple(t, /*require_positive_sn=*/true));
   }

@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "core/key_index.h"
+#include "core/lazy_once.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
@@ -57,9 +58,8 @@ struct EncodedKeyHash {
 /// the key index are each materialized lazily on first use and the
 /// relation behaves identically from then on; a row-mode relation
 /// caches its column image via columns() when an operator first reads
-/// it. Lazy materialization is not thread-safe — operators touch
-/// columns()/EnsureKeyIndex()/rows() once on the calling thread before
-/// sharding work.
+/// it. Each lazy image is a LazyOnce cell, so a `const` relation may be
+/// read from any number of threads at once.
 class ExtendedRelation {
  public:
   ExtendedRelation() = default;
@@ -87,19 +87,16 @@ class ExtendedRelation {
   size_t size() const;
   bool empty() const { return size() == 0; }
   const std::vector<ExtendedTuple>& rows() const {
-    MaterializeRows();
-    return rows_;
+    return rows_.Get([this] { return MaterializeRows(); });
   }
-  const ExtendedTuple& row(size_t i) const {
-    MaterializeRows();
-    return rows_[i];
-  }
+  const ExtendedTuple& row(size_t i) const { return rows()[i]; }
 
   /// \brief Pre-sizes the row store and key index for `n` tuples, for
   /// builders that know their cardinality up front.
   void Reserve(size_t n) {
-    rows_.reserve(n);
-    key_index_.Reserve(n);
+    PrepareForInsert();
+    rows_.Mutable().reserve(n);
+    key_index_.Mutable().Reserve(n);
   }
 
   /// \brief Validates the tuple against the schema and CWA_ER (sn > 0)
@@ -142,35 +139,36 @@ class ExtendedRelation {
   /// EncodedKeyIndex::kNoRow — no Status is built on a miss. The hot
   /// operator probe loops use this.
   uint32_t ProbeEncodedKey(std::string_view key) const {
-    EnsureKeyIndex();
-    return key_index_.Find(key);
+    return key_index().Find(key);
   }
-
-  /// \brief Builds the key index if this columnar-mode relation has not
-  /// been probed yet (no-op in row mode). Operators call it before
-  /// sharding probe loops across threads.
-  void EnsureKeyIndex() const;
 
   /// \brief The column-major image of this relation: the native store in
   /// columnar mode, a lazily-built cached image in row mode (invalidated
-  /// by inserts). See the class comment for thread-safety.
+  /// by inserts).
   const ColumnStore& columns() const;
 
-  /// \brief True while this relation holds only its column image (rows
-  /// not yet materialized). The column-image file format persists a
-  /// relation from its column image in either mode, so saving never
-  /// builds row objects.
-  bool columnar_mode() const { return !rows_built_; }
+  /// \brief True while this relation's data is its column image — an
+  /// operator output or a loaded image — rather than rows appended by
+  /// Insert. Only an insert changes the mode; building the row image or
+  /// the key index of a columnar relation does not, so a mapped image
+  /// keeps its deferred verification however it has been read. The
+  /// column-image file format persists a relation from its column image
+  /// in either mode, so saving never builds row objects.
+  bool columnar_mode() const { return columnar_; }
 
-  /// \brief How many times this relation converted its column image to
-  /// row objects (0 or 1 per instance; copies inherit the count).
-  /// Observability for tests asserting that columnar pipelines — e.g.
-  /// save → load → scan through the column-image format — never
-  /// materialize rows as a side effect.
-  uint64_t rows_materialized() const { return rows_materialized_; }
+  /// \brief 1 once this columnar relation has converted its column
+  /// image to row objects, else 0 (copies carry a built row image, so
+  /// they report it too). Observability for tests asserting that
+  /// columnar pipelines — e.g. save → load → scan through the
+  /// column-image format — never materialize rows as a side effect.
+  uint64_t rows_materialized() const {
+    return columnar_ && rows_.built() ? 1 : 0;
+  }
 
   /// \brief Checks every stored tuple against the schema and the CWA_ER
-  /// invariant; used by property tests and after deserialization.
+  /// invariant; used by property tests and after deserialization. A
+  /// columnar relation first runs its column image's pending deferred
+  /// checks, so a corrupt mapped image is reported, not just decoded.
   Status ValidateInvariants() const;
 
   /// \brief Structural near-equality (same schema, same keys mapping to
@@ -187,21 +185,27 @@ class ExtendedRelation {
   Status InsertImpl(ExtendedTuple tuple, bool require_positive_sn,
                     bool validate);
   /// Row-mode entry for inserts: materializes rows and the index when
-  /// the relation is still columnar, drops the stale column cache.
+  /// the relation is still columnar and switches it to row mode.
   void PrepareForInsert();
-  void MaterializeRows() const;
+  std::vector<ExtendedTuple> MaterializeRows() const;
+  EncodedKeyIndex BuildKeyIndex() const;
+  const EncodedKeyIndex& key_index() const {
+    return key_index_.Get([this] { return BuildKeyIndex(); });
+  }
 
   std::string name_;
   SchemaPtr schema_;
-  mutable std::vector<ExtendedTuple> rows_;
-  mutable EncodedKeyIndex key_index_;
+  // Storage mode (see columnar_mode()); only AdoptColumns and
+  // PrepareForInsert change it. A row-mode relation always holds built
+  // rows_ and key_index_ cells, so their builders only run in columnar
+  // mode, where columns_ always holds the native store.
+  bool columnar_ = false;
+  LazyOnce<std::vector<ExtendedTuple>> rows_{std::vector<ExtendedTuple>{}};
+  LazyOnce<EncodedKeyIndex> key_index_{EncodedKeyIndex{}};
   // Column image: the native store in columnar mode, a cache in row mode
   // (shared so copies of an unchanged relation reuse it; reset by any
   // insert — copy-on-write at relation level).
-  mutable std::shared_ptr<const ColumnStore> columns_;
-  mutable bool rows_built_ = true;
-  mutable bool index_built_ = true;
-  mutable uint64_t rows_materialized_ = 0;
+  LazyOnce<std::shared_ptr<const ColumnStore>> columns_;
 };
 
 }  // namespace evident

@@ -40,14 +40,6 @@ class EncodedKeyIndex {
 
   size_t size() const { return hashes_.size(); }
 
-  void Clear() {
-    arena_.clear();
-    starts_.assign(1, 0);
-    hashes_.clear();
-    slots_.clear();
-    mask_ = 0;
-  }
-
   void Reserve(size_t rows) {
     arena_.reserve(arena_.size() + rows * 12);
     starts_.reserve(starts_.size() + rows);

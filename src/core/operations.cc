@@ -386,7 +386,6 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
   const size_t n = left.size();
   const ColumnStore& left_store = left.columns();
   const ColumnStore& right_store = right.columns();
-  right.EnsureKeyIndex();
 
   // Phase 1: probe off the left store's cached encoded-key arena — for a
   // catalog relation the arena persists across queries, so repeated

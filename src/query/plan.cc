@@ -289,8 +289,6 @@ Status EnsureScanVerified(const ExtendedRelation& rel) {
 /// final splice visits survivors in ascending row order exactly like
 /// each chain operator's keep list would.
 Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
-  // Touch the lazily-built column image on the calling thread before
-  // fanning out (its first build is not thread-safe).
   const ColumnStore& store = node.rel->columns();
   const size_t n = store.rows();
   std::vector<uint8_t> keep(n);

@@ -2,27 +2,7 @@
 
 #include <utility>
 
-#include "core/column_store.h"
-
 namespace evident {
-
-namespace {
-
-/// Builds every lazy cache the query layer may touch — the column image,
-/// the key index, the encoded-key arena and the table statistics — on
-/// the registering thread, before the relation becomes shared. The lazy
-/// first-touch paths are not thread-safe; a published relation must not
-/// have any left. Deliberately does NOT materialize rows: columnar scans
-/// never need them, and charging a row materialization here would change
-/// the row/columnar cost parity the storage tests pin down.
-void WarmRelation(const ExtendedRelation& relation) {
-  const ColumnStore& columns = relation.columns();
-  (void)columns.encoded_keys();
-  (void)columns.statistics();
-  relation.EnsureKeyIndex();
-}
-
-}  // namespace
 
 // --- CatalogSnapshot ------------------------------------------------------
 
@@ -164,10 +144,6 @@ Status Catalog::RegisterRelation(ExtendedRelation relation, bool replace) {
     return Status::InvalidArgument("relation '" + relation.name() +
                                    "' has no schema");
   }
-  // Build the lazy caches before the relation becomes visible to other
-  // threads; may allocate (and therefore throw bad_alloc under fault
-  // injection) — the loader's existing guard catches that.
-  WarmRelation(relation);
   auto shared = std::make_shared<const ExtendedRelation>(std::move(relation));
 
   std::lock_guard<std::mutex> lock(mu_);

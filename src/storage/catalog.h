@@ -23,12 +23,6 @@ namespace evident {
 /// replaces one relation shares every other relation's object (and its
 /// cached column image, encoded-key arena and statistics) with the
 /// previous version instead of copying it.
-///
-/// Every relation in a snapshot is *warmed* before publication: its
-/// column image, key index, encoded-key arena and table statistics are
-/// built eagerly on the registering thread, so the lazy caches that are
-/// not thread-safe on first touch are already built by the time multiple
-/// query threads share the snapshot.
 class CatalogSnapshot {
  public:
   CatalogSnapshot() = default;

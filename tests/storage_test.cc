@@ -954,6 +954,116 @@ TEST(ColumnImageV3Test, CorruptZoneMapFailsBothOpens) {
   std::remove(path.c_str());
 }
 
+/// 3000 rows of (k, a 100-byte string s, a definite u): large enough
+/// that a 4-way key-range image has multi-kilobyte chunks.
+Catalog BigCatalog() {
+  DomainPtr dom =
+      Domain::MakeSymbolic("big_dom", {"a", "b", "c", "d", "e", "f"}).value();
+  SchemaPtr schema =
+      RelationSchema::Make({AttributeDef::Key("k"),
+                            AttributeDef::Definite("s"),
+                            AttributeDef::Uncertain("u", dom)})
+          .value();
+  ExtendedRelation rel("Big", schema);
+  for (int64_t i = 0; i < 3000; ++i) {
+    std::string payload(96, static_cast<char>('a' + i % 26));
+    payload += std::to_string(i);
+    ExtendedTuple t;
+    t.cells = {Value(i), Value(std::move(payload)),
+               EvidenceSet::MakeTrusted(
+                   dom, MassFunction::Definite(dom->size(),
+                                               static_cast<size_t>(i) % 6))};
+    t.membership = SupportPair::Certain();
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  Catalog catalog;
+  EXPECT_TRUE(catalog.RegisterRelation(std::move(rel)).ok());
+  return catalog;
+}
+
+/// Writes BigCatalog as a 4-way key-range image to `path` with one byte
+/// of row 1500's string payload (partition 2's chunk) flipped; returns
+/// the error an eager (copied) load of the file reports.
+std::string WriteCorruptBigImage(const std::string& path) {
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kKeyRange;
+  spec.partitions = 4;
+  std::string blob = WriteErelColumnImageV3(BigCatalog(), spec);
+  const size_t pos = blob.find(std::string(96, 'a' + 1500 % 26) + "1500");
+  EXPECT_NE(pos, std::string::npos);
+  if (pos == std::string::npos) return "";
+  blob[pos + 10] = static_cast<char>(blob[pos + 10] ^ 0x01);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << blob;
+  }
+  LoadOptions copied;
+  copied.map = LoadOptions::Map::kNever;
+  auto eager = LoadErelFile(path, copied, nullptr);
+  EXPECT_FALSE(eager.ok());
+  if (eager.ok()) return "";
+  EXPECT_NE(eager.status().message().find(
+                "partition 2: chunk checksum mismatch"),
+            std::string::npos)
+      << eager.status();
+  return eager.status().message();
+}
+
+TEST(ColumnImageV3Test, ReadingRowsKeepsAMappedImageVerified) {
+  // Building the row image of a mapped relation must not switch it out
+  // of columnar mode: its deferred checks still guard every later scan
+  // and save, and EXPLAIN still shows its partitions.
+  const std::string path = "/tmp/evident_test_v3_rows_corrupt.erel";
+  const std::string resave = "/tmp/evident_test_v3_rows_corrupt_resave.erel";
+  const std::string diagnosis = WriteCorruptBigImage(path);
+  ASSERT_FALSE(diagnosis.empty());
+  {
+    LoadOptions mapped;
+    mapped.map = LoadOptions::Map::kAlways;
+    auto loaded = LoadErelFile(path, mapped, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExtendedRelation* rel = loaded->GetRelation("Big").value();
+    EXPECT_EQ(rel->rows().size(), 3000u);
+    EXPECT_TRUE(rel->columnar_mode());
+    EXPECT_EQ(rel->rows_materialized(), 1u);
+
+    QueryEngine engine(&*loaded);
+    auto explain = engine.Explain("SELECT * FROM Big");
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    EXPECT_NE(explain->find("4 partition(s)"), std::string::npos) << *explain;
+    auto result = engine.Execute("SELECT * FROM Big");
+    EXPECT_FALSE(result.ok()) << result->size() << " rows";
+    EXPECT_EQ(result.status().message(), diagnosis);
+    const Status saved = SaveErelFile(*loaded, resave);
+    EXPECT_FALSE(saved.ok());
+    EXPECT_EQ(saved.message(), diagnosis);
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+  std::remove(resave.c_str());
+}
+
+TEST(ColumnImageV3Test, ValidateInvariantsRunsAMappedImagesDeferredChecks) {
+  const std::string path = "/tmp/evident_test_v3_validate_corrupt.erel";
+  const std::string diagnosis = WriteCorruptBigImage(path);
+  ASSERT_FALSE(diagnosis.empty());
+  {
+    LoadOptions mapped;
+    mapped.map = LoadOptions::Map::kAlways;
+    auto loaded = LoadErelFile(path, mapped, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExtendedRelation* rel = loaded->GetRelation("Big").value();
+    // The rows decode without the deferred checks; validation must
+    // still report the corrupt chunk.
+    EXPECT_EQ(rel->rows().size(), 3000u);
+    const Status valid = rel->ValidateInvariants();
+    EXPECT_FALSE(valid.ok());
+    EXPECT_EQ(valid.message(), diagnosis);
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, ParsesHeaderAndRows) {
   auto table = ParseCsv("t", "a,b,c\n1,2,3\nx,y,z\n");
   ASSERT_TRUE(table.ok()) << table.status();

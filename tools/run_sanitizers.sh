@@ -3,16 +3,20 @@
 # one command — the recipe ROADMAP.md used to carry as prose.
 #
 #   asan (default): storage/join/fuzz/kernel-differential/plan/
-#                   governor/fault-injection/session suites under ASan +
-#                   UBSan (the session suite pins catalog snapshots
-#                   across replaces — the UAF regression lives there).
+#                   governor/fault-injection/session/lazy-once suites
+#                   under ASan + UBSan (the session suite pins catalog
+#                   snapshots across replaces — the UAF regression lives
+#                   there).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
 #                   fused pipelines, the differential fuzz harness and
 #                   the operator differentials against the reference
 #                   evaluator — which run every operator at threads=7 — the
-#                   governor's cross-thread cancellation storms, and the
+#                   governor's cross-thread cancellation storms, the
 #                   concurrent-session suite with mid-flight catalog
-#                   republishes) under ThreadSanitizer.
+#                   republishes, and the shared-relation lazy caches)
+#                   under ThreadSanitizer; then the session, morsel and
+#                   lazy-once suites again with --gtest_repeat=20, since
+#                   a race shows up only on some interleavings.
 #   all:            both, sequentially.
 #
 # Usage:
@@ -50,8 +54,8 @@ run_pass() {
   esac
   local targets=(storage_test join_test fuzz_differential_test
                  kernel_differential_test plan_test morsel_test governor_test
-                 fault_injection_test session_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test)$'
+                 fault_injection_test session_test lazy_once_test)
+  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|lazy_once_test)$'
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
@@ -75,6 +79,14 @@ run_pass() {
 
   echo "== ${preset}: running sanitized suites (EVIDENT_FUZZ_ITERS=${EVIDENT_FUZZ_ITERS}) =="
   ctest --test-dir "${build_dir}" --output-on-failure -R "${filter}" "$@"
+
+  if [[ "${preset}" == tsan ]]; then
+    local suite
+    for suite in session_test morsel_test lazy_once_test; do
+      echo "== tsan: ${suite} --gtest_repeat=20 =="
+      "${build_dir}/${suite}" --gtest_repeat=20 --gtest_brief=1
+    done
+  fi
 }
 
 case "${MODE}" in
