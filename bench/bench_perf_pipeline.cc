@@ -14,6 +14,8 @@
 #include "core/parallel.h"
 #include "integration/pipeline.h"
 #include "query/engine.h"
+#include "query/optimizer.h"
+#include "query/parser.h"
 #include "storage/catalog.h"
 #include "workload/generator.h"
 #include "workload/paper_fixtures.h"
@@ -239,13 +241,27 @@ BENCHMARK(BM_EqlPushdown)
     ->Args({32768, 0})->Args({32768, 1})
     ->Unit(benchmark::kMillisecond);
 
+// One EQL statement end to end: fused is the engine; unfused composes
+// the engine's parse → plan → optimize steps and executes the plan
+// without LowerToFusedPipelines, so every chain node runs as its own
+// operator.
+Result<ExtendedRelation> ExecuteEql(const Catalog& catalog,
+                                    const std::string& stmt, bool fused) {
+  if (fused) return QueryEngine(&catalog).Execute(stmt);
+  EVIDENT_ASSIGN_OR_RETURN(eql::ParsedQuery query, ParseQuery(stmt));
+  EVIDENT_ASSIGN_OR_RETURN(eql::LogicalPlan plan,
+                           eql::BuildPlan(query, &catalog, UnionOptions()));
+  eql::OptimizePlan(&plan);
+  return eql::ExecutePlan(plan);
+}
+
 // The fused scan pipeline end-to-end through the EQL engine: a
 // prefilter (ld = 7), an evidence select and a pruning projection over
-// one scan. Arg 1 toggles pipeline fusion — off, each operator
-// materializes its intermediate relation; on, the whole chain runs per
-// morsel over the catalog's shared column image and splices only the
-// survivors once. Pinned to threads=1 so any gap is pure fusion, with
-// no parallelism in play.
+// one scan. Arg 1 picks the plan — 0 unfused, each operator
+// materializes its intermediate relation; 1 fused, the whole chain runs
+// as one filter pass over the catalog's shared column image and splices
+// only the survivors once. Pinned to threads=1 so any gap is pure
+// fusion, with no parallelism in play.
 void BM_FusedPipeline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
@@ -255,13 +271,11 @@ void BM_FusedPipeline(benchmark::State& state) {
     return;
   }
   (void)catalog.GetRelation("L").value()->columns();
-  QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(fused);
   SetParallelMaxThreads(1);
   const std::string stmt =
       "SELECT lk, ld FROM L WHERE ld = 7 AND lu0 IS {v0, v1, v2} WITH sn > 0";
   for (auto _ : state) {
-    auto result = engine.Execute(stmt);
+    auto result = ExecuteEql(catalog, stmt, fused);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize(result);
   }
@@ -278,9 +292,9 @@ BENCHMARK(BM_FusedPipeline)
 // The morsel-scheduled join probe over a skewed key: the hot join value
 // sits on the first half of the probe rows (the leading morsels), so a
 // static sharding leaves one shard holding nearly every matching pair.
-// Arg 1 toggles fusion — on, the probe loop consumes the prefiltered
-// scan directly from the catalog's column image; off, the prefilter
-// materializes its survivors first. Runs at threads=7 so morsel
+// Arg 1 picks the plan — 1 fused, the probe loop visits the filter
+// pass's surviving rows of the catalog's column image; 0 unfused, the
+// prefilter materializes its survivors first. Runs at threads=7 so morsel
 // stealing is in play on multi-core hosts.
 void BM_FusedSkewedProbe(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -308,13 +322,11 @@ void BM_FusedSkewedProbe(benchmark::State& state) {
   }
   (void)catalog.GetRelation("L").value()->columns();
   (void)catalog.GetRelation("R").value()->columns();
-  QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(fused);
   SetParallelMaxThreads(7);
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu0 IS {v0, v1, v2}";
   for (auto _ : state) {
-    auto result = engine.Execute(stmt);
+    auto result = ExecuteEql(catalog, stmt, fused);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize(result);
   }

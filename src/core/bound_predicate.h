@@ -81,7 +81,7 @@ class BoundPredicate {
   /// disjoint ranges (scratch is thread-local). The per-row
   /// multiplication sequence runs in conjunct order regardless of range
   /// width, so a single-row call (begin = row, end = row + 1 — how the
-  /// fused pipeline's sparse later stages evaluate surviving rows) is
+  /// filter pass's sparse later stages evaluate surviving rows) is
   /// arithmetic-identical to the same row inside a full-range sweep.
   void EvaluateColumns(const ColumnStore& store, size_t begin, size_t end,
                        SupportPair* out) const;

@@ -5,56 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/scan_stats.h"
-
 namespace evident {
-
-Result<std::vector<uint8_t>> PruneAndVerifyPartitions(
-    const ColumnStore& store,
-    const std::function<bool(const ColumnStore::PartitionZone&)>& refutes) {
-  const std::vector<ColumnStore::PartitionZone>& parts = store.partitions();
-  if (parts.empty()) {
-    EVIDENT_RETURN_NOT_OK(store.EnsureAllVerified());
-    return std::vector<uint8_t>{};
-  }
-  std::vector<uint8_t> row_pruned;
-  size_t pruned = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    if (refutes(parts[p])) {
-      if (row_pruned.empty()) row_pruned.assign(store.rows(), 0);
-      for (size_t r = parts[p].begin_row; r < parts[p].end_row; ++r) {
-        row_pruned[r] = 1;
-      }
-      ++pruned;
-    } else {
-      EVIDENT_RETURN_NOT_OK(store.EnsurePartitionVerified(p));
-    }
-  }
-  RecordPartitionScan(parts.size(), pruned);
-  return row_pruned;
-}
-
-std::vector<std::pair<size_t, size_t>> UnprunedRowRuns(
-    const ColumnStore& store, const std::vector<uint8_t>& row_pruned) {
-  std::vector<std::pair<size_t, size_t>> runs;
-  if (row_pruned.empty()) {
-    if (store.rows() > 0) runs.emplace_back(0, store.rows());
-    return runs;
-  }
-  // A non-empty bitmap only ever comes from PruneAndVerifyPartitions,
-  // which marks whole partitions — one probe at each partition's first
-  // row recovers the decision without rescanning the bitmap.
-  for (const ColumnStore::PartitionZone& part : store.partitions()) {
-    if (part.begin_row == part.end_row) continue;
-    if (row_pruned[part.begin_row]) continue;
-    if (!runs.empty() && runs.back().second == part.begin_row) {
-      runs.back().second = part.end_row;
-    } else {
-      runs.emplace_back(part.begin_row, part.end_row);
-    }
-  }
-  return runs;
-}
 
 ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
   ColumnStore store;

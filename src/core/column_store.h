@@ -1,7 +1,6 @@
 #ifndef EVIDENT_CORE_COLUMN_STORE_H_
 #define EVIDENT_CORE_COLUMN_STORE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -361,52 +360,6 @@ class ColumnStore {
   LazyOnce<EncodedKeys> encoded_keys_;    // see encoded_keys()
   LazyOnce<TableStatistics> statistics_;  // see statistics()
 };
-
-/// \brief The scan-side pruning primitive shared by the columnar
-/// operators and the fused-pipeline executor: returns a per-row bitmap
-/// marking every row of a partition `refutes` rejects — empty when no
-/// partition was pruned, so the common monolithic case costs one branch.
-/// Each surviving partition's deferred (mapped-image) checks run on the
-/// way; a pruned partition's bytes are never read, so they are never
-/// verified either. Records the considered/pruned counts in the calling
-/// thread's PartitionScanStats. A store without partitions is fully
-/// verified and nothing is pruned.
-Result<std::vector<uint8_t>> PruneAndVerifyPartitions(
-    const ColumnStore& store,
-    const std::function<bool(const ColumnStore::PartitionZone&)>& refutes);
-
-/// \brief The surviving rows of a pruned scan as maximal contiguous
-/// absolute runs, derived from the partition boundaries in
-/// O(partitions): adjacent unpruned partitions coalesce into one run,
-/// and an empty bitmap (nothing pruned) yields the single run
-/// [0, rows). Scan executors iterate these runs — and size their morsel
-/// domains to the summed run length — so a query over a mostly-pruned
-/// relation costs O(surviving rows), not O(rows), per pass.
-std::vector<std::pair<size_t, size_t>> UnprunedRowRuns(
-    const ColumnStore& store, const std::vector<uint8_t>& row_pruned);
-
-/// \brief Maps one morsel of the compacted scan domain back to absolute
-/// row slices: `fn(begin, end)` is invoked for each maximal absolute
-/// slice whose compacted positions fall in [compact_begin, compact_end).
-/// Compacted position = rows of earlier runs + offset within the run,
-/// so distinct morsels see disjoint slices and every unpruned row is
-/// covered exactly once.
-template <typename Fn>
-void ForEachRunSlice(const std::vector<std::pair<size_t, size_t>>& runs,
-                     size_t compact_begin, size_t compact_end, Fn&& fn) {
-  size_t base = 0;  // compacted position of the current run's first row
-  for (const auto& [run_begin, run_end] : runs) {
-    const size_t len = run_end - run_begin;
-    if (base >= compact_end) break;
-    if (base + len > compact_begin) {
-      const size_t lo =
-          run_begin + (compact_begin > base ? compact_begin - base : 0);
-      const size_t hi = run_begin + std::min(len, compact_end - base);
-      if (lo < hi) fn(lo, hi);
-    }
-    base += len;
-  }
-}
 
 }  // namespace evident
 

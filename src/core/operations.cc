@@ -17,6 +17,7 @@
 #include "core/join_plan.h"
 #include "core/parallel.h"
 #include "core/query_context.h"
+#include "core/scan_stats.h"
 
 namespace evident {
 
@@ -101,215 +102,276 @@ ColumnStore SpliceKeptRows(const ColumnStore& store, std::string name,
                                  identity, keep, memberships);
 }
 
-/// Evaluates `bound` over the rows of [begin, end) whose partition was
-/// not pruned, in maximal contiguous runs; pruned rows' output slots
-/// stay unset and callers never read them. A refuted partition's rows
-/// would all evaluate to support (0, 0) and be dropped, so skipping
-/// them changes no output — it only keeps the scan from touching (and
-/// the mapped loader from verifying) the pruned partitions' bytes.
-void EvaluateUnprunedRows(const BoundPredicate& bound,
-                          const ColumnStore& store, size_t begin, size_t end,
-                          const std::vector<uint8_t>& row_pruned,
-                          SupportPair* out) {
-  if (row_pruned.empty()) {
-    bound.EvaluateColumns(store, begin, end, out);
-    return;
+/// Maximal contiguous absolute row ranges [first, second).
+using RowRuns = std::vector<std::pair<size_t, size_t>>;
+
+/// Zone-map pruning for the filter pass: verifies every partition of
+/// `store` that no non-trivial stage refutes and returns the surviving
+/// rows as maximal contiguous absolute runs (adjacent surviving
+/// partitions coalesce). A refuted partition's rows would all get
+/// support (0, 0) at the refuting stage and be dropped, so skipping it
+/// changes no output; its bytes are never read, so they are never
+/// verified either. Records the considered/pruned counts in the calling
+/// thread's PartitionScanStats. A store without partitions is verified
+/// whole and scanned as one run.
+Result<RowRuns> PruneAndVerifyPartitions(
+    const ColumnStore& store, const std::vector<FilterStage>& stages) {
+  RowRuns runs;
+  const std::vector<ColumnStore::PartitionZone>& parts = store.partitions();
+  if (parts.empty()) {
+    EVIDENT_RETURN_NOT_OK(store.EnsureAllVerified());
+    if (store.rows() > 0) runs.emplace_back(0, store.rows());
+    return runs;
   }
-  size_t r = begin;
-  while (r < end) {
-    if (row_pruned[r]) {
-      ++r;
+  size_t pruned = 0;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const ColumnStore::PartitionZone& part = parts[p];
+    if (StagesRefutePartition(stages, part)) {
+      ++pruned;
       continue;
     }
-    size_t run = r + 1;
-    while (run < end && !row_pruned[run]) ++run;
-    bound.EvaluateColumns(store, r, run, out);
-    r = run;
+    EVIDENT_RETURN_NOT_OK(store.EnsurePartitionVerified(p));
+    if (part.begin_row == part.end_row) continue;
+    if (!runs.empty() && runs.back().second == part.begin_row) {
+      runs.back().second = part.end_row;
+    } else {
+      runs.emplace_back(part.begin_row, part.end_row);
+    }
+  }
+  RecordPartitionScan(parts.size(), pruned);
+  return runs;
+}
+
+/// Maps one morsel of the compacted scan domain back to absolute row
+/// slices: `fn(begin, end)` is invoked for each maximal absolute slice
+/// whose compacted positions fall in [compact_begin, compact_end).
+/// Compacted position = rows of earlier runs + offset within the run, so
+/// distinct morsels see disjoint slices and every surviving row is
+/// covered exactly once.
+template <typename Fn>
+void ForEachRunSlice(const RowRuns& runs, size_t compact_begin,
+                     size_t compact_end, Fn&& fn) {
+  size_t base = 0;  // compacted position of the current run's first row
+  for (const auto& [run_begin, run_end] : runs) {
+    const size_t len = run_end - run_begin;
+    if (base >= compact_end) break;
+    if (base + len > compact_begin) {
+      const size_t lo =
+          run_begin + (compact_begin > base ? compact_begin - base : 0);
+      const size_t hi = run_begin + std::min(len, compact_end - base);
+      if (lo < hi) fn(lo, hi);
+    }
+    base += len;
   }
 }
 
-/// Interpreted evaluation for predicates that do not bind completely
+/// The interpreted filter for predicates that do not bind completely
 /// (attributes over frames wider than 64 values, IS constants outside
 /// the frame, evidence literals over wide frames): each row of `store`
 /// is materialized as a transient tuple — the relation's own row image
-/// is never built — and `visit(row, tuple)` runs serially in row order,
-/// so the first error reported is the first failing row's.
-template <typename Visit>
-Status ForEachInterpretedRow(const ColumnStore& store, Visit&& visit) {
+/// is never built — and `keep(tuple, &membership)` decides serially in
+/// row order whether the row survives, so the first error reported is
+/// the first failing row's.
+template <typename Keep>
+Result<FilteredRows> FilterInterpretedRows(const ColumnStore& store,
+                                           Keep&& keep) {
   EVIDENT_RETURN_NOT_OK(store.EnsureAllVerified());
   QueryContext* const ctx = CurrentQueryContext();
+  FilteredRows kept;
   for (size_t i = 0; i < store.rows(); ++i) {
     if (ctx != nullptr && (i + 1) % kGovernorTick == 0) {
       EVIDENT_RETURN_NOT_OK(ctx->PollTick());
     }
-    EVIDENT_RETURN_NOT_OK(visit(i, store.MaterializeRow(i)));
+    SupportPair membership = store.membership(i);
+    EVIDENT_ASSIGN_OR_RETURN(const bool survives,
+                             keep(store.MaterializeRow(i), &membership));
+    if (!survives) continue;
+    kept.rows.push_back(static_cast<uint32_t>(i));
+    kept.memberships.push_back(membership);
   }
-  return Status::OK();
+  return kept;
+}
+
+/// An operator's filtered output: charges the kept rows of `schema`,
+/// then splices them out of `store` under `name`.
+Result<ExtendedRelation> AdoptFilteredRows(const ColumnStore& store,
+                                           const RelationSchema& schema,
+                                           std::string name,
+                                           const FilteredRows& kept) {
+  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(schema, kept.rows.size()));
+  return ExtendedRelation::AdoptColumns(
+      SpliceKeptRows(store, std::move(name), kept.rows, kept.memberships));
 }
 
 }  // namespace
 
+bool StagesRefutePartition(const std::vector<FilterStage>& stages,
+                           const ColumnStore::PartitionZone& zone) {
+  return std::any_of(stages.begin(), stages.end(),
+                     [&](const FilterStage& stage) {
+                       return !stage.trivial &&
+                              stage.bound.RefutesPartition(zone);
+                     });
+}
+
+bool FilterStage::Apply(const SupportPair& support,
+                        SupportPair* membership) const {
+  if (!is_select) return support.HasPositiveSupport();
+  // F_TM: predicate satisfaction and original membership are treated as
+  // independent events (Figure 3); then CWA_ER consistency and Q.
+  const SupportPair revised = membership->Multiply(support);
+  if (!revised.HasPositiveSupport() || !threshold.Accepts(revised)) {
+    return false;
+  }
+  *membership = revised;
+  return true;
+}
+
+Result<FilteredRows> FilterColumns(const ColumnStore& store,
+                                   const std::vector<FilterStage>& stages) {
+  EVIDENT_ASSIGN_OR_RETURN(const RowRuns runs,
+                           PruneAndVerifyPartitions(store, stages));
+  // The morsel domain is the compacted surviving row set, so a
+  // mostly-pruned scan costs O(surviving rows) per pass, not O(rows).
+  size_t live = 0;
+  for (const auto& run : runs) live += run.second - run.first;
+  // Supports are indexed by absolute row (EvaluateColumns' contract);
+  // morsels write disjoint slices.
+  std::vector<SupportPair> supports(stages.empty() ? 0 : store.rows());
+  auto support_of = [&](const FilterStage& stage, size_t row) {
+    return stage.trivial ? SupportPair::Certain() : supports[row];
+  };
+  std::vector<FilteredRows> morsels(ParallelMorselCount(live, kParallelGrain));
+  ParallelForMorsels(live, kParallelGrain, [&](size_t morsel,
+                                               size_t compact_begin,
+                                               size_t compact_end) {
+    FilteredRows& out = morsels[morsel];
+    out.rows.reserve(compact_end - compact_begin);
+    out.memberships.reserve(compact_end - compact_begin);
+    // The first stage sweeps each contiguous slice of the morsel densely.
+    ForEachRunSlice(runs, compact_begin, compact_end, [&](size_t begin,
+                                                          size_t end) {
+      if (!stages.empty() && !stages[0].trivial) {
+        stages[0].bound.EvaluateColumns(store, begin, end, supports.data());
+      }
+      for (size_t r = begin; r < end; ++r) {
+        SupportPair membership = store.membership(r);
+        if (stages.empty() ||
+            stages[0].Apply(support_of(stages[0], r), &membership)) {
+          out.rows.push_back(static_cast<uint32_t>(r));
+          out.memberships.push_back(membership);
+        }
+      }
+    });
+    // Later stages evaluate only the rows still alive, one at a time, so
+    // a selective first filter is not paid for again by every stage
+    // after it.
+    for (size_t s = 1; s < stages.size(); ++s) {
+      const FilterStage& stage = stages[s];
+      size_t alive = 0;
+      for (size_t i = 0; i < out.rows.size(); ++i) {
+        const uint32_t r = out.rows[i];
+        if (!stage.trivial) {
+          stage.bound.EvaluateColumns(store, r, r + 1, supports.data());
+        }
+        if (!stage.Apply(support_of(stage, r), &out.memberships[i])) continue;
+        out.rows[alive] = r;
+        out.memberships[alive] = out.memberships[i];
+        ++alive;
+      }
+      out.rows.resize(alive);
+      out.memberships.resize(alive);
+    }
+  });
+  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  FilteredRows kept;
+  size_t total = 0;
+  for (const FilteredRows& m : morsels) total += m.rows.size();
+  kept.rows.reserve(total);
+  kept.memberships.reserve(total);
+  for (const FilteredRows& m : morsels) {
+    kept.rows.insert(kept.rows.end(), m.rows.begin(), m.rows.end());
+    kept.memberships.insert(kept.memberships.end(), m.memberships.begin(),
+                            m.memberships.end());
+  }
+  return kept;
+}
+
 /// Extended selection: the predicate is bound once (attribute positions,
-/// IS-masks, theta tables) and evaluated column-at-a-time over the
-/// packed evidence spans, sharded across threads; a predicate that does
-/// not bind completely is interpreted row by row instead (including
-/// predicates that error per row). The serial output pass filters in
-/// row order and splices the surviving rows' column slices into a fresh
-/// column image — no row objects are built unless a downstream consumer
-/// asks for them.
+/// IS-masks, theta tables) and run as the filter pass's one select stage,
+/// column-at-a-time over the packed evidence spans; a predicate that
+/// does not bind completely is interpreted row by row instead (including
+/// predicates that error per row). The surviving rows' column slices are
+/// spliced into a fresh column image — no row objects are built unless a
+/// downstream consumer asks for them.
 Result<ExtendedRelation> Select(const ExtendedRelation& input,
                                 const PredicatePtr& predicate,
                                 const MembershipThreshold& threshold) {
   if (predicate == nullptr) {
     return Status::InvalidArgument("null selection predicate");
   }
-  const BoundPredicate bound =
-      BoundPredicate::Bind(predicate, input.schema());
+  std::vector<FilterStage> stages(1);
+  stages[0].is_select = true;
+  stages[0].bound = BoundPredicate::Bind(predicate, input.schema());
+  stages[0].threshold = threshold;
   const ColumnStore& store = input.columns();
-  std::vector<SupportPair> supports(input.size());
-  std::vector<std::pair<size_t, size_t>> runs;
-  if (bound.fully_bound()) {
-    // Zone-map pruning: a partition the predicate refutes contributes no
-    // output row (its supports would all be (0,0), dropped by CWA_ER), so
-    // its rows are neither evaluated nor verified.
-    EVIDENT_ASSIGN_OR_RETURN(
-        const std::vector<uint8_t> row_pruned,
-        PruneAndVerifyPartitions(store, [&](const auto& zone) {
-          return bound.RefutesPartition(zone);
-        }));
-    // Evaluate and filter over the unpruned runs only: the morsel domain
-    // is the compacted surviving row set, so a mostly-pruned scan costs
-    // O(surviving rows) per pass, not O(rows).
-    runs = UnprunedRowRuns(store, row_pruned);
-    size_t live = 0;
-    for (const auto& run : runs) live += run.second - run.first;
-    // Morsels write disjoint absolute slices of the shared supports array.
-    ParallelForMorsels(live, kParallelGrain,
-                       [&](size_t, size_t compact_begin, size_t compact_end) {
-                         ForEachRunSlice(
-                             runs, compact_begin, compact_end,
-                             [&](size_t begin, size_t end) {
-                               bound.EvaluateColumns(store, begin, end,
-                                                     supports.data());
-                             });
-                       });
-    EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  FilteredRows kept;
+  if (stages[0].bound.fully_bound()) {
+    EVIDENT_ASSIGN_OR_RETURN(kept, FilterColumns(store, stages));
   } else {
-    EVIDENT_RETURN_NOT_OK(ForEachInterpretedRow(
-        store, [&](size_t i, const ExtendedTuple& t) -> Status {
-          EVIDENT_ASSIGN_OR_RETURN(supports[i],
-                                   predicate->Evaluate(t, *input.schema()));
-          return Status::OK();
-        }));
-    runs = UnprunedRowRuns(store, {});
+    EVIDENT_ASSIGN_OR_RETURN(
+        kept, FilterInterpretedRows(
+                  store,
+                  [&](const ExtendedTuple& t,
+                      SupportPair* membership) -> Result<bool> {
+                    EVIDENT_ASSIGN_OR_RETURN(
+                        const SupportPair support,
+                        predicate->Evaluate(t, *input.schema()));
+                    return stages[0].Apply(support, membership);
+                  }));
   }
-
-  std::vector<uint32_t> keep;
-  std::vector<SupportPair> revised_memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t i = run_begin; i < run_end; ++i) {
-      // F_TM: predicate satisfaction and original membership are treated
-      // as independent events (Figure 3).
-      const SupportPair revised = store.membership(i).Multiply(supports[i]);
-      if (!revised.HasPositiveSupport()) continue;  // CWA_ER consistency.
-      if (!threshold.Accepts(revised)) continue;
-      keep.push_back(static_cast<uint32_t>(i));
-      revised_memberships.push_back(revised);
-    }
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), keep.size()));
-
-  return ExtendedRelation::AdoptColumns(
-      SpliceKeptRows(store, "select(" + input.name() + ")", keep,
-                     revised_memberships));
+  return AdoptFilteredRows(store, *input.schema(),
+                           "select(" + input.name() + ")", kept);
 }
 
-/// The pushdown prefilter: every conjunct is bound once and evaluated
-/// column-at-a-time, sharded across threads; the survivors' column
-/// slices are spliced with their original memberships. If any conjunct
-/// does not bind completely, every conjunct is interpreted row by row
-/// instead (the optimizer only pushes bindable conjuncts, so that is a
-/// safety net, not a fast-path fork): conjuncts in order, stopping at
-/// the first that drops the row.
+/// The pushdown prefilter: every conjunct is bound once and run as one
+/// prefilter stage of the filter pass; the survivors' column slices are
+/// spliced with their original memberships. If any conjunct does not
+/// bind completely, every conjunct is interpreted row by row instead
+/// (the optimizer only pushes bindable conjuncts, so that is a safety
+/// net, not a fast-path fork): conjuncts in order, stopping at the first
+/// that drops the row.
 Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input,
     const std::vector<PredicatePtr>& conjuncts) {
-  std::vector<BoundPredicate> bound;
-  bound.reserve(conjuncts.size());
+  std::vector<FilterStage> stages(conjuncts.size());
   bool all_bound = true;
-  for (const PredicatePtr& conjunct : conjuncts) {
-    if (conjunct == nullptr) {
+  for (size_t c = 0; c < conjuncts.size(); ++c) {
+    if (conjuncts[c] == nullptr) {
       return Status::InvalidArgument("null prefilter conjunct");
     }
-    bound.push_back(BoundPredicate::Bind(conjunct, input.schema()));
-    all_bound = all_bound && bound.back().fully_bound();
+    stages[c].bound = BoundPredicate::Bind(conjuncts[c], input.schema());
+    all_bound = all_bound && stages[c].bound.fully_bound();
   }
   const ColumnStore& store = input.columns();
-  std::vector<uint8_t> drop(input.size(), 0);
-  std::vector<std::pair<size_t, size_t>> runs;
+  FilteredRows kept;
   if (all_bound) {
-    // Zone-map pruning: a partition some conjunct refutes would see that
-    // conjunct's support hit sn == 0 on every row, so every row is
-    // dropped — mark them up front and never evaluate (or verify) them.
-    EVIDENT_ASSIGN_OR_RETURN(
-        const std::vector<uint8_t> row_pruned,
-        PruneAndVerifyPartitions(store, [&](const auto& zone) {
-          for (const BoundPredicate& conjunct : bound) {
-            if (conjunct.RefutesPartition(zone)) return true;
-          }
-          return false;
-        }));
-    // Conjuncts evaluate over the unpruned runs only — the morsel domain
-    // is the compacted surviving row set — so a mostly-pruned prefilter
-    // costs O(surviving rows) per conjunct, not O(rows).
-    runs = UnprunedRowRuns(store, row_pruned);
-    size_t live = 0;
-    for (const auto& run : runs) live += run.second - run.first;
-    std::vector<SupportPair> supports(input.size());
-    for (const BoundPredicate& conjunct : bound) {
-      ParallelForMorsels(
-          live, kParallelGrain,
-          [&](size_t, size_t compact_begin, size_t compact_end) {
-            ForEachRunSlice(runs, compact_begin, compact_end,
-                            [&](size_t begin, size_t end) {
-                              conjunct.EvaluateColumns(store, begin, end,
-                                                       supports.data());
-                              for (size_t i = begin; i < end; ++i) {
-                                if (!supports[i].HasPositiveSupport()) {
-                                  drop[i] = 1;
-                                }
-                              }
-                            });
-          });
-    }
-    EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+    EVIDENT_ASSIGN_OR_RETURN(kept, FilterColumns(store, stages));
   } else {
-    EVIDENT_RETURN_NOT_OK(ForEachInterpretedRow(
-        store, [&](size_t i, const ExtendedTuple& t) -> Status {
-          for (const PredicatePtr& conjunct : conjuncts) {
-            EVIDENT_ASSIGN_OR_RETURN(SupportPair support,
-                                     conjunct->Evaluate(t, *input.schema()));
-            if (!support.HasPositiveSupport()) {
-              drop[i] = 1;
-              break;
-            }
-          }
-          return Status::OK();
-        }));
-    runs = UnprunedRowRuns(store, {});
+    EVIDENT_ASSIGN_OR_RETURN(
+        kept, FilterInterpretedRows(
+                  store,
+                  [&](const ExtendedTuple& t, SupportPair*) -> Result<bool> {
+                    for (const PredicatePtr& conjunct : conjuncts) {
+                      EVIDENT_ASSIGN_OR_RETURN(
+                          const SupportPair support,
+                          conjunct->Evaluate(t, *input.schema()));
+                      if (!support.HasPositiveSupport()) return false;
+                    }
+                    return true;
+                  }));
   }
-  std::vector<uint32_t> keep;
-  std::vector<SupportPair> memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t i = run_begin; i < run_end; ++i) {
-      if (drop[i]) continue;
-      keep.push_back(static_cast<uint32_t>(i));
-      memberships.push_back(store.membership(i));
-    }
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), keep.size()));
-  return ExtendedRelation::AdoptColumns(
-      SpliceKeptRows(store, input.name(), keep, memberships));
+  return AdoptFilteredRows(store, *input.schema(), input.name(), kept);
 }
 
 Result<SupportPair> CombineMembership(const SupportPair& a,
@@ -1068,41 +1130,26 @@ bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
 /// morsels concatenated in order) is fixed, so the result is
 /// bit-identical for any thread count.
 ///
-/// `probe_filter` (may be null) is the fused-pipeline probe: prefilter
-/// conjuncts bound against the probe operand's schema, evaluated per
-/// probe morsel over the shared column image while the build table is
-/// warm; rows where any conjunct loses all support are never probed.
-/// Identical to probing FilterPositiveSupport(probe, conjuncts) — the
-/// per-row conjunct supports, surviving row order and memberships are
-/// the same — without materializing the intermediate relation.
+/// `probe_rows` (may be null) restricts the probe side to the listed
+/// rows, ascending — a prefilter's filter-pass survivors. Identical to
+/// probing the relation those rows would splice into: the probe order,
+/// the morsel boundaries over it and the memberships are the same.
 Result<ExtendedRelation> HashEquiJoin(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const JoinPlan& plan, const SchemaPtr& schema,
     const MembershipThreshold& threshold, const BoundPredicate* residual,
-    const PredicatePtr& interpreted,
-    const std::vector<BoundPredicate>* probe_filter, bool build_left,
-    std::string name) {
+    const PredicatePtr& interpreted, const std::vector<uint32_t>* probe_rows,
+    bool build_left, std::string name) {
   const ColumnStore& lstore = left.columns();
   const ColumnStore& rstore = right.columns();
   constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
   const ColumnStore& build = build_left ? lstore : rstore;
   const ColumnStore& probe = build_left ? rstore : lstore;
   // The build pass hashes every build row, so the build image must be
-  // fully verified. The probe side prunes partition-at-a-time when it
-  // carries a fused prefilter: a partition some conjunct refutes would
-  // see every row's filter support hit sn == 0 — those rows are marked
-  // dropped up front and their bytes never touched (or verified).
+  // fully verified. Listed probe rows come from a filter pass, which
+  // verified exactly the partitions they lie in.
   EVIDENT_RETURN_NOT_OK(build.EnsureAllVerified());
-  std::vector<uint8_t> probe_pruned;
-  if (probe_filter != nullptr) {
-    EVIDENT_ASSIGN_OR_RETURN(
-        probe_pruned, PruneAndVerifyPartitions(probe, [&](const auto& zone) {
-          for (const BoundPredicate& conjunct : *probe_filter) {
-            if (conjunct.RefutesPartition(zone)) return true;
-          }
-          return false;
-        }));
-  } else {
+  if (probe_rows == nullptr) {
     EVIDENT_RETURN_NOT_OK(probe.EnsureAllVerified());
   }
   std::vector<size_t> build_indices, probe_indices;
@@ -1141,37 +1188,17 @@ Result<ExtendedRelation> HashEquiJoin(
     std::vector<uint32_t> pair_left, pair_right;
     std::vector<SupportPair> memberships;
   };
-  const size_t morsel_count =
-      ParallelMorselCount(probe.rows(), kParallelGrain);
+  const size_t probe_count =
+      probe_rows != nullptr ? probe_rows->size() : probe.rows();
+  const size_t morsel_count = ParallelMorselCount(probe_count, kParallelGrain);
   std::vector<MorselPairs> morsels(morsel_count);
   std::vector<Status> morsel_status(morsel_count);
-  // Fused-probe scratch: morsels write disjoint absolute slices. Rows of
-  // pruned probe partitions start dropped — exactly the flag the refuted
-  // conjunct would have set — so the survivor charge below is unchanged.
-  std::vector<SupportPair> filter_supports(
-      probe_filter != nullptr ? probe.rows() : 0);
-  std::vector<uint8_t> filter_drop =
-      probe_pruned.empty()
-          ? std::vector<uint8_t>(probe_filter != nullptr ? probe.rows() : 0, 0)
-          : probe_pruned;
   ParallelForMorsels(
-      probe.rows(), kParallelGrain,
+      probe_count, kParallelGrain,
       [&](size_t morsel, size_t begin, size_t end) {
         MorselPairs& out = morsels[morsel];
-        if (probe_filter != nullptr) {
-          for (const BoundPredicate& conjunct : *probe_filter) {
-            EvaluateUnprunedRows(conjunct, probe, begin, end, probe_pruned,
-                                 filter_supports.data());
-            for (size_t p = begin; p < end; ++p) {
-              if (filter_drop[p]) continue;
-              if (!filter_supports[p].HasPositiveSupport()) {
-                filter_drop[p] = 1;
-              }
-            }
-          }
-        }
-        for (size_t p = begin; p < end; ++p) {
-          if (probe_filter != nullptr && filter_drop[p]) continue;
+        for (size_t i = begin; i < end; ++i) {
+          const size_t p = probe_rows != nullptr ? (*probe_rows)[i] : i;
           const uint64_t h = StoreKeyHash(probe, p, probe_indices);
           size_t s = h & mask;
           uint32_t head = kEmpty;
@@ -1219,16 +1246,12 @@ Result<ExtendedRelation> HashEquiJoin(
             out.memberships.push_back(revised);
           }
         }
-        if (probe_filter == nullptr) {
-          // Incremental row-cap charge at the emission site: per-morsel
-          // pair counts are thread-count invariant, so the cap trips
-          // (count-free message) identically; errors are sticky and the
-          // post-pass check surfaces them. With a fused probe filter
-          // every charge is deferred to the post-pass block below, where
-          // the unfused filter-then-join sequence is replayed exactly.
-          if (QueryContext* const ctx = CurrentQueryContext()) {
-            (void)ctx->ChargeRows(out.pair_left.size());
-          }
+        // Incremental row-cap charge at the emission site: per-morsel
+        // pair counts are thread-count invariant, so the cap trips
+        // (count-free message) identically; errors are sticky and the
+        // post-pass check surfaces them.
+        if (QueryContext* const ctx = CurrentQueryContext()) {
+          (void)ctx->ChargeRows(out.pair_left.size());
         }
       });
   EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
@@ -1237,16 +1260,6 @@ Result<ExtendedRelation> HashEquiJoin(
   size_t total = 0;
   for (const MorselPairs& morsel : morsels) total += morsel.pair_left.size();
   if (QueryContext* const ctx = CurrentQueryContext()) {
-    if (probe_filter != nullptr) {
-      // The unfused plan materializes FilterPositiveSupport(probe) and
-      // charges its survivors before the join's pair and memory charges;
-      // replay that exact sequence so fusing the probe never changes
-      // which limit trips (or its message).
-      uint64_t survivors = 0;
-      for (const uint8_t dropped : filter_drop) survivors += dropped == 0;
-      EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*probe.schema(), survivors));
-      EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(total));
-    }
     EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(*schema, total));
   }
   std::vector<uint32_t> pair_left, pair_right;
@@ -1344,43 +1357,23 @@ Result<ExtendedRelation> Join(const ExtendedRelation& left,
                                std::move(schema));
 }
 
-namespace {
-
-/// The materializing fallback for a fused probe that cannot run in the
-/// probe loop (interpreted residual, no equi-conjunct, unbound conjunct): filter the probe side exactly as the unfused plan would
-/// have, then join without fusion — identical semantics by construction.
-Result<ExtendedRelation> JoinWithMaterializedProbe(
-    const ExtendedRelation& left, const ExtendedRelation& right,
-    const PredicatePtr& predicate, const MembershipThreshold& threshold,
-    SchemaPtr schema, JoinBuildSide build_side, bool probe_is_left,
-    const FusedJoinProbe& fused_probe) {
-  EVIDENT_ASSIGN_OR_RETURN(
-      ExtendedRelation filtered,
-      FilterPositiveSupport(probe_is_left ? left : right,
-                            fused_probe.conjuncts));
-  return JoinWithProductSchema(probe_is_left ? filtered : left,
-                               probe_is_left ? right : filtered, predicate,
-                               threshold, std::move(schema), build_side);
-}
-
-}  // namespace
-
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
     SchemaPtr schema, JoinBuildSide build_side,
-    const FusedJoinProbe* fused_probe) {
+    const std::vector<uint32_t>* probe_rows) {
   if (predicate == nullptr) {
     return Status::InvalidArgument("null selection predicate");
   }
-  if (fused_probe != nullptr && build_side == JoinBuildSide::kAuto) {
+  if (probe_rows != nullptr && build_side == JoinBuildSide::kAuto) {
     return Status::InvalidArgument(
-        "a fused join probe requires an explicit build side");
+        "probe rows require an explicit build side");
   }
   const bool probe_is_left = build_side == JoinBuildSide::kRight;
   ExtendedRelation out("select(" + left.name() + " x " + right.name() + ")",
                        schema);
-  if (left.empty() || right.empty()) {
+  if (left.empty() || right.empty() ||
+      (probe_rows != nullptr && probe_rows->empty())) {
     // The product is empty; selection over it never evaluates the
     // predicate, and neither do we.
     return out;
@@ -1398,10 +1391,27 @@ Result<ExtendedRelation> JoinWithProductSchema(
   const bool table_fits =
       (build_left ? left.size() : right.size()) <
       static_cast<size_t>(std::numeric_limits<uint32_t>::max());
-  // A residual that does not bind is interpreted per matched pair; the
-  // fused probe only runs in the probe loop when its conjuncts and the
-  // residual all bind (the optimizer only fuses bindables, so the
-  // materialized prefilter is a safety net).
+  if (plan.keys.empty() || !table_fits) {
+    // No definite equi-conjunct to partition on: the paper's definition,
+    // σ̃ over the materialized product — of the listed probe rows only,
+    // when the probe side arrives as a filter pass's survivors.
+    if (probe_rows != nullptr) {
+      const ExtendedRelation& probe = probe_is_left ? left : right;
+      const ColumnStore& store = probe.columns();
+      std::vector<SupportPair> memberships;
+      memberships.reserve(probe_rows->size());
+      for (uint32_t r : *probe_rows) memberships.push_back(store.membership(r));
+      const ExtendedRelation kept = ExtendedRelation::AdoptColumns(
+          SpliceKeptRows(store, probe.name(), *probe_rows, memberships));
+      return JoinWithProductSchema(probe_is_left ? kept : left,
+                                   probe_is_left ? right : kept, predicate,
+                                   threshold, std::move(schema), build_side);
+    }
+    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation product,
+                             ProductWithSchema(left, right, schema));
+    return Select(product, predicate, threshold);
+  }
+  // A residual that does not bind is interpreted per matched pair.
   BoundPredicate bound_residual;
   bool residual_bound = plan.residual == nullptr;
   if (plan.residual != nullptr) {
@@ -1409,34 +1419,10 @@ Result<ExtendedRelation> JoinWithProductSchema(
                                               left.schema()->size());
     residual_bound = bound_residual.fully_bound();
   }
-  std::vector<BoundPredicate> probe_filter;
-  bool fuse = fused_probe != nullptr && residual_bound;
-  if (fuse) {
-    const ExtendedRelation& probe_rel = probe_is_left ? left : right;
-    probe_filter.reserve(fused_probe->conjuncts.size());
-    for (const PredicatePtr& conjunct : fused_probe->conjuncts) {
-      probe_filter.push_back(
-          BoundPredicate::Bind(conjunct, probe_rel.schema()));
-      fuse = fuse && probe_filter.back().fully_bound();
-    }
-  }
-  if (fused_probe != nullptr && (!fuse || plan.keys.empty() || !table_fits)) {
-    return JoinWithMaterializedProbe(left, right, predicate, threshold,
-                                     std::move(schema), build_side,
-                                     probe_is_left, *fused_probe);
-  }
-  if (plan.keys.empty() || !table_fits) {
-    // No definite equi-conjunct to partition on: the paper's definition,
-    // σ̃ over the materialized product.
-    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation product,
-                             ProductWithSchema(left, right, schema));
-    return Select(product, predicate, threshold);
-  }
   return HashEquiJoin(
       left, right, plan, schema, threshold,
       plan.residual != nullptr && residual_bound ? &bound_residual : nullptr,
-      residual_bound ? nullptr : plan.residual,
-      fused_probe != nullptr ? &probe_filter : nullptr, build_left,
+      residual_bound ? nullptr : plan.residual, probe_rows, build_left,
       out.name());
 }
 

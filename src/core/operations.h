@@ -5,12 +5,65 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/bound_predicate.h"
+#include "core/column_store.h"
 #include "core/extended_relation.h"
 #include "core/predicate.h"
 #include "core/threshold.h"
 #include "ds/combination.h"
 
 namespace evident {
+
+/// \brief One stage of the column filter pass (FilterColumns), bound
+/// against the filtered store's schema. A select stage is σ̃'s row
+/// test: F_TM revises the membership by the stage's support, then CWA_ER
+/// (sn > 0) and the threshold Q decide. A prefilter stage (one
+/// FilterPositiveSupport conjunct) drops rows whose support has sn == 0
+/// and leaves the membership untouched.
+struct FilterStage {
+  bool is_select = false;
+  /// A threshold-only selection (no predicate): the support factor is
+  /// exactly (1,1), so nothing is evaluated and nothing is pruned.
+  bool trivial = false;
+  BoundPredicate bound;           // fully bound unless `trivial`
+  MembershipThreshold threshold;  // select stages only
+
+  /// Applies the stage to a row whose predicate support is `support`:
+  /// true when the row survives, with a kept select row's `*membership`
+  /// revised.
+  bool Apply(const SupportPair& support, SupportPair* membership) const;
+};
+
+/// \brief True when some non-trivial stage refutes `zone` by its zone
+/// map: the partitions FilterColumns skips, and the ones EXPLAIN
+/// reports as pruned.
+bool StagesRefutePartition(const std::vector<FilterStage>& stages,
+                           const ColumnStore::PartitionZone& zone);
+
+/// \brief The rows a filter pass keeps: ascending row ids of the
+/// filtered store and, parallel to them, their (revised) memberships.
+struct FilteredRows {
+  std::vector<uint32_t> rows;
+  std::vector<SupportPair> memberships;
+};
+
+/// \brief The one column filter pass behind Select, FilterPositiveSupport,
+/// fused scan pipelines and the fused join probe: applies `stages` in
+/// order to every row of `store` and returns the survivors.
+///
+/// A partition that any non-trivial stage refutes by its zone map is
+/// skipped without being read or verified (its rows would all get
+/// support (0,0) there and be dropped); the surviving partitions are
+/// verified, and the pass runs morsel-parallel over their rows as one
+/// compacted domain. Per morsel the first stage evaluates densely over
+/// contiguous row slices and later stages evaluate sparsely on the rows
+/// still alive — arithmetic-identical to evaluating every stage over
+/// every row, so the result is bit-identical to applying the stages one
+/// operator at a time, at any thread count. A governed query's sticky
+/// first error is returned instead of a truncated result; charging the
+/// output is the caller's. Every stage must be fully bound or trivial.
+Result<FilteredRows> FilterColumns(const ColumnStore& store,
+                                   const std::vector<FilterStage>& stages);
 
 /// \brief Extended selection σ̃^Q_P (§3.1).
 ///
@@ -187,36 +240,24 @@ Result<ExtendedRelation> Join(const ExtendedRelation& left,
 /// result, never its contents.
 enum class JoinBuildSide { kAuto, kLeft, kRight };
 
-/// \brief A join probe operand delivered as a fused pipeline stage
-/// instead of a materialized relation: the probe-side argument is the
-/// unfiltered (catalog) relation, and `conjuncts` are the prefilter
-/// conjuncts that would otherwise have produced an intermediate
-/// FilterPositiveSupport relation below the join. The probe loop
-/// evaluates them per probe morsel over the shared column image while
-/// the build table is warm and skips rows where any conjunct loses all
-/// support — the result is bit-identical to joining against the
-/// materialized prefilter output. Requires an explicit build side (the
-/// fused side must be the probe side, and kAuto's size heuristic would
-/// otherwise see the unfiltered cardinality). When the conjuncts or the
-/// join's residual do not bind, or the join has no equi-conjunct, the
-/// join materializes FilterPositiveSupport(probe, conjuncts) first —
-/// the same result.
-struct FusedJoinProbe {
-  std::vector<PredicatePtr> conjuncts;
-};
-
 /// \brief Join for callers that already built the operands' product
 /// schema (the query engine binds WHERE against it before joining);
 /// `product_schema` must be MakeProductSchema(left, right)'s result.
 /// Saves rebuilding the schema once per call — Join(l, r, p, q) is
-/// exactly this with a fresh schema. When `fused_probe` is non-null the
-/// probe-side operand (the side opposite `build_side`, which must not be
-/// kAuto) is prefiltered in the probe loop itself (see FusedJoinProbe).
+/// exactly this with a fresh schema.
+///
+/// `probe_rows` (may be null) restricts the probe-side operand — the
+/// side opposite `build_side`, which must then not be kAuto — to the
+/// listed rows, ascending: a prefilter's filter-pass survivors over that
+/// relation (memberships unchanged). The result is bit-identical to
+/// joining against the relation those rows would splice into; the probe
+/// loop just reads them in place, which saves the splice. A join without
+/// an equi-conjunct splices them first.
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
     SchemaPtr product_schema, JoinBuildSide build_side = JoinBuildSide::kAuto,
-    const FusedJoinProbe* fused_probe = nullptr);
+    const std::vector<uint32_t>* probe_rows = nullptr);
 
 /// \brief The flat concatenated schema of an n-way product
 /// R1 ×̃ ... ×̃ Rn: every operand's attributes in operand order, with any

@@ -23,16 +23,15 @@ namespace evident {
 /// charges its *logical* output (rows × FootprintPerRow(schema)) against
 /// the shared accountant.
 ///
-/// **Determinism.** Charges are logical, not physical: the row and
-/// columnar executors for the same operator produce the same output
-/// rows, so they charge the identical byte/row sequence in the identical
-/// order (plan execution is serial across operators; only intra-operator
-/// passes are parallel, and those accumulate monotone counts whose trip
-/// condition depends only on the totals). A memory-budget or row-cap
-/// error therefore carries the identical message across
-/// {row, columnar} × {fused} × thread counts. Deadline and cancellation
-/// errors are inherently timing-dependent; their messages are stable in
-/// form but not in *when* they fire.
+/// **Determinism.** Charges are logical, not physical, and follow one
+/// rule: every executed plan node charges its own output once, children
+/// left before right (plan execution is serial across nodes; only
+/// intra-operator passes are parallel, and those accumulate monotone
+/// counts whose trip condition depends only on the totals). A
+/// memory-budget or row-cap error therefore carries the identical
+/// message across SIMD/scalar kernels and thread counts. Deadline and
+/// cancellation errors are inherently timing-dependent; their messages
+/// are stable in form but not in *when* they fire.
 ///
 /// **First-error stickiness.** The first failure recorded (from any
 /// thread) wins; every later poll observes the same Status, so all

@@ -42,7 +42,7 @@ Result<eql::LogicalPlan> QueryEngine::Plan(
   } else {
     eql::AnnotatePlanEstimates(&plan);
   }
-  if (fuse_) eql::LowerToFusedPipelines(&plan);
+  eql::LowerToFusedPipelines(&plan);
   return plan;
 }
 

@@ -19,9 +19,12 @@ namespace evident {
 ///
 /// A thin parse → plan → optimize → execute pipeline: the parsed AST is
 /// bound into a logical plan (query/plan.h), rewritten by the pushdown
-/// optimizer (query/optimizer.h) unless disabled, and executed over the
-/// relational operators. `EXPLAIN SELECT ...` returns the optimized plan
-/// rendering as a relation instead of executing it.
+/// optimizer (query/optimizer.h) unless disabled, lowered to fused scan
+/// pipelines (LowerToFusedPipelines), and executed over the relational
+/// operators. Fusion has no switch: callers that want the unfused plan
+/// compose eql::BuildPlan → OptimizePlan → ExecutePlan themselves.
+/// `EXPLAIN SELECT ...` returns the optimized plan rendering as a
+/// relation instead of executing it.
 ///
 /// Pipeline semantics: FROM (scan / extended union / intersection /
 /// product / join) → WHERE (extended selection with F_SS + F_TM) → WITH
@@ -75,17 +78,6 @@ class QueryEngine {
   void set_optimizer_enabled(bool enabled) { optimize_ = enabled; }
   bool optimizer_enabled() const { return optimize_; }
 
-  /// \brief Toggles pipeline fusion (on by default): after planning
-  /// (and optimizing, when enabled), Scan→Prefilter/Select/Project
-  /// chains whose predicates bind completely are lowered to single
-  /// fused nodes executed morsel-parallel over the catalog's shared
-  /// column image (see LowerToFusedPipelines). Fused and unfused plans
-  /// produce bit-identical result sets — enforced by the EQL fuzz
-  /// differential; the toggle is that differential's escape hatch and
-  /// shows the unfused plan shape in EXPLAIN.
-  void set_pipeline_fusion_enabled(bool enabled) { fuse_ = enabled; }
-  bool pipeline_fusion_enabled() const { return fuse_; }
-
   /// \brief Attaches a resource governor: every subsequent Execute /
   /// ExecuteParsed installs `context` (ScopedQueryContext), calls its
   /// BeginQuery(), and runs governed — deadline and cancellation polled
@@ -104,14 +96,13 @@ class QueryEngine {
   QueryContext* query_context() const { return context_; }
 
  private:
-  /// Builds the bound logical plan and, when enabled, optimizes it and
+  /// Builds the bound logical plan, optimizes it when enabled, and
   /// lowers fusible chains.
   Result<eql::LogicalPlan> Plan(const eql::ParsedQuery& query) const;
 
   const Catalog* catalog_;
   UnionOptions union_options_;
   bool optimize_ = true;
-  bool fuse_ = true;
   QueryContext* context_ = nullptr;  // not owned
 };
 

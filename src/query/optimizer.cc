@@ -569,22 +569,18 @@ size_t UnprunedRowCap(const PlanNode* child,
   }
   const auto& parts = child->rel->columns().partitions();
   if (parts.empty()) return std::numeric_limits<size_t>::max();
-  std::vector<BoundPredicate> bound;
-  bound.reserve(conjuncts.size());
+  std::vector<FilterStage> stages;
+  stages.reserve(conjuncts.size());
   for (const PredicatePtr& conjunct : conjuncts) {
     if (conjunct == nullptr) continue;
-    bound.push_back(BoundPredicate::Bind(conjunct, child->rel->schema()));
+    stages.emplace_back();
+    stages.back().bound = BoundPredicate::Bind(conjunct, child->rel->schema());
   }
   size_t rows = 0;
   for (const auto& zone : parts) {
-    bool refuted = false;
-    for (const BoundPredicate& b : bound) {
-      if (b.RefutesPartition(zone)) {
-        refuted = true;
-        break;
-      }
+    if (!StagesRefutePartition(stages, zone)) {
+      rows += zone.end_row - zone.begin_row;
     }
-    if (!refuted) rows += zone.end_row - zone.begin_row;
   }
   return rows;
 }
@@ -800,7 +796,7 @@ bool TryFuseChain(PlanNodePtr& slot) {
   // Bottom-up: bind each stage against the scan schema, compose the
   // projection (current output attr -> scan position) and the output
   // name the unfused chain would produce.
-  std::vector<PlanNode::FusedStage> stages;
+  std::vector<FilterStage> stages;
   std::vector<size_t> projection(scan.schema->size());
   for (size_t a = 0; a < projection.size(); ++a) projection[a] = a;
   SchemaPtr current = scan.schema;
@@ -810,7 +806,7 @@ bool TryFuseChain(PlanNodePtr& slot) {
     switch (link.op) {
       case PlanNode::Op::kPrefilter: {
         for (const PredicatePtr& conjunct : link.conjuncts) {
-          PlanNode::FusedStage stage;
+          FilterStage stage;
           stage.bound = BoundPredicate::Bind(conjunct, scan.schema);
           if (!stage.bound.fully_bound()) return false;
           stages.push_back(std::move(stage));
@@ -818,7 +814,7 @@ bool TryFuseChain(PlanNodePtr& slot) {
         break;
       }
       case PlanNode::Op::kSelect: {
-        PlanNode::FusedStage stage;
+        FilterStage stage;
         stage.is_select = true;
         stage.threshold = link.threshold;
         if (link.predicate == nullptr) {

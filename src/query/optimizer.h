@@ -64,17 +64,17 @@ void OptimizePlan(LogicalPlan* plan);
 /// Scan→(Prefilter|Select|Project)* chain that contains at least one
 /// filter stage, bottoms out at a catalog scan, and whose predicates all
 /// bind completely against the scan schema into a single kFused node.
-/// The fused executor evaluates the bound stages per morsel over the
-/// catalog's shared column image and splices only surviving, projected
-/// rows into the output — no intermediate relation per chain node —
-/// with output bit-identical to executing the chain it replaced (the
-/// chain is kept as the fused node's child for EXPLAIN and the governed
-/// charge replay). Chains with interpreted (not fully bindable)
-/// predicates, rename nodes, or non-scan leaves are left untouched.
-/// Runs after OptimizePlan so pushdown prefilters and pruning
-/// projections are already in place; QueryEngine exposes
-/// set_pipeline_fusion_enabled(false) as the escape hatch that executes
-/// the unfused plan.
+/// The fused executor runs the bound stages as one filter pass
+/// (FilterColumns) over the catalog's shared column image and splices
+/// only surviving, projected rows into the output — no intermediate
+/// relation per chain node — with output bit-identical to executing the
+/// chain it replaced (the chain is kept as the fused node's child for
+/// EXPLAIN). Under a governor the fused node charges its own output
+/// once, like any other node. Chains with interpreted (not fully
+/// bindable) predicates, rename nodes, or non-scan leaves are left
+/// untouched. Runs after OptimizePlan so pushdown prefilters and pruning
+/// projections are already in place; skipping it yields the unfused
+/// plan.
 void LowerToFusedPipelines(LogicalPlan* plan);
 
 /// \brief Annotates per-node cardinality estimates (EXPLAIN's "~N rows")

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/parallel.h"
 #include "core/query_context.h"
 #include "integration/tuple_merger.h"
 #include "text/evidence_literal.h"
@@ -259,17 +258,13 @@ Result<LogicalPlan> BuildPlan(const ParsedQuery& query, const Catalog* catalog,
 
 namespace {
 
-/// Rows per fused-pipeline morsel — matches the relational operators'
-/// grain so scheduling behaviour is uniform across the executor.
-constexpr size_t kFusedMorselGrain = 256;
-
 /// A mapped column image defers its per-partition semantic checks until
 /// first read; any operator consuming a scan's rows must drive them
-/// first. The partition-granular readers (the fused pipeline, the fused
-/// join probe, the columnar select/prefilter) verify only the
-/// partitions they keep; every other consumer gets the full sweep here.
-/// Row-mode relations never have checks pending, and columns() is not
-/// consulted for them (it would materialize the image).
+/// first. The filter pass (FilterColumns: select, prefilter, fused
+/// pipelines and the fused join probe) verifies only the partitions it
+/// keeps; every other consumer gets the full sweep here. Row-mode
+/// relations never have checks pending, and columns() is not consulted
+/// for them (it would materialize the image).
 Status EnsureScanVerified(const ExtendedRelation& rel) {
   if (!rel.columnar_mode()) return Status::OK();
   const ColumnStore& store = rel.columns();
@@ -277,209 +272,55 @@ Status EnsureScanVerified(const ExtendedRelation& rel) {
   return store.EnsureAllVerified();
 }
 
-/// Executes a kFused node: one morsel-parallel pass over the scan's
-/// shared column image evaluating every bound stage, then a single
-/// serial splice of the surviving rows' projected columns. No
-/// intermediate relation is built per chain node, and all morsel
-/// writes target disjoint absolute slices of shared arrays, so the
-/// output is bit-identical for any thread count — and bit-identical to
-/// executing the original chain: stage supports are evaluated by the
-/// same bound kernels in the same bottom-up order, membership revision
-/// multiplies the identical factors in the identical sequence, and the
-/// final splice visits survivors in ascending row order exactly like
-/// each chain operator's keep list would.
-Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
-  const ColumnStore& store = node.rel->columns();
-  const size_t n = store.rows();
-  std::vector<uint8_t> keep(n);
-  std::vector<SupportPair> members(n);
-  std::vector<SupportPair> supports(n);
-  // Per-(morsel, stage) survivor counts, recorded only for governed
-  // queries: the post-pass walk below replays the unfused chain's
-  // per-operator output charges, so fusing never changes which resource
-  // limit trips or the error it reports.
-  QueryContext* const query_ctx = CurrentQueryContext();
-  const size_t stage_count = node.fused_stages.size();
-  // Zone-map pruning, decided on the calling thread before morsels are
-  // cut. A refuted row's support is (0,0) at the refuting stage, so it
-  // is dropped there no matter what earlier stages did — ungoverned
-  // queries prune on any stage's refutation. Governed queries prune on
-  // the first stage only: its drops happen before any survivor is
-  // counted, so the per-stage survivor counts replayed into the
-  // governor below stay identical to the unpruned execution's.
-  const size_t prunable_stages =
-      query_ctx != nullptr ? std::min<size_t>(stage_count, 1) : stage_count;
+/// Runs a kFused node's stages as one filter pass over its scan's shared
+/// column image and charges the node's output — the one charge a fused
+/// pipeline makes, whatever chain it replaced.
+Result<FilteredRows> FilterFusedScan(const PlanNode& node) {
   EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        for (size_t s = 0; s < prunable_stages; ++s) {
-          const PlanNode::FusedStage& stage = node.fused_stages[s];
-          if (!stage.trivial && stage.bound.RefutesPartition(zone)) {
-            return true;
-          }
-        }
-        return false;
-      }));
-  // The morsel domain is the compacted unpruned row set: pruned
-  // partitions contribute no morsels, so a mostly-pruned scan costs
-  // O(surviving rows) per pass, not O(rows). Each morsel maps back to
-  // absolute row slices (ForEachRunSlice); the keep/members/supports
-  // arrays stay absolute-indexed, and a pruned row's keep slot simply
-  // stays 0 — exactly the flag its refuted stage would have cleared.
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  size_t live = 0;
-  for (const auto& run : runs) live += run.second - run.first;
-  const size_t morsel_count = ParallelMorselCount(live, kFusedMorselGrain);
-  std::vector<uint64_t> stage_survivors(
-      query_ctx != nullptr ? morsel_count * stage_count : 0, 0);
-  ParallelForMorsels(live, kFusedMorselGrain, [&](size_t morsel,
-                                                  size_t compact_begin,
-                                                  size_t compact_end) {
-    // This morsel's absolute row slices; every row in them is unpruned.
-    std::vector<std::pair<size_t, size_t>> slices;
-    ForEachRunSlice(runs, compact_begin, compact_end,
-                    [&](size_t b, size_t e) { slices.emplace_back(b, e); });
-    for (const auto& [slice_begin, slice_end] : slices) {
-      for (size_t r = slice_begin; r < slice_end; ++r) {
-        keep[r] = 1;
-        members[r] = store.membership(r);
-      }
-    }
-    // Applies `stage` to row r, whose support is supports[r] (ignored
-    // for trivial stages: a threshold-only selection's support factor
-    // is exactly (1,1)).
-    auto apply = [&](const PlanNode::FusedStage& stage, size_t r) {
-      const SupportPair support =
-          stage.trivial ? SupportPair::Certain() : supports[r];
-      if (stage.is_select) {
-        // F_TM revision + CWA_ER + threshold, as in Select.
-        const SupportPair revised = members[r].Multiply(support);
-        if (!revised.HasPositiveSupport() ||
-            !stage.threshold.Accepts(revised)) {
-          keep[r] = 0;
-        } else {
-          members[r] = revised;
-        }
-      } else if (!support.HasPositiveSupport()) {
-        keep[r] = 0;  // prefilter: drop only, membership untouched
-      }
-    };
-    // First stage sweeps the whole morsel contiguously; later stages
-    // evaluate only the survivors row-at-a-time (arithmetic-identical —
-    // see EvaluateColumns), so a selective first filter is not paid for
-    // again by every stage above it.
-    std::vector<uint32_t> alive;
-    bool dense = true;
-    for (size_t s = 0; s < node.fused_stages.size(); ++s) {
-      const PlanNode::FusedStage& stage = node.fused_stages[s];
-      if (dense) {
-        if (!stage.trivial) {
-          // The dense sweep runs only at the first stage, where every
-          // row of every slice is kept (pruned partitions never entered
-          // the morsel domain): evaluate each slice contiguously, so a
-          // pruned partition's bytes are never touched.
-          for (const auto& [slice_begin, slice_end] : slices) {
-            stage.bound.EvaluateColumns(store, slice_begin, slice_end,
-                                        supports.data());
-          }
-        }
-        for (const auto& [slice_begin, slice_end] : slices) {
-          for (size_t r = slice_begin; r < slice_end; ++r) {
-            if (keep[r]) apply(stage, r);
-          }
-        }
-        alive.reserve(compact_end - compact_begin);
-        for (const auto& [slice_begin, slice_end] : slices) {
-          for (size_t r = slice_begin; r < slice_end; ++r) {
-            if (keep[r]) alive.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        dense = false;
-      } else {
-        size_t out = 0;
-        for (uint32_t r : alive) {
-          if (!stage.trivial) {
-            stage.bound.EvaluateColumns(store, r, r + 1, supports.data());
-          }
-          apply(stage, r);
-          if (keep[r]) alive[out++] = r;
-        }
-        alive.resize(out);
-      }
-      if (query_ctx != nullptr) {
-        stage_survivors[morsel * stage_count + s] = alive.size();
-      }
-    }
-  });
-  if (query_ctx != nullptr) {
-    // Workers stop claiming morsels once a limit trips, leaving later
-    // keep[] slots benignly zero — surface the sticky first error
-    // instead of splicing a truncated result.
-    if (query_ctx->failed()) return query_ctx->first_error();
-    // Replay the unfused chain's charge sequence bottom-up (node.left is
-    // the topmost chain node): each fused-away filter stage charges its
-    // survivors against that chain node's schema, each interleaved
-    // projection charges the then-current row count against the
-    // projected schema — exactly what executing the chain would charge.
-    std::vector<const PlanNode*> chain;
-    for (const PlanNode* cur = node.left.get();
-         cur != nullptr && cur->op != PlanNode::Op::kScan;
-         cur = cur->left.get()) {
-      chain.push_back(cur);
-    }
-    uint64_t current = n;
-    size_t stage_idx = 0;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const PlanNode* cur = *it;
-      if ((cur->op == PlanNode::Op::kPrefilter ||
-           cur->op == PlanNode::Op::kSelect) &&
-          stage_idx < stage_count) {
-        uint64_t survivors = 0;
-        for (size_t m = 0; m < morsel_count; ++m) {
-          survivors += stage_survivors[m * stage_count + stage_idx];
-        }
-        ++stage_idx;
-        current = survivors;
-      }
-      EVIDENT_RETURN_NOT_OK(query_ctx->ChargeOutput(*cur->schema, current));
-    }
+      FilteredRows kept, FilterColumns(node.rel->columns(), node.fused_stages));
+  if (QueryContext* const ctx = CurrentQueryContext()) {
+    EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*node.schema, kept.rows.size()));
   }
-  std::vector<uint32_t> kept;
-  std::vector<SupportPair> memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t r = run_begin; r < run_end; ++r) {
-      if (!keep[r]) continue;
-      kept.push_back(static_cast<uint32_t>(r));
-      memberships.push_back(members[r]);
-    }
-  }
-  return ExtendedRelation::AdoptColumns(
-      ColumnStore::SpliceRows(store, node.schema, node.relation,
-                              node.fused_projection, kept, memberships));
+  return kept;
 }
 
-/// True when a kFused node is exactly a prefilter chain over its scan
-/// with the identity projection — the shape the hash join can consume
-/// as a FusedJoinProbe (same schema and rows as the catalog scan, drop
-/// flags only), letting the probe loop evaluate the conjuncts per probe
-/// morsel instead of materializing the prefiltered operand.
-bool IsFusedPrefilterOverScan(const PlanNode& fused) {
-  for (const PlanNode::FusedStage& stage : fused.fused_stages) {
-    if (stage.is_select) return false;
+/// Executes a kFused node: the filter pass, then a single splice of the
+/// surviving rows' projected columns. No intermediate relation is built
+/// per chain node, and the output is bit-identical to executing the
+/// original chain: the stages evaluate with the same bound kernels in
+/// the same bottom-up order, membership revision multiplies the
+/// identical factors in the identical sequence, and the splice visits
+/// survivors in ascending row order exactly like each chain operator's
+/// keep list would.
+Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
+  EVIDENT_ASSIGN_OR_RETURN(const FilteredRows kept, FilterFusedScan(node));
+  return ExtendedRelation::AdoptColumns(ColumnStore::SpliceRows(
+      node.rel->columns(), node.schema, node.relation, node.fused_projection,
+      kept.rows, kept.memberships));
+}
+
+/// The join child that can be handed to the join as probe rows of its
+/// catalog relation instead of being spliced: the probe side (opposite
+/// an explicit build side — kAuto's run-time size comparison would see
+/// the unfiltered cardinality) when it is a kFused node with prefilter
+/// stages only, the identity projection and the scan's name, i.e. the
+/// same schema, memberships and name as the catalog relation and a
+/// subset of its rows. Null otherwise.
+const PlanNode* ProbeRowsChild(const PlanNode& join) {
+  if (join.build_side == JoinBuildSide::kAuto) return nullptr;
+  const PlanNode& child =
+      join.build_side == JoinBuildSide::kRight ? *join.left : *join.right;
+  if (child.op != PlanNode::Op::kFused) return nullptr;
+  if (child.relation != child.rel->name()) return nullptr;
+  for (const FilterStage& stage : child.fused_stages) {
+    if (stage.is_select) return nullptr;
   }
-  const PlanNode* chain = fused.left.get();
-  if (chain == nullptr || chain->op != PlanNode::Op::kPrefilter) return false;
-  const PlanNode* scan = chain->left.get();
-  if (scan == nullptr || scan->op != PlanNode::Op::kScan ||
-      scan->rel == nullptr || scan->schema == nullptr) {
-    return false;
+  const std::vector<size_t>& projection = child.fused_projection;
+  if (projection.size() != child.rel->schema()->size()) return nullptr;
+  for (size_t a = 0; a < projection.size(); ++a) {
+    if (projection[a] != a) return nullptr;
   }
-  if (fused.fused_projection.size() != scan->schema->size()) return false;
-  for (size_t a = 0; a < fused.fused_projection.size(); ++a) {
-    if (fused.fused_projection[a] != a) return false;
-  }
-  return true;
+  return &child;
 }
 
 /// Executes the tree bottom-up. Scan nodes hand out the catalog relation
@@ -530,49 +371,35 @@ class PlanExecutor {
         return projected;
       }
       case PlanNode::Op::kJoin: {
-        // A fused prefilter-over-scan probe child is not executed as a
-        // node at all: the probe side stays the unfiltered catalog
-        // relation and the prefilter conjuncts ride into the probe loop
-        // (FusedJoinProbe), evaluated per probe morsel while the build
-        // table is warm — bit-identical to materializing the prefilter
-        // first. The build side must be explicit (the optimizer assigns
-        // one to every fully-bound join) so kAuto's run-time size
-        // comparison never sees the unfiltered cardinality.
-        if (node.build_side != JoinBuildSide::kAuto) {
-          const bool probe_is_left = node.build_side == JoinBuildSide::kRight;
-          const PlanNode* candidate =
-              (probe_is_left ? node.left : node.right).get();
-          if (candidate != nullptr &&
-              candidate->op == PlanNode::Op::kFused &&
-              IsFusedPrefilterOverScan(*candidate)) {
-            const PlanNode& chain = *candidate->left;  // the kPrefilter
-            const ExtendedRelation* probe_rel = chain.left->rel;
-            EVIDENT_ASSIGN_OR_RETURN(
-                const ExtendedRelation* other,
-                Exec(probe_is_left ? *node.right : *node.left));
-            const ExtendedRelation* l = probe_is_left ? probe_rel : other;
-            const ExtendedRelation* r = probe_is_left ? other : probe_rel;
-            EVIDENT_ASSIGN_OR_RETURN(SchemaPtr product_schema,
-                                     MakeProductSchema(*l, *r));
-            const FusedJoinProbe fused{chain.conjuncts};
-            return JoinWithProductSchema(*l, *r, node.predicate,
-                                         node.threshold,
-                                         std::move(product_schema),
-                                         node.build_side, &fused);
+        // Children execute left before right. A probe child that can be
+        // taken as probe rows (ProbeRowsChild) runs its filter pass in its
+        // own slot and hands the surviving row ids to the join, which
+        // reads them in place in the catalog relation's column image.
+        const PlanNode* probe_child = ProbeRowsChild(node);
+        std::vector<uint32_t> probe_rows;
+        const PlanNode* children[2] = {node.left.get(), node.right.get()};
+        const ExtendedRelation* operands[2] = {nullptr, nullptr};
+        for (size_t side = 0; side < 2; ++side) {
+          if (children[side] == probe_child) {
+            EVIDENT_ASSIGN_OR_RETURN(FilteredRows kept,
+                                     FilterFusedScan(*probe_child));
+            probe_rows = std::move(kept.rows);
+            operands[side] = probe_child->rel;
+          } else {
+            EVIDENT_ASSIGN_OR_RETURN(operands[side], Exec(*children[side]));
           }
         }
-        EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* l, Exec(*node.left));
-        EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* r,
-                                 Exec(*node.right));
         // The product schema is rebuilt from the executed operands: the
         // optimizer may have pruned their columns, and name preservation
         // guarantees the qualification (hence the predicate's attribute
         // references) is unchanged.
-        EVIDENT_ASSIGN_OR_RETURN(SchemaPtr product_schema,
-                                 MakeProductSchema(*l, *r));
-        return JoinWithProductSchema(*l, *r, node.predicate, node.threshold,
-                                     std::move(product_schema),
-                                     node.build_side);
+        EVIDENT_ASSIGN_OR_RETURN(
+            SchemaPtr product_schema,
+            MakeProductSchema(*operands[0], *operands[1]));
+        return JoinWithProductSchema(
+            *operands[0], *operands[1], node.predicate, node.threshold,
+            std::move(product_schema), node.build_side,
+            probe_child != nullptr ? &probe_rows : nullptr);
       }
       case PlanNode::Op::kProduct: {
         EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* l, Exec(*node.left));
@@ -768,12 +595,7 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
         if (!parts.empty()) {
           size_t pruned = 0;
           for (const auto& zone : parts) {
-            for (const PlanNode::FusedStage& stage : node.fused_stages) {
-              if (!stage.trivial && stage.bound.RefutesPartition(zone)) {
-                ++pruned;
-                break;
-              }
-            }
+            pruned += StagesRefutePartition(node.fused_stages, zone);
           }
           *os << ", partitions=" << pruned << "/" << parts.size()
               << " pruned";

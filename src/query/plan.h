@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/bound_predicate.h"
 #include "core/extended_relation.h"
 #include "core/operations.h"
 #include "core/predicate.h"
@@ -44,24 +43,6 @@ struct PlanNode {
     kMerge,      // MergeTuples with explicit matching info
     kFused,      // a Scan→Prefilter/Select/Project chain, fused per-morsel
     kMultiJoin,  // σ̃ over an n-way (n >= 3) product, pairwise-hash-joined
-  };
-
-  /// One filter stage of a fused pipeline, pre-bound against the *scan*
-  /// schema (sound because the optimizer's pruning projections preserve
-  /// attribute names): a prefilter stage drops rows whose support loses
-  /// all plausibility, a select stage revises the membership by the
-  /// support product and applies its threshold. Stages apply in the
-  /// original chain's bottom-up order, so the surviving rows' membership
-  /// arithmetic multiplies in exactly the unfused order.
-  struct FusedStage {
-    bool is_select = false;  // select (revise + threshold) vs prefilter
-    /// kSelect with a null predicate (threshold-only selection): the
-    /// support factor is exactly (1,1), so evaluation is skipped and the
-    /// membership multiplied by Certain() — bit-identical to the
-    /// executor's 0 = 0 substitute predicate.
-    bool trivial = false;
-    BoundPredicate bound;
-    MembershipThreshold threshold;  // select stages only
   };
 
   Op op = Op::kScan;
@@ -125,16 +106,18 @@ struct PlanNode {
   std::vector<size_t> join_order;
 
   // kFused: a Scan→(Prefilter|Select|Project)* chain lowered to one
-  // per-morsel pass over the scan's shared column image — no
+  // filter pass (FilterColumns) over the scan's shared column image — no
   // intermediate relation per chain node. The original chain is kept as
-  // `left`: EXPLAIN renders it indented beneath the fused node and the
-  // governed executor replays its per-node charges. `rel` points at the chain's
-  // catalog scan, `relation` holds the composed output name the unfused
-  // chain would have produced, `fused_stages` are the filter stages in
-  // bottom-up order, and `fused_projection` maps each output attribute
-  // to its scan-schema position (the composition of the chain's
-  // projections).
-  std::vector<FusedStage> fused_stages;
+  // `left` for EXPLAIN, which renders it indented beneath the fused
+  // node; it is never executed. `rel` points at the chain's catalog
+  // scan, `relation` holds the composed output name the unfused chain
+  // would have produced, `fused_stages` are the filter stages bound
+  // against the scan schema in bottom-up order (one per prefilter
+  // conjunct, one per select; pruning projections preserve attribute
+  // names, so binding against the scan is sound), and `fused_projection`
+  // maps each output attribute to its scan-schema position (the
+  // composition of the chain's projections).
+  std::vector<FilterStage> fused_stages;
   std::vector<size_t> fused_projection;
 };
 

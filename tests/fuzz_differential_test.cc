@@ -1106,9 +1106,9 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
   static constexpr EqlMode kEqlModes[] = {
       {false, false, true, 1, "unopt", -1},
       {false, false, false, 7, "unopt/scalar/t7", 0},
-      // The set_pipeline_fusion_enabled(false) escape hatch executes the
-      // unfused plan; the fused modes below must match it row-for-row,
-      // bit-for-bit.
+      // The unfused modes run reference::ExecuteUnfused (the engine's plan
+      // without LowerToFusedPipelines); the fused modes below must match
+      // the unfused plan row-for-row, bit-for-bit.
       {true, false, true, 1, "opt/nofuse", -1},
       {true, true, true, 1, "opt/fused", 2},
       {true, true, true, 7, "opt/fused/t7", 3},
@@ -1268,8 +1268,9 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
       SetParallelMaxThreads(mode.threads);
       QueryEngine engine(&catalog);
       engine.set_optimizer_enabled(mode.optimize);
-      engine.set_pipeline_fusion_enabled(mode.fuse);
-      outcomes.push_back(engine.Execute(stmt));
+      outcomes.push_back(
+          mode.fuse ? engine.Execute(stmt)
+                    : reference::ExecuteUnfused(catalog, stmt, mode.optimize));
     }
     RestoreDefaults();
 

@@ -2,15 +2,18 @@
 // memory budgets and row caps threaded through the engine — and the
 // robustness contract around them. A tripped limit must surface as one
 // deterministic ExecError whose message is identical across
-// {SIMD, scalar} x {fused, unfused} x thread counts, and the engine,
-// worker pool and shared catalog images must stay fully usable: the next
-// query on the same engine returns exactly what a fresh engine returns.
+// {SIMD, scalar} x thread counts, and the engine, worker pool and shared
+// catalog images must stay fully usable: the next query on the same
+// engine returns exactly what a fresh engine returns. Every executed
+// plan node charges its own output once, children left before right,
+// and governance never changes which partitions a scan prunes.
 #include "core/query_context.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +22,12 @@
 #include "core/column_store.h"
 #include "core/operations.h"
 #include "core/parallel.h"
+#include "core/scan_stats.h"
 #include "ds/combination.h"
 #include "query/engine.h"
 #include "reference/reference.h"
 #include "storage/catalog.h"
+#include "storage/erel_format.h"
 
 namespace evident {
 namespace {
@@ -134,17 +139,14 @@ class ModeGuard {
 
 struct Mode {
   bool simd;
-  bool fused;
   size_t threads;
 };
 
 std::vector<Mode> AllModes() {
   std::vector<Mode> modes;
   for (bool simd : {false, true}) {
-    for (bool fused : {false, true}) {
-      for (size_t threads : {size_t{1}, size_t{7}}) {
-        modes.push_back({simd, fused, threads});
-      }
+    for (size_t threads : {size_t{1}, size_t{7}}) {
+      modes.push_back({simd, threads});
     }
   }
   return modes;
@@ -158,7 +160,6 @@ Result<ExtendedRelation> RunGoverned(const Catalog& catalog,
   SetBatchSimdEnabled(mode.simd);
   SetParallelMaxThreads(mode.threads);
   QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(mode.fused);
   engine.set_query_context(ctx);
   return engine.Execute(query);
 }
@@ -178,7 +179,8 @@ TEST(GovernorTest, UnconstrainedContextLeavesResultsUnchanged) {
     EXPECT_GT(ctx.rows_charged(), 0u);
     EXPECT_GT(ctx.bytes_charged(), 0u);
   }
-  // Fusion only fuses the same plan, so every mode agrees row for row.
+  // Kernel and thread count never change the plan, so every mode agrees
+  // row for row.
   for (size_t m = 1; m < runs.size(); ++m) {
     EXPECT_EQ(reference::DiffInOrder(runs[0], runs[m]), "") << "mode " << m;
   }
@@ -230,13 +232,13 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
   // Measure the exact charge total in one mode...
   QueryContext probe;
   ASSERT_TRUE(
-      RunGoverned(catalog, &probe, kJoinQuery, {false, false, 1}).ok());
+      RunGoverned(catalog, &probe, kJoinQuery, {false, 1}).ok());
   const uint64_t bytes = probe.bytes_charged();
   const uint64_t rows = probe.rows_charged();
   ASSERT_GT(bytes, 0u);
   // ... and that exact total must be enough in every other mode: the
-  // logical-charge model bills identical totals regardless of threads,
-  // kernel or fusion.
+  // logical-charge model bills identical totals regardless of threads or
+  // kernel.
   QueryContext ctx;
   ctx.set_memory_budget(bytes);
   ctx.set_row_cap(rows);
@@ -245,6 +247,58 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
     EXPECT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(ctx.bytes_charged(), bytes);
     EXPECT_EQ(ctx.rows_charged(), rows);
+  }
+}
+
+/// RegisterPair plus E, an empty relation to join L against.
+void RegisterPairAndEmpty(Catalog* catalog) {
+  RegisterPair(catalog);
+  SchemaPtr schema = RelationSchema::Make({AttributeDef::Key("ek"),
+                                           AttributeDef::Definite("ed")})
+                         .value();
+  ASSERT_TRUE(catalog->RegisterRelation(ExtendedRelation("E", schema)).ok());
+}
+
+TEST(GovernorTest, JoinChargesLeftOperandBeforeRight) {
+  ModeGuard guard;
+  Catalog catalog;
+  RegisterPair(&catalog);
+  // Both single-side conjuncts become prefilters over their scans; the
+  // smaller right side is the build, the left prefilter the fused probe.
+  // Left survivors: 72 rows x 104 bytes = 7488; right: 24 x 48 = 1152.
+  // Children charge left before right, so the 8000-byte budget trips on
+  // the right operand's charge.
+  const std::string query =
+      "SELECT * FROM L JOIN R WHERE lk = rk AND ld < 6 AND rd < 8";
+  QueryContext ctx;
+  ctx.set_memory_budget(8000);
+  for (const Mode& mode : AllModes()) {
+    auto got = RunGoverned(catalog, &ctx, query, mode);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kExecError);
+    EXPECT_NE(got.status().message().find("requested 1152 bytes"),
+              std::string::npos)
+        << got.status();
+  }
+}
+
+TEST(GovernorTest, FusedProbeChargesEvenWhenTheBuildSideIsEmpty) {
+  ModeGuard guard;
+  Catalog catalog;
+  RegisterPairAndEmpty(&catalog);
+  // The empty E is the build side; the join itself has nothing to do,
+  // but the prefiltered probe child is still an executed node and
+  // charges its 72 surviving rows (7488 bytes) first.
+  const std::string query = "SELECT * FROM L JOIN E WHERE lk = ek AND ld < 6";
+  QueryContext ctx;
+  ctx.set_memory_budget(5000);
+  for (const Mode& mode : AllModes()) {
+    auto got = RunGoverned(catalog, &ctx, query, mode);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kExecError);
+    EXPECT_NE(got.status().message().find("requested 7488 bytes"),
+              std::string::npos)
+        << got.status();
   }
 }
 
@@ -393,6 +447,57 @@ TEST(GovernorTest, CancelStormOverFusedPipelines) {
   auto after = engine.Execute(query);
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_TRUE(after->ApproxEquals(*expected, 1e-12));
+}
+
+TEST(GovernorTest, GovernedScanPrunesLikeUngovernedAndExplain) {
+  ModeGuard guard;
+  Catalog catalog;
+  RegisterStar(&catalog, 4800);
+  // A 16-way key-range image of F holds 300 keys per partition, so the
+  // two-conjunct prefilter on fk keeps exactly partition 4: fk >= 1200
+  // refutes partitions 0-3 and fk < 1500 refutes 5-15.
+  const std::string path =
+      ::testing::TempDir() + "evident_governor_prune_parity.erel";
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kKeyRange;
+  spec.partitions = 16;
+  ASSERT_TRUE(SaveErelFile(catalog, path, spec).ok());
+  LoadOptions options;
+  options.map = LoadOptions::Map::kAlways;
+  auto mapped = LoadErelFile(path, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  const std::string query =
+      "SELECT * FROM D1, D2, F WHERE d1key = d1k AND d2key = d2k AND "
+      "fk >= 1200 AND fk < 1500";
+  QueryEngine engine(&*mapped);
+  auto explain = engine.Explain(query);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_NE(explain->find("partitions=15/16 pruned"), std::string::npos)
+      << *explain;
+
+  ResetScanStats();
+  auto ungoverned = engine.Execute(query);
+  ASSERT_TRUE(ungoverned.ok()) << ungoverned.status();
+  const PartitionScanStats ungoverned_stats = CurrentScanStats();
+  EXPECT_EQ(ungoverned_stats.partitions_considered, 16u);
+  EXPECT_EQ(ungoverned_stats.partitions_pruned, 15u);
+
+  QueryContext ctx;
+  engine.set_query_context(&ctx);
+  ResetScanStats();
+  auto governed = engine.Execute(query);
+  ASSERT_TRUE(governed.ok()) << governed.status();
+  const PartitionScanStats governed_stats = CurrentScanStats();
+  EXPECT_EQ(governed_stats.partitions_considered, 16u);
+  EXPECT_EQ(governed_stats.partitions_pruned, 15u);
+
+  EXPECT_EQ(reference::DiffInOrder(ungoverned, governed), "");
+  // The unpartitioned in-memory catalog prunes nothing and agrees.
+  EXPECT_EQ(reference::DiffInOrder(QueryEngine(&catalog).Execute(query),
+                                   governed),
+            "");
+  EXPECT_EQ(governed->size(), 300u);  // every kept fact row has partners
+  std::remove(path.c_str());
 }
 
 TEST(GovernorTest, FootprintPerRowFollowsTheDocumentedModel) {

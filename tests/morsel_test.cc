@@ -183,7 +183,6 @@ TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu IS {a0, a1, a2}";
   QueryEngine engine(&catalog);
-  ASSERT_TRUE(engine.pipeline_fusion_enabled());
   auto plan = engine.Explain(stmt);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_NE(plan->find("fused pipeline"), std::string::npos) << *plan;

@@ -85,40 +85,41 @@ class PlanTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RegisterRelation(std::move(s)).ok());
   }
 
-  /// Runs `eql` under {optimizer on, off} x {fusion on, off} x
-  /// {SIMD, scalar} x {threads 1, 7}. For each optimizer/fusion setting
-  /// the kernel/thread modes must agree with strict row order, and every
-  /// run must equal the reference evaluator's result keyed by key,
-  /// bit-identical (the optimizer may pick a different hash build side,
-  /// which only permutes rows).
+  /// Runs `eql` under {optimizer on, off} x {fused, unfused} x
+  /// {SIMD, scalar} x {threads 1, 7}. For each optimizer setting every
+  /// run must agree with strict row order (fusion, kernel and threads
+  /// never change the plan's row order), and every run must equal the
+  /// reference evaluator's result keyed by key, bit-identical (the
+  /// optimizer may pick a different hash build side, which only permutes
+  /// rows).
   void ExpectAllModesAgree(const std::string& eql) {
     const Result<ExtendedRelation> expected =
         reference::ExecuteQuery(catalog_, eql);
     ASSERT_TRUE(expected.ok()) << eql << ": " << expected.status();
     for (bool optimize : {true, false}) {
+      QueryEngine engine(&catalog_);
+      engine.set_optimizer_enabled(optimize);
+      std::vector<Result<ExtendedRelation>> runs;
       for (bool fuse : {true, false}) {
-        QueryEngine engine(&catalog_);
-        engine.set_optimizer_enabled(optimize);
-        engine.set_pipeline_fusion_enabled(fuse);
-        std::vector<Result<ExtendedRelation>> runs;
         for (bool simd : {true, false}) {
           for (size_t threads : {size_t{1}, size_t{7}}) {
             SetBatchSimdEnabled(simd);
             SetParallelMaxThreads(threads);
-            runs.push_back(engine.Execute(eql));
+            runs.push_back(
+                fuse ? engine.Execute(eql)
+                     : reference::ExecuteUnfused(catalog_, eql, optimize));
           }
         }
-        SetBatchSimdEnabled(true);
-        SetParallelMaxThreads(0);
-        const std::string where = eql + " (optimize=" +
-                                  std::to_string(optimize) +
-                                  ", fuse=" + std::to_string(fuse) + ")";
-        for (size_t m = 1; m < runs.size(); ++m) {
-          EXPECT_EQ(reference::DiffInOrder(runs[0], runs[m]), "")
-              << where << " mode " << m;
-        }
-        EXPECT_EQ(reference::DiffByKey(runs[0], expected), "") << where;
       }
+      SetBatchSimdEnabled(true);
+      SetParallelMaxThreads(0);
+      const std::string where =
+          eql + " (optimize=" + std::to_string(optimize) + ")";
+      for (size_t m = 1; m < runs.size(); ++m) {
+        EXPECT_EQ(reference::DiffInOrder(runs[0], runs[m]), "")
+            << where << " mode " << m << (m >= 4 ? " (unfused)" : "");
+      }
+      EXPECT_EQ(reference::DiffByKey(runs[0], expected), "") << where;
     }
   }
 

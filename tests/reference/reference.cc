@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ds/combination.h"
+#include "query/optimizer.h"
 #include "query/parser.h"
 #include "query/plan.h"
 
@@ -471,6 +472,16 @@ Result<ExtendedRelation> ExecuteQuery(const Catalog& catalog,
   ExtendedRelation out(result.name(), result.schema());
   for (ExtendedTuple& t : rows) EVIDENT_RETURN_NOT_OK(out.Insert(std::move(t)));
   return out;
+}
+
+Result<ExtendedRelation> ExecuteUnfused(const Catalog& catalog,
+                                        const std::string& eql,
+                                        bool optimize) {
+  EVIDENT_ASSIGN_OR_RETURN(eql::ParsedQuery query, ParseQuery(eql));
+  EVIDENT_ASSIGN_OR_RETURN(eql::LogicalPlan plan,
+                           eql::BuildPlan(query, &catalog, UnionOptions()));
+  if (optimize) eql::OptimizePlan(&plan);
+  return eql::ExecutePlan(plan);
 }
 
 namespace {

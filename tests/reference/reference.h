@@ -23,6 +23,10 @@
 //    and bound by the engine's front end) walked node by node with the
 //    operators above, then ORDER BY / LIMIT.
 //
+// ExecuteUnfused is not part of the evaluator: it runs an EQL statement
+// on the engine's own executor with pipeline fusion left out, the plan
+// the fused engine is compared against in strict row order.
+//
 // Result relation names follow the engine's (they feed the product
 // schema's name qualification in chained plans). Row order is whatever
 // the definition enumerates; compare against the engine with DiffByKey.
@@ -93,6 +97,13 @@ Result<ExtendedRelation> MergeTuples(const ExtendedRelation& left,
 /// QueryEngine uses).
 Result<ExtendedRelation> ExecuteQuery(const Catalog& catalog,
                                       const std::string& eql);
+
+/// The engine's unfused plan of `eql`: QueryEngine's parse → plan →
+/// [optimize] steps composed by hand, skipping LowerToFusedPipelines, so
+/// every chain node executes as its own operator (default UnionOptions).
+Result<ExtendedRelation> ExecuteUnfused(const Catalog& catalog,
+                                        const std::string& eql,
+                                        bool optimize);
 
 /// Compares an engine outcome with the reference outcome keyed by key
 /// (row order ignored): the same ok/error outcome and status code, and

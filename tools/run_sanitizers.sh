@@ -14,9 +14,12 @@
 #                   governor's cross-thread cancellation storms, the
 #                   concurrent-session suite with mid-flight catalog
 #                   republishes, and the shared-relation lazy caches)
-#                   under ThreadSanitizer; then the session, morsel and
-#                   lazy-once suites again with --gtest_repeat=20, since
-#                   a race shows up only on some interleavings.
+#                   under ThreadSanitizer; then the session, morsel,
+#                   lazy-once, governor and plan suites again with
+#                   --gtest_repeat=20, since a race shows up only on some
+#                   interleavings (the shared filter pass runs every
+#                   filtered scan and fused join probe on morsel
+#                   workers).
 #   all:            both, sequentially.
 #
 # Usage:
@@ -82,7 +85,8 @@ run_pass() {
 
   if [[ "${preset}" == tsan ]]; then
     local suite
-    for suite in session_test morsel_test lazy_once_test; do
+    for suite in session_test morsel_test lazy_once_test governor_test \
+                 plan_test; do
       echo "== tsan: ${suite} --gtest_repeat=20 =="
       "${build_dir}/${suite}" --gtest_repeat=20 --gtest_brief=1
     done
