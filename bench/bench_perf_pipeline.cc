@@ -86,11 +86,14 @@ void BM_FullPipelineByKey(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   RawTable raw_a = SyntheticSurvey("A", rows, 1);
   RawTable raw_b = SyntheticSurvey("B", rows, 2);
-  // Same rname space → full key overlap; evidence differs per seed. The
-  // menu/vote evidence can totally conflict, so keep such tuples with
-  // vacuous values rather than failing mid-benchmark.
+  // Same rname space → full key overlap; evidence and the definite
+  // street/phone columns differ per seed. The menu/vote evidence can
+  // totally conflict, so keep such tuples with vacuous values, and keep
+  // the left source's definite values, rather than failing mid-benchmark.
   auto config = paper::PaperPipelineConfig().value();
   config.merge_options.on_total_conflict = TotalConflictPolicy::kVacuous;
+  config.merge_options.on_definite_conflict =
+      DefiniteConflictPolicy::kPreferLeft;
   IntegrationPipeline pipeline(config);
   for (auto _ : state) {
     auto run = pipeline.Run(raw_a, raw_b);

@@ -6,12 +6,14 @@
 
 namespace evident {
 
-std::string Trim(std::string_view s) {
+std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
+  return s.substr(b, e - b);
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

@@ -10,6 +10,10 @@ namespace evident {
 /// \brief Strips ASCII whitespace from both ends.
 std::string Trim(std::string_view s);
 
+/// \brief Trim without the copy: a view of `s` minus its leading and
+/// trailing ASCII whitespace.
+std::string_view TrimView(std::string_view s);
+
 /// \brief Splits on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 

@@ -54,9 +54,9 @@ std::string Value::ToString() const {
   return {};
 }
 
-Value Value::Parse(const std::string& text) {
+Value Value::Parse(std::string_view text) {
   if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
-    return Value(text.substr(1, text.size() - 2));
+    return Value(std::string(text.substr(1, text.size() - 2)));
   }
   if (!text.empty()) {
     // Integer?
@@ -74,7 +74,7 @@ Value Value::Parse(const std::string& text) {
       return Value(d);
     }
   }
-  return Value(text);
+  return Value(std::string(text));
 }
 
 bool Value::operator==(const Value& other) const {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -61,7 +62,7 @@ class Value {
   /// \brief Parses a literal: integers, reals, otherwise a symbol.
   /// Quoted strings ("...") have quotes stripped and always parse as
   /// symbols, so "123" is the string 123.
-  static Value Parse(const std::string& text);
+  static Value Parse(std::string_view text);
 
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }

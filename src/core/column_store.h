@@ -284,10 +284,12 @@ class ColumnStore {
   }
   /// @}
 
-  /// \name Loader adoption paths (column-image reader only).
+  /// \name Adoption paths (the column-image reader and the attribute
+  /// preprocessor, which fill these while building the image).
   /// @{
   /// Installs a precomputed encoded-key arena (the persisted key trailer
-  /// of an EVCIMG03 image) and marks the lazy cache built.
+  /// of an EVCIMG03 image, or the keys encoded as rows were appended)
+  /// and marks the lazy cache built.
   void AdoptEncodedKeys(std::string arena, std::vector<uint32_t> offsets) {
     encoded_keys_.Set(EncodedKeys{std::move(arena), std::move(offsets)});
   }

@@ -36,6 +36,55 @@ Status MakeDuplicateKeyError(const KeyVector& key,
   return Status::AlreadyExists(std::move(message));
 }
 
+Status ValidateCell(const AttributeDef& attr, const Cell& cell) {
+  switch (attr.kind) {
+    case AttributeKind::kKey:
+    case AttributeKind::kDefinite: {
+      if (!CellIsValue(cell)) {
+        // A definite evidence set is acceptable in spirit, but the model
+        // stores definite attributes as plain Values for clarity.
+        return Status::InvalidArgument(
+            "attribute '" + attr.name + "' is " +
+            AttributeKindToString(attr.kind) +
+            " and must hold a definite value, not an evidence set");
+      }
+      if (attr.domain != nullptr &&
+          !attr.domain->Contains(std::get<Value>(cell))) {
+        return Status::OutOfRange("value " + std::get<Value>(cell).ToString() +
+                                  " outside domain of '" + attr.name + "'");
+      }
+      return Status::OK();
+    }
+    case AttributeKind::kUncertain: {
+      if (CellIsValue(cell)) {
+        return Status::InvalidArgument(
+            "attribute '" + attr.name +
+            "' is uncertain and must hold an evidence set");
+      }
+      const EvidenceSet& es = std::get<EvidenceSet>(cell);
+      if (!SameDomain(es.domain(), attr.domain)) {
+        return Status::Incompatible(
+            "evidence set for '" + attr.name + "' is over domain '" +
+            es.domain()->name() + "', schema declares '" +
+            attr.domain->name() + "'");
+      }
+      return es.mass().Validate();
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateMembership(const SupportPair& membership,
+                          bool require_positive_sn) {
+  EVIDENT_RETURN_NOT_OK(membership.Validate());
+  if (require_positive_sn && !membership.HasPositiveSupport()) {
+    return Status::InvalidArgument(
+        "CWA_ER violation: stored tuples must have sn > 0, got " +
+        membership.ToString());
+  }
+  return Status::OK();
+}
+
 ExtendedRelation ExtendedRelation::AdoptColumns(ColumnStore store) {
   ExtendedRelation rel(store.name(), store.schema());
   rel.columns_.Set(std::make_shared<const ColumnStore>(std::move(store)));
@@ -102,52 +151,9 @@ Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
         std::to_string(schema_->size()));
   }
   for (size_t i = 0; i < tuple.cells.size(); ++i) {
-    const AttributeDef& attr = schema_->attribute(i);
-    const Cell& cell = tuple.cells[i];
-    switch (attr.kind) {
-      case AttributeKind::kKey:
-      case AttributeKind::kDefinite: {
-        if (!CellIsValue(cell)) {
-          // A definite evidence set is acceptable in spirit, but the model
-          // stores definite attributes as plain Values for clarity.
-          return Status::InvalidArgument(
-              "attribute '" + attr.name + "' is " +
-              AttributeKindToString(attr.kind) +
-              " and must hold a definite value, not an evidence set");
-        }
-        if (attr.domain != nullptr &&
-            !attr.domain->Contains(std::get<Value>(cell))) {
-          return Status::OutOfRange("value " +
-                                    std::get<Value>(cell).ToString() +
-                                    " outside domain of '" + attr.name + "'");
-        }
-        break;
-      }
-      case AttributeKind::kUncertain: {
-        if (CellIsValue(cell)) {
-          return Status::InvalidArgument(
-              "attribute '" + attr.name +
-              "' is uncertain and must hold an evidence set");
-        }
-        const EvidenceSet& es = std::get<EvidenceSet>(cell);
-        if (!SameDomain(es.domain(), attr.domain)) {
-          return Status::Incompatible(
-              "evidence set for '" + attr.name + "' is over domain '" +
-              es.domain()->name() + "', schema declares '" +
-              attr.domain->name() + "'");
-        }
-        EVIDENT_RETURN_NOT_OK(es.mass().Validate());
-        break;
-      }
-    }
+    EVIDENT_RETURN_NOT_OK(ValidateCell(schema_->attribute(i), tuple.cells[i]));
   }
-  EVIDENT_RETURN_NOT_OK(tuple.membership.Validate());
-  if (require_positive_sn && !tuple.membership.HasPositiveSupport()) {
-    return Status::InvalidArgument(
-        "CWA_ER violation: stored tuples must have sn > 0, got " +
-        tuple.membership.ToString());
-  }
-  return Status::OK();
+  return ValidateMembership(tuple.membership, require_positive_sn);
 }
 
 Status ExtendedRelation::InsertImpl(ExtendedTuple tuple,

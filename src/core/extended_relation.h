@@ -26,6 +26,19 @@ class ColumnStore;
 Status MakeDuplicateKeyError(const KeyVector& key,
                              const std::string& relation_name);
 
+/// \brief Insert's check of one cell against its attribute: a key or
+/// definite attribute holds a Value inside its domain (when it declares
+/// one); an uncertain attribute holds an evidence set over its domain
+/// whose mass function validates. Insert and the attribute preprocessor
+/// (which builds column images without Insert) both run it, so they
+/// reject the same cells with the same messages.
+Status ValidateCell(const AttributeDef& attr, const Cell& cell);
+
+/// \brief Insert's membership check: 0 ≤ sn ≤ sp ≤ 1 and, when
+/// `require_positive_sn` (CWA_ER for stored tuples), sn > 0.
+Status ValidateMembership(const SupportPair& membership,
+                          bool require_positive_sn);
+
 /// \brief Transparent hash over encoded keys for callers that keep their
 /// own key sets (e.g. MergeTuples' matched-key bookkeeping); pairs with
 /// std::equal_to<> so string_view probes allocate nothing.
@@ -75,8 +88,9 @@ class ExtendedRelation {
 
   /// \brief AdoptColumns plus a fully built key index (the EVCIMG03
   /// loader's path, restoring the persisted index image so a loaded
-  /// catalog probes without re-hashing every key). The index's rows must
-  /// be the store's rows in order.
+  /// catalog probes without re-hashing every key; the attribute
+  /// preprocessor's, which indexes keys as it appends rows). The index's
+  /// rows must be the store's rows in order.
   static ExtendedRelation AdoptColumnsWithIndex(ColumnStore store,
                                                 EncodedKeyIndex index);
 

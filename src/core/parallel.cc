@@ -180,67 +180,6 @@ size_t ParallelMaxThreads() {
   return configured == 0 ? HardwareThreads() : configured;
 }
 
-size_t ParallelShardCount(size_t n, size_t grain) {
-  if (n == 0) return 0;
-  if (grain == 0) grain = 1;
-  const size_t by_grain = (n + grain - 1) / grain;
-  return std::max<size_t>(1, std::min(ParallelMaxThreads(), by_grain));
-}
-
-void ParallelForShards(size_t n, size_t grain,
-                       const std::function<void(size_t, size_t, size_t)>& fn) {
-  ParallelForExactShards(n, ParallelShardCount(n, grain), fn);
-}
-
-void ParallelForExactShards(
-    size_t n, size_t shard_count,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  const size_t shards = n == 0 ? 0 : std::min(std::max<size_t>(shard_count, 1), n);
-  if (shards == 0) return;
-  // Deterministic partition: the first (n % shards) shards get one extra
-  // item, so boundaries depend only on (n, shards).
-  const size_t base = n / shards;
-  const size_t extra = n % shards;
-  auto bounds = [&](size_t shard) {
-    const size_t begin = shard * base + std::min(shard, extra);
-    const size_t end = begin + base + (shard < extra ? 1 : 0);
-    return std::pair<size_t, size_t>(begin, end);
-  };
-  if (shards == 1) {
-    fn(0, 0, n);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(shards - 1);
-  size_t spawned = shards;  // first shard that could NOT be spawned
-  // Fresh threads start with an empty thread-local context slot; hand
-  // them the caller's governor so shard fns see the same ambient context
-  // they would inline.
-  QueryContext* const ctx = CurrentQueryContext();
-  for (size_t shard = 1; shard < shards; ++shard) {
-    const auto [begin, end] = bounds(shard);
-    try {
-      workers.emplace_back([&fn, ctx, shard, begin, end] {
-        ScopedQueryContext ambient(ctx);
-        fn(shard, begin, end);
-      });
-    } catch (const std::system_error&) {
-      // Thread creation failed (e.g. the process thread limit): degrade
-      // gracefully — the unspawned shards run inline below. Letting the
-      // exception unwind would destroy joinable threads and terminate.
-      spawned = shard;
-      break;
-    }
-  }
-  const auto [begin0, end0] = bounds(0);
-  fn(0, begin0, end0);
-  for (size_t shard = spawned; shard < shards; ++shard) {
-    const auto [begin, end] = bounds(shard);
-    fn(shard, begin, end);
-  }
-  for (std::thread& w : workers) w.join();
-}
-
 size_t ParallelMorselCount(size_t n, size_t grain) {
   if (n == 0) return 0;
   if (grain == 0) grain = 1;

@@ -6,20 +6,20 @@
 
 namespace evident {
 
-/// \brief A minimal tuple-range executor for the relational operators.
+/// \brief The morsel executor for the relational operators.
 ///
 /// The per-tuple work of the extended algebra (Dempster combinations in
 /// Union/MergeTuples, predicate evaluation in the join probe loop) is
 /// embarrassingly parallel: tuples are independent and the combination
-/// kernels keep their scratch buffers thread-local. This executor shards
-/// an index range [0, n) into contiguous chunks and runs them on
-/// std::threads — no dependencies, no work stealing, no task queue.
+/// kernels keep their scratch buffers thread-local. ParallelForMorsels
+/// carves an index range [0, n) into fixed-size morsels that a
+/// persistent worker pool and the calling thread claim from a shared
+/// cursor.
 ///
-/// Determinism contract: shard boundaries depend only on (n, grain,
-/// configured thread cap), and callers assemble results indexed by input
-/// position (per-row slots or per-shard buffers concatenated in shard
-/// order), so the output is bit-identical to serial execution for any
-/// thread count.
+/// Determinism contract: morsel boundaries depend only on (n, grain),
+/// and callers assemble results indexed by morsel or by input position,
+/// so the output is bit-identical to serial execution for any thread
+/// count.
 
 /// \brief Caps the number of worker threads the executor may use.
 /// 0 restores the hardware default (std::thread::hardware_concurrency).
@@ -30,37 +30,11 @@ void SetParallelMaxThreads(size_t n);
 /// \brief The currently configured thread cap (>= 1).
 size_t ParallelMaxThreads();
 
-/// \brief Number of shards ParallelForShards will use for `n` items with
-/// the given minimum shard size. Callers that pre-size per-shard buffers
-/// rely on this being pure in (n, grain, ParallelMaxThreads()).
-size_t ParallelShardCount(size_t n, size_t grain);
-
-/// \brief Runs `fn(shard, begin, end)` over a partition of [0, n) into
-/// ParallelShardCount(n, grain) contiguous ranges. With one shard the
-/// call runs inline on the caller's thread (no thread is spawned); with
-/// k shards, k-1 threads are spawned and shard 0 runs inline. Blocks
-/// until every shard has finished. `fn` must not throw; failures are
-/// communicated through caller-owned per-shard/per-row state.
-void ParallelForShards(size_t n, size_t grain,
-                       const std::function<void(size_t shard, size_t begin,
-                                                size_t end)>& fn);
-
-/// \brief Like ParallelForShards but over exactly `shard_count` shards
-/// (a value the caller obtained from ParallelShardCount). Callers that
-/// pre-size per-shard buffers must use this form: the thread cap is a
-/// mutable atomic, so recomputing the count inside the executor could
-/// disagree with the caller's buffers if SetParallelMaxThreads races
-/// with an operator. `shard_count` must be in [1, n] when n > 0.
-void ParallelForExactShards(size_t n, size_t shard_count,
-                            const std::function<void(size_t shard,
-                                                     size_t begin,
-                                                     size_t end)>& fn);
-
 /// \brief Number of fixed-boundary morsels ParallelForMorsels carves
-/// [0, n) into: ceil(n / grain), 0 when n == 0. Unlike ParallelShardCount
-/// this is pure in (n, grain) alone — morsel boundaries never depend on
-/// the thread cap, which is what makes morsel-indexed output assembly
-/// bit-identical for any thread count. Callers pre-size per-morsel
+/// [0, n) into: ceil(n / grain), 0 when n == 0. It is pure in (n, grain)
+/// alone — morsel boundaries never depend on the thread cap, which is
+/// what makes morsel-indexed output assembly bit-identical for any
+/// thread count. Callers pre-size per-morsel
 /// buffers with this.
 size_t ParallelMorselCount(size_t n, size_t grain);
 

@@ -1,9 +1,13 @@
 #include "integration/entity_identifier.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/str_util.h"
+#include "core/column_store.h"
 
 namespace evident {
 
@@ -15,18 +19,21 @@ Result<MatchingInfo> MatchByKey(const ExtendedRelation& left,
         "key-based matching requires union-compatible relations");
   }
   MatchingInfo info;
-  std::unordered_set<size_t> matched_right;
+  // Probe the right operand's key index with the left operand's cached
+  // encoded-key arena: no row objects, no per-probe key vectors.
+  const ColumnStore::EncodedKeys& left_keys = left.columns().encoded_keys();
+  std::vector<uint8_t> matched_right(right.size(), 0);
   for (size_t i = 0; i < left.size(); ++i) {
-    auto found = right.FindByKey(left.KeyOf(left.row(i)));
-    if (found.ok()) {
-      info.matches.push_back(TupleMatch{i, *found, 1.0});
-      matched_right.insert(*found);
+    const uint32_t j = right.ProbeEncodedKey(left_keys.key(i));
+    if (j != EncodedKeyIndex::kNoRow) {
+      info.matches.push_back(TupleMatch{i, j, 1.0});
+      matched_right[j] = 1;
     } else {
       info.unmatched_left.push_back(i);
     }
   }
   for (size_t j = 0; j < right.size(); ++j) {
-    if (matched_right.count(j) == 0) info.unmatched_right.push_back(j);
+    if (!matched_right[j]) info.unmatched_right.push_back(j);
   }
   return info;
 }
@@ -68,14 +75,25 @@ Result<MatchingInfo> MatchBySimilarity(const ExtendedRelation& left,
     size_t right_row;
     double score;
   };
+  // Render every compared value once, straight off the value columns.
+  auto render = [](const ColumnStore& store, size_t attr) {
+    const std::vector<Value>& values = store.value_column(attr).values;
+    std::vector<std::string> text;
+    text.reserve(values.size());
+    for (const Value& v : values) text.push_back(v.ToString());
+    return text;
+  };
+  std::vector<std::vector<std::string>> left_text, right_text;
+  for (const auto& [li, ri] : columns) {
+    left_text.push_back(render(left.columns(), li));
+    right_text.push_back(render(right.columns(), ri));
+  }
   std::vector<Candidate> candidates;
   for (size_t i = 0; i < left.size(); ++i) {
     for (size_t j = 0; j < right.size(); ++j) {
       double total = 0.0;
-      for (const auto& [li, ri] : columns) {
-        const Value& lv = std::get<Value>(left.row(i).cells[li]);
-        const Value& rv = std::get<Value>(right.row(j).cells[ri]);
-        total += StringSimilarity(lv.ToString(), rv.ToString());
+      for (size_t c = 0; c < columns.size(); ++c) {
+        total += StringSimilarity(left_text[c][i], right_text[c][j]);
       }
       const double score = total / static_cast<double>(columns.size());
       if (score >= options.threshold) {

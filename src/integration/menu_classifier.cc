@@ -20,21 +20,31 @@ Status MenuClassifier::AddItem(const std::string& item,
   return Status::OK();
 }
 
+const ValueSet* MenuClassifier::Find(const std::string& item) const {
+  auto it = taxonomy_.find(item);
+  return it == taxonomy_.end() ? nullptr : &it->second;
+}
+
 Result<EvidenceSet> MenuClassifier::Classify(
     const std::vector<std::string>& items) const {
-  if (items.empty()) {
+  std::vector<const ValueSet*> found;
+  found.reserve(items.size());
+  for (const std::string& item : items) found.push_back(Find(item));
+  return ClassifyFound(found);
+}
+
+Result<EvidenceSet> MenuClassifier::ClassifyFound(
+    const std::vector<const ValueSet*>& found) const {
+  if (found.empty()) {
     return Status::InvalidArgument("cannot classify an empty menu");
   }
   MassFunction m(domain_->size());
-  m.Reserve(items.size());
-  const double share = 1.0 / static_cast<double>(items.size());
-  for (const std::string& item : items) {
-    auto it = taxonomy_.find(item);
-    const ValueSet& set =
-        it == taxonomy_.end()
-            ? ValueSet::Full(domain_->size())  // no classification info
-            : it->second;
-    EVIDENT_RETURN_NOT_OK(m.Add(set, share));
+  m.Reserve(found.size());
+  const double share = 1.0 / static_cast<double>(found.size());
+  for (const ValueSet* set : found) {
+    // An unknown item carries no classification information: Θ.
+    EVIDENT_RETURN_NOT_OK(
+        m.Add(set != nullptr ? *set : ValueSet::Full(domain_->size()), share));
   }
   return EvidenceSet::Make(domain_, std::move(m));
 }

@@ -34,10 +34,20 @@ class MenuClassifier {
 
   const DomainPtr& domain() const { return domain_; }
 
+  /// \brief The categories registered for `item`, or null when the
+  /// item is not in the taxonomy.
+  const ValueSet* Find(const std::string& item) const;
+
   /// \brief Classifies a menu: mass of a category subset = fraction of
   /// items mapped to exactly that subset; items absent from the taxonomy
   /// count towards Θ. Fails on an empty menu.
   Result<EvidenceSet> Classify(const std::vector<std::string>& items) const;
+
+  /// \brief Classify over items already looked up with Find (null = not
+  /// in the taxonomy), for callers that memoise the lookups — the
+  /// attribute preprocessor looks each distinct item up once.
+  Result<EvidenceSet> ClassifyFound(
+      const std::vector<const ValueSet*>& found) const;
 
  private:
   DomainPtr domain_;

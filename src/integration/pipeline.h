@@ -38,7 +38,11 @@ struct PipelineConfig {
 };
 
 /// \brief Result of a pipeline run, keeping the intermediate artifacts
-/// inspectable (useful for the examples and the Figure-1 bench).
+/// inspectable (useful for the examples and the Figure-1 bench). On the
+/// Run path the preprocessed relations are column images with a built
+/// key index (see AttributePreprocessor); identification and merging
+/// read those images, so none of the three relations builds row objects
+/// unless a caller reads rows().
 struct PipelineRun {
   ExtendedRelation preprocessed_a;
   ExtendedRelation preprocessed_b;
@@ -49,6 +53,10 @@ struct PipelineRun {
 /// \brief The paper's integration framework: attribute preprocessing of
 /// each source, entity identification, and tuple merging, producing the
 /// integrated extended relation that query processing runs against.
+/// Every step works on column images: preprocessing writes them
+/// directly, MatchByKey probes one operand's key index with the other's
+/// encoded-key arena, and MergeTuples splices the rekeyed image into the
+/// columnar union.
 class IntegrationPipeline {
  public:
   explicit IntegrationPipeline(PipelineConfig config)

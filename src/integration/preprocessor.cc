@@ -1,48 +1,188 @@
 #include "integration/preprocessor.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/str_util.h"
+#include "core/column_store.h"
+#include "core/key_index.h"
 #include "text/evidence_literal.h"
 
 namespace evident {
 
 namespace {
 
-/// Applies a raw-string value map (identity for unmapped strings).
-std::string MapRawValue(
-    const std::unordered_map<std::string, std::string>& value_map,
-    const std::string& raw) {
-  auto it = value_map.find(raw);
-  return it == value_map.end() ? raw : it->second;
-}
+/// String-keyed map probed with string_views (no key copy per probe).
+template <typename V>
+using ViewMap = std::unordered_map<std::string, V, EncodedKeyHash,
+                                   std::equal_to<>>;
 
-Result<double> ParseNumber(const std::string& text) {
+Result<double> ParseNumber(std::string_view text) {
+  // strtod needs a terminated string.
+  const std::string terminated(text);
   char* end = nullptr;
-  const double x = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
-    return Status::ParseError("bad number '" + text + "'");
+  const double x = std::strtod(terminated.c_str(), &end);
+  if (terminated.empty() || end != terminated.c_str() + terminated.size()) {
+    return Status::ParseError("bad number '" + terminated + "'");
   }
   return x;
 }
 
-}  // namespace
+/// kCopy's affine conversion. An int stays an int when the result is a
+/// whole number inside int64's range; a non-finite result is rejected.
+Result<Value> ApplyTransform(const LinearTransform& transform, Value v,
+                             const std::string& target) {
+  if (!v.is_numeric()) {
+    return Status::InvalidArgument("linear transform on non-numeric value '" +
+                                   v.ToString() + "' for attribute '" +
+                                   target + "'");
+  }
+  const double converted = transform.scale * v.AsDouble() + transform.offset;
+  if (!std::isfinite(converted)) {
+    return Status::InvalidArgument("linear transform of '" + v.ToString() +
+                                   "' for attribute '" + target +
+                                   "' is not finite");
+  }
+  // [-2^63, 2^63): the doubles whose int64 conversion is defined.
+  constexpr double kInt64Bound = 9223372036854775808.0;
+  if (v.is_int() && converted >= -kInt64Bound && converted < kInt64Bound &&
+      converted == static_cast<double>(static_cast<int64_t>(converted))) {
+    // Preserve integer typing when the conversion lands on an integer
+    // (e.g. cents → dollars on whole amounts).
+    return Value(static_cast<int64_t>(converted));
+  }
+  return Value(converted);
+}
 
-Status AttributePreprocessor::ValidateSpec(const RawTable& input) const {
-  if (schema_ == nullptr) {
+/// One derivation compiled against the schema and the raw table.
+struct CompiledDerivation {
+  const AttributeDerivation* spec = nullptr;
+  const AttributeDef* attr = nullptr;
+  size_t target = 0;
+  size_t source = 0;
+  ViewMap<std::string> value_map;
+  /// kVotes: value token → domain ordinal, or the lookup's failure.
+  ViewMap<Result<size_t>> ordinals;
+  /// kClassify: menu item → taxonomy entry (null = unknown item).
+  ViewMap<const ValueSet*> categories;
+  /// kClassify: SameDomain(classifier domain, attribute domain).
+  bool classifier_domain_matches = true;
+  // Per-row scratch, reused so steady-state rows allocate no buffers.
+  VoteTokens votes;
+  std::vector<const ValueSet*> items;
+
+  std::string_view Mapped(std::string_view token) const {
+    if (value_map.empty()) return token;
+    auto it = value_map.find(token);
+    return it == value_map.end() ? token : std::string_view(it->second);
+  }
+
+  const Result<size_t>& Ordinal(std::string_view token) {
+    auto it = ordinals.find(token);
+    if (it == ordinals.end()) {
+      it = ordinals
+               .emplace(std::string(token),
+                        attr->domain->IndexOf(Value::Parse(Mapped(token))))
+               .first;
+    }
+    return it->second;
+  }
+
+  const ValueSet* Category(std::string_view item) {
+    auto it = categories.find(item);
+    if (it == categories.end()) {
+      it = categories
+               .emplace(std::string(item),
+                        spec->classifier->Find(std::string(Mapped(item))))
+               .first;
+    }
+    return it->second;
+  }
+
+  /// Derives this attribute's cell from `raw` into `*cell`.
+  Status Derive(const std::string& raw, Cell* cell) {
+    switch (spec->kind) {
+      case DerivationKind::kCopy: {
+        Value v = Value::Parse(Mapped(TrimView(raw)));
+        if (spec->transform.enabled) {
+          EVIDENT_ASSIGN_OR_RETURN(
+              v, ApplyTransform(spec->transform, std::move(v), spec->target));
+        }
+        *cell = std::move(v);
+        return Status::OK();
+      }
+      case DerivationKind::kVotes: {
+        EVIDENT_RETURN_NOT_OK(TokenizeVotes(raw, &votes));
+        EVIDENT_ASSIGN_OR_RETURN(
+            *cell, VoteTable::ConsolidateTokens(
+                       votes, attr->domain,
+                       [this](std::string_view token) -> const Result<size_t>& {
+                         return Ordinal(token);
+                       }));
+        return Status::OK();
+      }
+      case DerivationKind::kClassify: {
+        items.clear();
+        const std::string_view menu(raw);
+        size_t start = 0;
+        for (size_t i = 0; i <= menu.size(); ++i) {
+          if (i < menu.size() && menu[i] != '|') continue;
+          const std::string_view item = TrimView(menu.substr(start, i - start));
+          if (!item.empty()) items.push_back(Category(item));
+          start = i + 1;
+        }
+        EVIDENT_ASSIGN_OR_RETURN(EvidenceSet es,
+                                 spec->classifier->ClassifyFound(items));
+        if (!classifier_domain_matches) {
+          return Status::Incompatible(
+              "classifier domain '" + es.domain()->name() +
+              "' does not match attribute '" + attr->name + "'");
+        }
+        *cell = std::move(es);
+        return Status::OK();
+      }
+      case DerivationKind::kEvidenceLiteral: {
+        EVIDENT_ASSIGN_OR_RETURN(*cell,
+                                 ParseEvidenceLiteral(attr->domain, raw));
+        return Status::OK();
+      }
+    }
+    return Status::Internal("unknown derivation kind");
+  }
+};
+
+/// The specification compiled once per Run: every name resolved to an
+/// index, every derivation's memo empty.
+struct CompiledSpec {
+  std::vector<CompiledDerivation> derivations;
+  bool read_membership = false;
+  size_t sn_source = 0;
+  size_t sp_source = 0;
+};
+
+Result<CompiledSpec> Compile(const SchemaPtr& schema,
+                             const std::vector<AttributeDerivation>& specs,
+                             const MembershipDerivation& membership,
+                             const RawTable& input) {
+  if (schema == nullptr) {
     return Status::InvalidArgument("preprocessor has no target schema");
   }
   EVIDENT_RETURN_NOT_OK(input.Validate());
+  CompiledSpec compiled;
+  compiled.derivations.reserve(specs.size());
   std::unordered_set<std::string> covered;
-  for (const AttributeDerivation& d : derivations_) {
-    EVIDENT_ASSIGN_OR_RETURN(size_t target_index, schema_->IndexOf(d.target));
-    EVIDENT_RETURN_NOT_OK(input.ColumnIndex(d.source_column).status());
+  for (const AttributeDerivation& d : specs) {
+    EVIDENT_ASSIGN_OR_RETURN(size_t target_index, schema->IndexOf(d.target));
+    EVIDENT_ASSIGN_OR_RETURN(size_t source_index,
+                             input.ColumnIndex(d.source_column));
     if (!covered.insert(d.target).second) {
       return Status::InvalidArgument("attribute '" + d.target +
                                      "' derived twice");
     }
-    const AttributeDef& attr = schema_->attribute(target_index);
+    const AttributeDef& attr = schema->attribute(target_index);
     const bool needs_evidence = d.kind != DerivationKind::kCopy;
     if (attr.is_uncertain() != needs_evidence) {
       return Status::InvalidArgument(
@@ -54,134 +194,126 @@ Status AttributePreprocessor::ValidateSpec(const RawTable& input) const {
       return Status::InvalidArgument("derivation of '" + d.target +
                                      "' needs a classifier");
     }
+    CompiledDerivation& c = compiled.derivations.emplace_back();
+    c.spec = &d;
+    c.attr = &attr;
+    c.target = target_index;
+    c.source = source_index;
+    c.value_map.insert(d.value_map.begin(), d.value_map.end());
+    if (d.kind == DerivationKind::kClassify) {
+      c.classifier_domain_matches =
+          SameDomain(d.classifier->domain(), attr.domain);
+    }
   }
-  for (const AttributeDef& attr : schema_->attributes()) {
+  for (const AttributeDef& attr : schema->attributes()) {
     if (covered.count(attr.name) == 0) {
       return Status::InvalidArgument("attribute '" + attr.name +
                                      "' has no derivation rule");
     }
   }
-  if (!membership_.sn_column.empty()) {
-    EVIDENT_RETURN_NOT_OK(input.ColumnIndex(membership_.sn_column).status());
-    EVIDENT_RETURN_NOT_OK(input.ColumnIndex(membership_.sp_column).status());
+  if (!membership.sn_column.empty()) {
+    compiled.read_membership = true;
+    EVIDENT_ASSIGN_OR_RETURN(compiled.sn_source,
+                             input.ColumnIndex(membership.sn_column));
+    EVIDENT_ASSIGN_OR_RETURN(compiled.sp_source,
+                             input.ColumnIndex(membership.sp_column));
   }
-  return Status::OK();
+  return compiled;
 }
+
+/// Appends a validated cell to its column of `store`.
+void AppendCell(ColumnStore* store, size_t attr, Cell* cell) {
+  switch (store->kind(attr)) {
+    case ColumnStore::ColumnKind::kValue:
+      store->value_column_mut(attr).values.push_back(
+          std::move(std::get<Value>(*cell)));
+      break;
+    case ColumnStore::ColumnKind::kEvidence: {
+      ColumnStore::EvidenceColumn& col = store->evidence_column_mut(attr);
+      for (const auto& [set, m] : std::get<EvidenceSet>(*cell).mass().focals()) {
+        col.words.push_back(set.InlineWord());
+        col.masses.push_back(m);
+      }
+      // Spans are addressed with 32-bit offsets (see FromRelation).
+      if (col.words.size() > std::numeric_limits<uint32_t>::max()) {
+        std::abort();
+      }
+      col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
+      break;
+    }
+    case ColumnStore::ColumnKind::kBoxed:
+      store->boxed_column_mut(attr).sets.push_back(
+          std::move(std::get<EvidenceSet>(*cell)));
+      break;
+  }
+}
+
+}  // namespace
 
 Result<ExtendedRelation> AttributePreprocessor::Run(
     const RawTable& input) const {
-  EVIDENT_RETURN_NOT_OK(ValidateSpec(input));
-  ExtendedRelation out(input.name, schema_);
-  for (size_t r = 0; r < input.rows.size(); ++r) {
-    const auto& raw_row = input.rows[r];
-    ExtendedTuple t;
-    t.cells.resize(schema_->size());
-    for (const AttributeDerivation& d : derivations_) {
-      const size_t target_index = schema_->IndexOf(d.target).value();
-      const size_t source_index =
-          input.ColumnIndex(d.source_column).value();
-      const AttributeDef& attr = schema_->attribute(target_index);
-      const std::string& raw = raw_row[source_index];
-      switch (d.kind) {
-        case DerivationKind::kCopy: {
-          Value v = Value::Parse(MapRawValue(d.value_map, Trim(raw)));
-          if (d.transform.enabled) {
-            if (!v.is_numeric()) {
-              return Status::InvalidArgument(
-                  "linear transform on non-numeric value '" + v.ToString() +
-                  "' for attribute '" + d.target + "'");
-            }
-            const double converted =
-                d.transform.scale * v.AsDouble() + d.transform.offset;
-            // Preserve integer typing when the conversion lands on an
-            // integer (e.g. cents → dollars on whole amounts).
-            if (v.is_int() && converted == static_cast<int64_t>(converted)) {
-              v = Value(static_cast<int64_t>(converted));
-            } else {
-              v = Value(converted);
-            }
-          }
-          t.cells[target_index] = std::move(v);
-          break;
-        }
-        case DerivationKind::kVotes: {
-          EVIDENT_ASSIGN_OR_RETURN(VoteTable votes, VoteTable::Parse(raw));
-          // Apply the value map by re-parsing through the mapped text:
-          // rebuild a vote table with mapped values.
-          VoteTable mapped;
-          if (d.value_map.empty()) {
-            mapped = std::move(votes);
-          } else {
-            // Re-parse entry-wise with mapping.
-            for (const std::string& raw_entry : SplitTopLevel(raw, ';')) {
-              const std::string entry = Trim(raw_entry);
-              if (entry.empty()) continue;
-              const auto parts = SplitTopLevel(entry, ':');
-              EVIDENT_ASSIGN_OR_RETURN(double count,
-                                       ParseNumber(Trim(parts[1])));
-              std::string subset = Trim(parts[0]);
-              std::vector<Value> values;
-              if (subset == "*") {
-              } else if (subset.size() >= 2 && subset.front() == '{' &&
-                         subset.back() == '}') {
-                for (const std::string& v :
-                     Split(subset.substr(1, subset.size() - 2), ',')) {
-                  values.push_back(
-                      Value::Parse(MapRawValue(d.value_map, Trim(v))));
-                }
-              } else {
-                values.push_back(
-                    Value::Parse(MapRawValue(d.value_map, subset)));
-              }
-              EVIDENT_RETURN_NOT_OK(mapped.AddVotes(std::move(values), count));
-            }
-          }
-          EVIDENT_ASSIGN_OR_RETURN(EvidenceSet es,
-                                   mapped.Consolidate(attr.domain));
-          t.cells[target_index] = std::move(es);
-          break;
-        }
-        case DerivationKind::kClassify: {
-          std::vector<std::string> items;
-          for (const std::string& item : Split(raw, '|')) {
-            const std::string trimmed = Trim(item);
-            if (!trimmed.empty()) {
-              items.push_back(MapRawValue(d.value_map, trimmed));
-            }
-          }
-          EVIDENT_ASSIGN_OR_RETURN(EvidenceSet es,
-                                   d.classifier->Classify(items));
-          if (!SameDomain(es.domain(), attr.domain)) {
-            return Status::Incompatible(
-                "classifier domain '" + es.domain()->name() +
-                "' does not match attribute '" + attr.name + "'");
-          }
-          t.cells[target_index] = std::move(es);
-          break;
-        }
-        case DerivationKind::kEvidenceLiteral: {
-          EVIDENT_ASSIGN_OR_RETURN(
-              EvidenceSet es, ParseEvidenceLiteral(attr.domain, raw));
-          t.cells[target_index] = std::move(es);
-          break;
-        }
-      }
+  EVIDENT_ASSIGN_OR_RETURN(
+      CompiledSpec spec, Compile(schema_, derivations_, membership_, input));
+  const RelationSchema& schema = *schema_;
+  const size_t rows = input.rows.size();
+
+  ColumnStore store = ColumnStore::EmptyLike(schema_, input.name);
+  store.ReserveRows(rows);
+  for (size_t a = 0; a < schema.size(); ++a) {
+    if (store.kind(a) == ColumnStore::ColumnKind::kValue) {
+      store.value_column_mut(a).values.reserve(rows);
+    } else if (store.kind(a) == ColumnStore::ColumnKind::kEvidence) {
+      store.evidence_column_mut(a).offsets.reserve(rows + 1);
     }
-    if (!membership_.sn_column.empty()) {
-      const size_t sn_index =
-          input.ColumnIndex(membership_.sn_column).value();
-      const size_t sp_index =
-          input.ColumnIndex(membership_.sp_column).value();
-      EVIDENT_ASSIGN_OR_RETURN(double sn, ParseNumber(Trim(raw_row[sn_index])));
-      EVIDENT_ASSIGN_OR_RETURN(double sp, ParseNumber(Trim(raw_row[sp_index])));
-      t.membership = SupportPair{sn, sp};
-    } else {
-      t.membership =
-          SupportPair{membership_.default_sn, membership_.default_sp};
-    }
-    EVIDENT_RETURN_NOT_OK(out.Insert(std::move(t)));
   }
-  return out;
+  EncodedKeyIndex index;
+  index.Reserve(rows);
+  std::string key_arena;
+  std::vector<uint32_t> key_offsets;
+  key_offsets.reserve(rows + 1);
+  key_offsets.push_back(0);
+
+  std::vector<Cell> cells(schema.size());
+  for (const std::vector<std::string>& raw_row : input.rows) {
+    for (CompiledDerivation& d : spec.derivations) {
+      EVIDENT_RETURN_NOT_OK(d.Derive(raw_row[d.source], &cells[d.target]));
+    }
+    SupportPair membership{membership_.default_sn, membership_.default_sp};
+    if (spec.read_membership) {
+      EVIDENT_ASSIGN_OR_RETURN(membership.sn,
+                               ParseNumber(TrimView(raw_row[spec.sn_source])));
+      EVIDENT_ASSIGN_OR_RETURN(membership.sp,
+                               ParseNumber(TrimView(raw_row[spec.sp_source])));
+    }
+    for (size_t a = 0; a < schema.size(); ++a) {
+      EVIDENT_RETURN_NOT_OK(ValidateCell(schema.attribute(a), cells[a]));
+    }
+    EVIDENT_RETURN_NOT_OK(
+        ValidateMembership(membership, /*require_positive_sn=*/true));
+
+    const size_t key_start = key_arena.size();
+    for (size_t k : schema.key_indices()) {
+      std::get<Value>(cells[k]).AppendCanonicalKey(&key_arena);
+    }
+    const std::string_view key =
+        std::string_view(key_arena).substr(key_start);
+    if (index.Insert(key) != EncodedKeyIndex::kNoRow) {
+      KeyVector key_values;
+      for (size_t k : schema.key_indices()) {
+        key_values.push_back(std::get<Value>(cells[k]));
+      }
+      return MakeDuplicateKeyError(key_values, input.name);
+    }
+    key_offsets.push_back(static_cast<uint32_t>(key_arena.size()));
+
+    for (size_t a = 0; a < schema.size(); ++a) {
+      AppendCell(&store, a, &cells[a]);
+    }
+    store.AppendMembership(membership);
+  }
+  store.AdoptEncodedKeys(std::move(key_arena), std::move(key_offsets));
+  return ExtendedRelation::AdoptColumnsWithIndex(std::move(store),
+                                                 std::move(index));
 }
 
 }  // namespace evident

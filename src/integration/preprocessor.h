@@ -59,7 +59,7 @@ struct AttributeDerivation {
   /// Taxonomy for kClassify (owned elsewhere; must outlive preprocessing).
   const MenuClassifier* classifier = nullptr;
   /// Affine numeric conversion, applied to kCopy values after value_map;
-  /// rejects non-numeric values when enabled.
+  /// rejects non-numeric values and non-finite results when enabled.
   LinearTransform transform;
 };
 
@@ -77,6 +77,22 @@ struct MembershipDerivation {
 /// into an ExtendedRelation over the global schema, applying value maps
 /// and constructing evidence sets from votes / item classification /
 /// literals.
+///
+/// Run compiles the specification once per call — target, source and
+/// membership column indices, plus a per-derivation memo from a value
+/// token to its domain ordinal (value map, Value::Parse and
+/// Domain::IndexOf run once per distinct token; a failed lookup is
+/// memoised as its Status, exact because the lookup is pure) and from a
+/// menu item to its taxonomy entry. It then makes one pass over the raw
+/// rows, writing each row straight into a column image: no row objects
+/// are built, and the result is a columnar relation whose encoded-key
+/// arena and key index were filled as the rows were appended.
+///
+/// Errors are those of a row-by-row build with ExtendedRelation::Insert:
+/// each row derives its cells in derivation order (the first failing
+/// derivation is reported), then parses its membership, then checks the
+/// cells in schema order with Insert's checks (ValidateCell,
+/// ValidateMembership) and finally rejects a duplicate key.
 class AttributePreprocessor {
  public:
   AttributePreprocessor(SchemaPtr target_schema,
@@ -87,12 +103,10 @@ class AttributePreprocessor {
         membership_(membership) {}
 
   /// \brief Validates the specification against the schema and the raw
-  /// table's columns, then derives the extended relation.
+  /// table's columns, then derives the extended relation (columnar).
   Result<ExtendedRelation> Run(const RawTable& input) const;
 
  private:
-  Status ValidateSpec(const RawTable& input) const;
-
   SchemaPtr schema_;
   std::vector<AttributeDerivation> derivations_;
   MembershipDerivation membership_;

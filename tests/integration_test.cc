@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/str_util.h"
 #include "core/operations.h"
 #include "integration/vote.h"
 #include "workload/paper_fixtures.h"
@@ -166,6 +174,66 @@ TEST(PreprocessorTest, RejectsUnknownColumn) {
   EXPECT_FALSE(pre.Run(paper::RawSurveyA()).ok());
 }
 
+/// One key column plus one numeric column converted by `transform`.
+Result<ExtendedRelation> RunTransform(const LinearTransform& transform,
+                                      const std::vector<std::string>& amounts) {
+  auto schema = RelationSchema::Make({AttributeDef::Key("id"),
+                                      AttributeDef::Definite("amount")})
+                    .value();
+  AttributeDerivation id;
+  id.target = "id";
+  id.source_column = "id";
+  AttributeDerivation amount;
+  amount.target = "amount";
+  amount.source_column = "amount";
+  amount.transform = transform;
+  RawTable raw;
+  raw.name = "T";
+  raw.columns = {"id", "amount"};
+  for (size_t i = 0; i < amounts.size(); ++i) {
+    raw.rows.push_back({"r" + std::to_string(i), amounts[i]});
+  }
+  return AttributePreprocessor(schema, {id, amount}).Run(raw);
+}
+
+TEST(PreprocessorTest, LinearTransformBeyondInt64GivesARealValue) {
+  // Results outside [-2^63, 2^63) cannot round-trip through int64; they
+  // stay reals instead of reaching an undefined conversion.
+  auto rel = RunTransform(LinearTransform::Of(1000),
+                          {"9223372036854775807", "-9223372036854775808",
+                           "5"});
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  const auto& amounts = rel->columns().value_column(1).values;
+  ASSERT_TRUE(amounts[0].is_real());
+  EXPECT_EQ(amounts[0].real_value(), 9223372036854775807.0 * 1000);
+  ASSERT_TRUE(amounts[1].is_real());
+  EXPECT_EQ(amounts[1].real_value(), -9223372036854775808.0 * 1000);
+  ASSERT_TRUE(amounts[2].is_int());
+  EXPECT_EQ(amounts[2].int_value(), 5000);
+  // 2^63 - 1 rounds to 2^63 as a double: just outside the int64 range.
+  auto edge = RunTransform(LinearTransform::Of(1), {"9223372036854775807"});
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_TRUE(edge->columns().value_column(1).values[0].is_real());
+}
+
+TEST(PreprocessorTest, NonFiniteLinearTransformIsAnError) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [transform, amount] :
+       std::vector<std::pair<LinearTransform, std::string>>{
+           {LinearTransform::Of(nan), "5"},
+           {LinearTransform::Of(inf), "0"},
+           {LinearTransform::Of(1), "nan"},
+           {LinearTransform::Of(1e300), "1e300"}}) {
+    auto rel = RunTransform(transform, {"7", amount});
+    ASSERT_FALSE(rel.ok()) << amount;
+    EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rel.status().message().find("is not finite"),
+              std::string::npos)
+        << rel.status();
+  }
+}
+
 TEST(EntityIdentifierTest, MatchByKeyOnPaperTables) {
   auto ra = paper::TableRA().value();
   auto rb = paper::TableRB().value();
@@ -206,6 +274,75 @@ TEST(EntityIdentifierTest, MatchBySimilarityHandlesTypos) {
   EXPECT_GT(matching->matches[0].score, 0.8);
   EXPECT_EQ(matching->unmatched_left.size(), 1u);
   EXPECT_EQ(matching->unmatched_right.size(), 1u);
+}
+
+TEST(EntityIdentifierTest, SimilarityMatchesTheRowByRowDefinition) {
+  // Near-duplicate names and streets across two relations; the matcher
+  // (which renders each value once, off the value columns) must give the
+  // matches, scores and order of scoring every pair from the rows.
+  auto schema = RelationSchema::Make({AttributeDef::Key("name"),
+                                      AttributeDef::Definite("street"),
+                                      AttributeDef::Definite("seats")})
+                    .value();
+  ExtendedRelation left("L", schema);
+  ExtendedRelation right("R", schema);
+  for (int i = 0; i < 24; ++i) {
+    ExtendedTuple l;
+    l.cells = {Value("wok " + std::to_string(i)),
+               Value("main st " + std::to_string(i % 5)),
+               Value(int64_t{10 + i % 3})};
+    ASSERT_TRUE(left.Insert(std::move(l)).ok());
+    ExtendedTuple r;
+    r.cells = {Value("wok  " + std::to_string((i * 7) % 24)),
+               Value("main st " + std::to_string(i % 4)),
+               Value(10.0 + i % 2)};
+    ASSERT_TRUE(right.Insert(std::move(r)).ok());
+  }
+  SimilarityMatchOptions options;
+  options.threshold = 0.7;
+  auto matching = MatchBySimilarity(left, right, options);
+  ASSERT_TRUE(matching.ok()) << matching.status();
+
+  struct Candidate {
+    size_t l, r;
+    double score;
+  };
+  std::vector<Candidate> candidates;
+  for (size_t i = 0; i < left.size(); ++i) {
+    for (size_t j = 0; j < right.size(); ++j) {
+      double total = 0.0;
+      for (size_t a = 0; a < 3; ++a) {
+        total += StringSimilarity(
+            std::get<Value>(left.row(i).cells[a]).ToString(),
+            std::get<Value>(right.row(j).cells[a]).ToString());
+      }
+      if (total / 3 >= options.threshold) {
+        candidates.push_back({i, j, total / 3});
+      }
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.l != b.l) return a.l < b.l;
+              return a.r < b.r;
+            });
+  std::vector<bool> used_l(left.size()), used_r(right.size());
+  std::vector<Candidate> expected;
+  for (const Candidate& c : candidates) {
+    if (used_l[c.l] || used_r[c.r]) continue;
+    used_l[c.l] = used_r[c.r] = true;
+    expected.push_back(c);
+  }
+  ASSERT_GT(expected.size(), 5u);
+  ASSERT_EQ(matching->matches.size(), expected.size());
+  for (size_t m = 0; m < expected.size(); ++m) {
+    EXPECT_EQ(matching->matches[m].left_row, expected[m].l);
+    EXPECT_EQ(matching->matches[m].right_row, expected[m].r);
+    EXPECT_EQ(std::memcmp(&matching->matches[m].score, &expected[m].score,
+                          sizeof(double)),
+              0);
+  }
 }
 
 TEST(EntityIdentifierTest, SimilarityRejectsUncertainAttribute) {

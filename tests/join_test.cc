@@ -5,7 +5,6 @@
 // MergeTuples.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "common/rng.h"
@@ -334,31 +333,9 @@ TEST(HashJoinDifferentialTest, CappedArenaReservationOnHighMatchRateJoin) {
 // ---------------------------------------------------------------------------
 // Parallel executor
 
-TEST(ParallelExecutorTest, ShardsPartitionTheRangeExactly) {
-  ScopedMaxThreads cap(5);
-  const size_t n = 1237;
-  std::vector<std::atomic<int>> hits(n);
-  ParallelForShards(n, 1, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelExecutorTest, ShardCountHonorsGrainAndCap) {
-  ScopedMaxThreads cap(4);
-  EXPECT_EQ(ParallelShardCount(0, 64), 0u);
-  EXPECT_EQ(ParallelShardCount(63, 64), 1u);
-  EXPECT_EQ(ParallelShardCount(65, 64), 2u);
-  EXPECT_EQ(ParallelShardCount(1 << 20, 64), 4u);
-  SetParallelMaxThreads(1);
-  EXPECT_EQ(ParallelShardCount(1 << 20, 64), 1u);
-}
-
 TEST(ParallelExecutorTest, ZeroItemsNeverInvokes) {
   bool called = false;
-  ParallelForShards(0, 16, [&](size_t, size_t, size_t) { called = true; });
+  ParallelForMorsels(0, 16, [&](size_t, size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 

@@ -19,6 +19,10 @@
 //    with CombineMembership under the UnionOptions conflict policies.
 //  - MergeTuples: rekey the matched right tuples to their left keys,
 //    then Union.
+//  - Preprocess: attribute preprocessing row by row — vote lists split
+//    into strings with the value map applied per token, indices looked
+//    up by name per cell, rows appended with Insert
+//    (tests/reference/preprocess.cc).
 //  - ExecuteQuery: an EQL statement's unoptimized logical plan (parsed
 //    and bound by the engine's front end) walked node by node with the
 //    operators above, then ORDER BY / LIMIT.
@@ -39,6 +43,8 @@
 #include "core/predicate.h"
 #include "core/threshold.h"
 #include "integration/entity_identifier.h"
+#include "integration/preprocessor.h"
+#include "integration/raw_table.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -91,6 +97,14 @@ Result<ExtendedRelation> MergeTuples(const ExtendedRelation& left,
                                      const MatchingInfo& matching,
                                      const UnionOptions& options =
                                          UnionOptions());
+
+/// AttributePreprocessor(schema, derivations, membership).Run(input),
+/// row by row (see the header comment): the same relation and the same
+/// first error, code and message, as the compiled preprocessor.
+Result<ExtendedRelation> Preprocess(
+    const SchemaPtr& schema,
+    const std::vector<AttributeDerivation>& derivations,
+    const MembershipDerivation& membership, const RawTable& input);
 
 /// Parses and binds `eql` against `catalog`, then evaluates the
 /// unoptimized plan with this evaluator (default UnionOptions, as

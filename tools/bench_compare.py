@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_PERF.json snapshots benchmark by benchmark.
+"""Diff two perf-bench snapshots benchmark by benchmark.
 
 The perf benches merge their full-run results into bench/out/BENCH_PERF.json
-(one section per bench binary; see bench/perf_bench_main.h). This script
-lines two such snapshots up by (binary, benchmark name) and reports the
-ns/op delta for every benchmark present in both, plus what appeared or
-disappeared — the review artifact for "did this PR move the needle".
+(one section per bench binary; see bench/perf_bench_main.h). Run with
+--benchmark_repetitions=N, a bench writes one entry per repetition under
+the same name. This script also reads google-benchmark's own JSON output
+(--benchmark_out=FILE --benchmark_out_format=json), whose per-repetition
+"iteration" runs it uses the same way.
+
+For every benchmark present in both snapshots it reports the median ns/op
+of each side with its interquartile range (IQR) and the change of the
+medians. When the two IQRs overlap the change is within the spread of the
+repetitions and is printed as `unresolved` instead of a percentage; a
+benchmark with a single repetition on each side has a zero-width IQR, so
+it always gets a percentage. What appeared or disappeared is listed too.
 
 Usage:
   tools/bench_compare.py OLD.json NEW.json
@@ -13,25 +21,48 @@ Usage:
 
 Exit status is 0 unless a benchmark present in the baseline disappeared
 from the candidate (coverage must never silently shrink), or --threshold
-is given and some benchmark slowed down by more than that percentage;
-both exit 1 — usable as a cheap perf gate. Stdlib only; no third-party
-dependencies.
+is given and some benchmark's median slowed down by more than that
+percentage with non-overlapping IQRs; both exit 1 — usable as a cheap
+perf gate. Stdlib only; no third-party dependencies.
 """
 
 import argparse
 import json
+import statistics
 import sys
+
+_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load(path):
-    """-> {(binary, bench_name): entry} plus the entry's label folded in."""
+    """-> {(binary, bench_name): [ns_per_op, ...]}, one value per repetition."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    flat = {}
+    samples = {}
+    if isinstance(doc.get("benchmarks"), list):
+        # google-benchmark's own JSON: one file is one binary.
+        for run in doc["benchmarks"]:
+            if run.get("run_type", "iteration") != "iteration":
+                continue
+            if run.get("error_occurred"):
+                continue
+            name = run.get("run_name", run["name"])
+            ns = run["real_time"] * _UNIT_NS[run.get("time_unit", "ns")]
+            samples.setdefault(("", name), []).append(ns)
+        return samples
     for binary, entries in sorted(doc.items()):
         for entry in entries:
-            flat[(binary, entry["name"])] = entry
-    return flat
+            samples.setdefault((binary, entry["name"]), []).append(
+                entry["ns_per_op"])
+    return samples
+
+
+def summarize(values):
+    """-> (median, q1, q3) of the repetitions."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
 
 
 def fmt_ns(ns):
@@ -41,16 +72,27 @@ def fmt_ns(ns):
     return f"{ns:.3g}ns"
 
 
+def fmt_side(median, q1, q3, reps):
+    if reps == 1:
+        return f"{fmt_ns(median):>9}"
+    return f"{fmt_ns(median):>9} [{fmt_ns(q1)}..{fmt_ns(q3)}] x{reps}"
+
+
+def display(binary, name):
+    return f"{binary}:{name}" if binary else name
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", help="baseline BENCH_PERF.json")
-    ap.add_argument("new", help="candidate BENCH_PERF.json")
+    ap.add_argument("old", help="baseline snapshot")
+    ap.add_argument("new", help="candidate snapshot")
     ap.add_argument(
         "--threshold",
         type=float,
         default=None,
         metavar="PCT",
-        help="exit 1 if any benchmark's ns/op regressed by more than PCT%%",
+        help="exit 1 if any benchmark's median ns/op regressed by more "
+        "than PCT%% with non-overlapping IQRs",
     )
     args = ap.parse_args()
 
@@ -63,36 +105,41 @@ def main():
 
     regressions = []
     corrupt = []
-    width = max((len(f"{b}:{n}") for b, n in common), default=0)
-    for binary, name in common:
-        o, n = old[(binary, name)], new[(binary, name)]
-        old_ns, new_ns = o["ns_per_op"], n["ns_per_op"]
-        label = n.get("label", "")
+    unresolved = 0
+    width = max((len(display(b, n)) for b, n in common), default=0)
+    for key in common:
+        o_med, o_q1, o_q3 = summarize(old[key])
+        n_med, n_q1, n_q3 = summarize(new[key])
         prefix = (
-            f"{binary + ':' + name:<{width}}  "
-            f"{fmt_ns(old_ns):>9} -> {fmt_ns(new_ns):>9}  "
+            f"{display(*key):<{width}}  "
+            f"{fmt_side(o_med, o_q1, o_q3, len(old[key]))} -> "
+            f"{fmt_side(n_med, n_q1, n_q3, len(new[key]))}  "
         )
-        suffix = f"  [{label}]" if label else ""
-        if old_ns <= 0:
+        if o_med <= 0:
             # A non-positive baseline is a corrupt or truncated snapshot,
             # not a benchmark that got infinitely faster; printing 0.0%
             # here would silently mask the broken comparison.
-            corrupt.append((binary, name, old_ns))
-            print(prefix + "   n/a  (baseline corrupt)" + suffix)
+            corrupt.append((key, o_med))
+            print(prefix + "   n/a  (baseline corrupt)")
             continue
-        delta = (new_ns - old_ns) / old_ns * 100.0
-        print(prefix + f"{delta:+7.1f}%" + suffix)
+        if o_q1 <= n_q3 and n_q1 <= o_q3 and (o_q1 < o_q3 or n_q1 < n_q3):
+            unresolved += 1
+            print(prefix + "unresolved")
+            continue
+        delta = (n_med - o_med) / o_med * 100.0
+        print(prefix + f"{delta:+7.1f}%")
         if args.threshold is not None and delta > args.threshold:
-            regressions.append((binary, name, delta))
+            regressions.append((key, delta))
 
-    for binary, name in added:
-        entry = new[(binary, name)]
-        print(f"{binary}:{name}  NEW  {fmt_ns(entry['ns_per_op'])}")
-    for binary, name in removed:
-        print(f"{binary}:{name}  REMOVED")
+    for key in added:
+        med, _, _ = summarize(new[key])
+        print(f"{display(*key)}  NEW  {fmt_ns(med)}")
+    for key in removed:
+        print(f"{display(*key)}  REMOVED")
 
     print(
-        f"\n{len(common)} compared, {len(added)} new, {len(removed)} removed",
+        f"\n{len(common)} compared ({unresolved} unresolved), "
+        f"{len(added)} new, {len(removed)} removed",
         file=sys.stderr,
     )
     if corrupt:
@@ -102,8 +149,8 @@ def main():
             "are not comparable:",
             file=sys.stderr,
         )
-        for binary, name, old_ns in corrupt:
-            print(f"  {binary}:{name}  baseline ns/op = {old_ns}",
+        for key, old_ns in corrupt:
+            print(f"  {display(*key)}  baseline ns/op = {old_ns}",
                   file=sys.stderr)
     if regressions:
         print(
@@ -111,16 +158,16 @@ def main():
             f"{args.threshold:.1f}%:",
             file=sys.stderr,
         )
-        for binary, name, delta in regressions:
-            print(f"  {binary}:{name}  {delta:+.1f}%", file=sys.stderr)
+        for key, delta in regressions:
+            print(f"  {display(*key)}  {delta:+.1f}%", file=sys.stderr)
         return 1
     if removed:
         print(
             f"FAIL: {len(removed)} benchmark(s) removed from the baseline:",
             file=sys.stderr,
         )
-        for binary, name in removed:
-            print(f"  {binary}:{name}", file=sys.stderr)
+        for key in removed:
+            print(f"  {display(*key)}", file=sys.stderr)
         return 1
     if args.threshold is not None and corrupt:
         # A perf gate cannot pass rows it could not compare.

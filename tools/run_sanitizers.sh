@@ -3,10 +3,13 @@
 # one command — the recipe ROADMAP.md used to carry as prose.
 #
 #   asan (default): storage/join/fuzz/kernel-differential/plan/
-#                   governor/fault-injection/session/lazy-once suites
-#                   under ASan + UBSan (the session suite pins catalog
+#                   governor/fault-injection/session/lazy-once/
+#                   integration/preprocess-differential suites under
+#                   ASan + UBSan (the session suite pins catalog
 #                   snapshots across replaces — the UAF regression lives
-#                   there).
+#                   there; the preprocessing suites feed malformed raw
+#                   exports through the vote tokenizer and the linear
+#                   transform).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
 #                   fused pipelines, the differential fuzz harness and
 #                   the operator differentials against the reference
@@ -57,8 +60,9 @@ run_pass() {
   esac
   local targets=(storage_test join_test fuzz_differential_test
                  kernel_differential_test plan_test morsel_test governor_test
-                 fault_injection_test session_test lazy_once_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|lazy_once_test)$'
+                 fault_injection_test session_test lazy_once_test
+                 integration_test preprocess_differential_test)
+  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|lazy_once_test|integration_test|preprocess_differential_test)$'
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
