@@ -1,7 +1,7 @@
 // P2: extended-union (tuple merging) throughput — scaling in relation
 // size, key overlap, and uncertain-column count (the knobs of the
-// integration workload) — plus a columnar-scan micro-benchmark for the
-// packed evidence layout itself.
+// integration workload), extended intersection by overlap — plus a
+// columnar-scan micro-benchmark for the packed evidence layout itself.
 #include <benchmark/benchmark.h>
 
 #include "perf_bench_main.h"
@@ -49,6 +49,20 @@ void BM_UnionByOverlap(benchmark::State& state) {
   state.SetLabel("overlap=" + std::to_string(state.range(0)) + "%");
 }
 BENCHMARK(BM_UnionByOverlap)->Arg(0)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
+    ->Unit(benchmark::kMillisecond);
+
+// Extended intersection at the same sizes: every left key is probed, but
+// only the shared entities are combined and built.
+void BM_IntersectByOverlap(benchmark::State& state) {
+  const double overlap = static_cast<double>(state.range(0)) / 100.0;
+  auto [a, b] = MakePair(5000, overlap);
+  for (auto _ : state) {
+    auto merged = Intersect(a, b);
+    benchmark::DoNotOptimize(merged);
+  }
+  state.SetLabel("overlap=" + std::to_string(state.range(0)) + "%");
+}
+BENCHMARK(BM_IntersectByOverlap)->Arg(0)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 void BM_UnionRuleAblation(benchmark::State& state) {
@@ -163,5 +177,6 @@ BENCHMARK(BM_ColumnarScan)->RangeMultiplier(10)->Range(1000, 100000)
 
 EVIDENT_PERF_BENCH_MAIN(
     "bench_perf_union",
-    "(BM_UnionByTuples/100|BM_UnionByOverlap/0|BM_UnionRuleAblation/0|"
+    "(BM_UnionByTuples/100|BM_UnionByOverlap/0|BM_IntersectByOverlap/0|"
+    "BM_UnionRuleAblation/0|"
     "BM_UnionByAttrs/1|BM_UnionWideFrame/1000|BM_ColumnarScan/1000)$")

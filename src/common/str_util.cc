@@ -74,18 +74,23 @@ size_t EditDistance(std::string_view a, std::string_view b) {
   const size_t m = b.size();
   if (n == 0) return m;
   if (m == 0) return n;
-  std::vector<size_t> prev(m + 1);
-  std::vector<size_t> cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = j;
+  // One DP row, reused across calls on this thread: row[j] holds the
+  // previous row's value until it is overwritten, and `diag` carries the
+  // previous row's value at j - 1.
+  thread_local std::vector<size_t> row;
+  row.resize(m + 1);
+  for (size_t j = 0; j <= m; ++j) row[j] = j;
   for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
+    size_t diag = row[0];
+    row[0] = i;
     for (size_t j = 1; j <= m; ++j) {
       const size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
+      const size_t next = std::min({row[j] + 1, row[j - 1] + 1, diag + cost});
+      diag = row[j];
+      row[j] = next;
     }
-    std::swap(prev, cur);
   }
-  return prev[m];
+  return row[m];
 }
 
 double StringSimilarity(std::string_view a, std::string_view b) {

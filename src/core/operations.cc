@@ -91,8 +91,7 @@ KeyVector KeyOfStoreRow(const ColumnStore& store, size_t row) {
 /// fresh column image carrying `memberships` (parallel to `keep`) under
 /// the same schema: ColumnStore::SpliceRows with the identity attribute
 /// map. The shared row-subset primitive of the columnar operators
-/// (Select's keep list, the pushdown prefilter, Intersect's merged
-/// rows).
+/// (the filter pass's survivors and the join's filtered probe rows).
 ColumnStore SpliceKeptRows(const ColumnStore& store, std::string name,
                            const std::vector<uint32_t>& keep,
                            const std::vector<SupportPair>& memberships) {
@@ -436,14 +435,15 @@ namespace {
 /// CombineEvidence on the materialized evidence sets, so merged cells
 /// are bit-identical to it for any thread count.
 ///
-/// When `merged_tags` is non-null it receives one byte per output row —
-/// 1 for a merged pair (the entity exists in both sources), 0 for a row
-/// retained from a single source. Intersect consumes this instead of
-/// re-encoding and re-probing the keys this pass already resolved.
+/// With `merged_only` set the output keeps the merged pairs alone — the
+/// entities present in both sources, in left-row order — and is named
+/// "L n R": that is Intersect, which so never builds the rows it would
+/// drop. The verdict pass and its errors are the same either way; the
+/// one charge is for the rows actually built.
 Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
                                      const ExtendedRelation& right,
                                      const UnionOptions& options,
-                                     std::vector<uint8_t>* merged_tags) {
+                                     bool merged_only) {
   const SchemaPtr& schema = left.schema();
   const size_t n = left.size();
   const ColumnStore& left_store = left.columns();
@@ -534,7 +534,7 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
     uint32_t pair;  // kMerged: index into the pair lists
   };
   std::vector<OutRow> out_rows;
-  out_rows.reserve(n + right.size() - pairs);
+  out_rows.reserve(merged_only ? pairs : n + right.size() - pairs);
   std::vector<SupportPair> pair_membership(pairs);
   size_t pair_index = 0;
   QueryContext* const ctx = CurrentQueryContext();
@@ -543,7 +543,9 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
       EVIDENT_RETURN_NOT_OK(ctx->PollTick());
     }
     if (match[i] == kNoMatch) {
-      out_rows.push_back({RowSource::kLeft, static_cast<uint32_t>(i), 0});
+      if (!merged_only) {
+        out_rows.push_back({RowSource::kLeft, static_cast<uint32_t>(i), 0});
+      }
       continue;
     }
     const size_t local = pair_index % kParallelGrain;
@@ -650,7 +652,7 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
                         static_cast<uint32_t>(pair_index)});
     ++pair_index;
   }
-  {
+  if (!merged_only) {
     std::vector<uint8_t> matched_right(right.size(), 0);
     for (uint32_t j : pair_right) matched_right[j] = 1;
     for (size_t j = 0; j < right.size(); ++j) {
@@ -659,19 +661,12 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
       }
     }
   }
-  if (merged_tags != nullptr) {
-    merged_tags->clear();
-    merged_tags->reserve(out_rows.size());
-    for (const OutRow& row : out_rows) {
-      merged_tags->push_back(row.source == RowSource::kMerged ? 1 : 0);
-    }
-  }
 
   EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*schema, out_rows.size()));
 
   // Phase 4: build the output's column image.
   ColumnStore out = ColumnStore::EmptyLike(
-      schema, left.name() + " u " + right.name());
+      schema, left.name() + (merged_only ? " n " : " u ") + right.name());
   out.ReserveRows(out_rows.size());
   for (size_t a = 0; a < schema->size(); ++a) {
     const AttributeDef& attr = schema->attribute(a);
@@ -821,32 +816,17 @@ Result<ExtendedRelation> Union(const ExtendedRelation& left,
                                const ExtendedRelation& right,
                                const UnionOptions& options) {
   EVIDENT_RETURN_NOT_OK(CheckUnionCompatible(left, right));
-  return UnionTagged(left, right, options, /*merged_tags=*/nullptr);
+  return UnionTagged(left, right, options, /*merged_only=*/false);
 }
 
 Result<ExtendedRelation> Intersect(const ExtendedRelation& left,
                                    const ExtendedRelation& right,
                                    const UnionOptions& options) {
   EVIDENT_RETURN_NOT_OK(CheckUnionCompatible(left, right));
-  // The union's probe pass already resolved which rows are merged pairs,
-  // and "key in both sources" holds exactly for those: a left-retained
-  // row's key missed the right index and a right-retained row's key was
-  // never matched. Splice them out of the union's column image — no
-  // re-encoding, no row materialization.
-  std::vector<uint8_t> merged_tags;
-  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation merged,
-                           UnionTagged(left, right, options, &merged_tags));
-  const ColumnStore& store = merged.columns();
-  std::vector<uint32_t> keep;
-  std::vector<SupportPair> memberships;
-  for (size_t i = 0; i < merged_tags.size(); ++i) {
-    if (!merged_tags[i]) continue;
-    keep.push_back(static_cast<uint32_t>(i));
-    memberships.push_back(store.membership(i));
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*merged.schema(), keep.size()));
-  return ExtendedRelation::AdoptColumns(SpliceKeptRows(
-      store, left.name() + " n " + right.name(), keep, memberships));
+  // "Key in both sources" holds exactly for the union's merged pairs, so
+  // the intersection is the union pass with the single-source rows left
+  // out.
+  return UnionTagged(left, right, options, /*merged_only=*/true);
 }
 
 Result<ExtendedRelation> UnionAll(const std::vector<ExtendedRelation>& sources,

@@ -152,10 +152,10 @@ Result<ExtendedRelation> Union(const ExtendedRelation& left,
 /// paper*: like the extended union but keeping only entities present in
 /// both sources (inner merge). Useful when the integrator only trusts
 /// corroborated entities. Matched tuples are combined exactly as in
-/// Union; unmatched tuples are dropped. The kept rows (exactly the
-/// union's merged pairs, known from the keys the union pass already
-/// encoded and probed) are spliced straight out of the union's column
-/// image — no re-encoding, no row materialization.
+/// Union; unmatched tuples are dropped. It runs the union's own pass
+/// with the single-source rows left out, so the output (named "L n R",
+/// merged rows in left-row order) is the only image built, and a
+/// governed query is charged for it once.
 Result<ExtendedRelation> Intersect(const ExtendedRelation& left,
                                    const ExtendedRelation& right,
                                    const UnionOptions& options =

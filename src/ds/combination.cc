@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 
 #include "common/math_util.h"
 #include "ds/combination_internal.h"
@@ -17,9 +19,11 @@ KernelScratch& Scratch() {
   return scratch;
 }
 
-void SortAndMergeWords(std::vector<std::pair<uint64_t, double>>* words) {
-  std::sort(words->begin(), words->end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+namespace {
+
+/// Folds runs of equal words in a word-sorted term list, summing each
+/// run front to back.
+void MergeAdjacentWords(std::vector<std::pair<uint64_t, double>>* words) {
   size_t out = 0;
   for (size_t i = 0; i < words->size();) {
     size_t j = i + 1;
@@ -34,6 +38,73 @@ void SortAndMergeWords(std::vector<std::pair<uint64_t, double>>* words) {
     i = j;
   }
   words->resize(out);
+}
+
+/// The pairwise merge for frames wider than kFmtMaxUniverse values.
+double PairwiseWideSpans(const InlineSpan& a, const InlineSpan& b,
+                         KernelScratch& s) {
+  // Terms of a zero product are skipped and conflicts go to kappa. Small
+  // products are merged by an insertion sort of the raw term list, which
+  // keeps equal words in generation order; large ones accumulate through
+  // the flat hash so the merge is O(terms).
+  auto& words = s.words;
+  words.clear();
+  double kappa = 0.0;
+  const size_t terms = a.size * b.size;
+  if (terms <= kHashMergeMinTerms) {
+    for (size_t i = 0; i < a.size; ++i) {
+      const uint64_t xw = a.words[i];
+      const double mx = a.masses[i];
+      for (size_t j = 0; j < b.size; ++j) {
+        const double product = mx * b.masses[j];
+        if (product == 0.0) continue;
+        const uint64_t zw = xw & b.words[j];
+        if (zw == 0) {
+          kappa += product;
+        } else {
+          words.emplace_back(zw, product);
+        }
+      }
+    }
+    for (size_t i = 1; i < words.size(); ++i) {
+      const auto term = words[i];
+      size_t k = i;
+      for (; k > 0 && words[k - 1].first > term.first; --k) {
+        words[k] = words[k - 1];
+      }
+      words[k] = term;
+    }
+    MergeAdjacentWords(&words);
+    return kappa;
+  }
+  auto& accumulator = s.accumulator;
+  accumulator.Reset(terms);
+  for (size_t i = 0; i < a.size; ++i) {
+    const uint64_t xw = a.words[i];
+    const double mx = a.masses[i];
+    for (size_t j = 0; j < b.size; ++j) {
+      const double product = mx * b.masses[j];
+      if (product == 0.0) continue;
+      const uint64_t zw = xw & b.words[j];
+      if (zw == 0) {
+        kappa += product;
+      } else {
+        accumulator.Add(zw, product);
+      }
+    }
+  }
+  accumulator.Drain(&words);
+  std::sort(words.begin(), words.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  return kappa;
+}
+
+}  // namespace
+
+void SortAndMergeWords(std::vector<std::pair<uint64_t, double>>* words) {
+  std::sort(words->begin(), words->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  MergeAdjacentWords(words);
 }
 
 void ZetaSuperset(double* q, size_t universe) {
@@ -62,52 +133,41 @@ bool FmtProfitable(size_t universe, size_t pairwise_terms) {
   return 16 * static_cast<uint64_t>(pairwise_terms) > dense_ops;
 }
 
-double PairwiseInlineSpans(const InlineSpan& a, const InlineSpan& b,
-                           KernelScratch& s) {
-  double kappa = 0.0;
-  // Word-at-a-time fast path: every focal element is one machine word
-  // and every intersection one AND. Small products merge duplicates by
-  // sorting the raw term list; large ones accumulate through the flat
-  // hash so the merge is O(terms), not O(terms·log terms).
-  const size_t terms = a.size * b.size;
+double PairwiseInlineSpans(size_t universe, const InlineSpan& a,
+                           const InlineSpan& b, KernelScratch& s) {
+  if (universe > kFmtMaxUniverse) return PairwiseWideSpans(a, b, s);
   auto& words = s.words;
   words.clear();
-  if (terms <= kHashMergeMinTerms) {
-    for (size_t i = 0; i < a.size; ++i) {
-      const uint64_t xw = a.words[i];
-      const double mx = a.masses[i];
-      for (size_t j = 0; j < b.size; ++j) {
-        const double product = mx * b.masses[j];
-        if (product == 0.0) continue;
-        const uint64_t zw = xw & b.words[j];
-        if (zw == 0) {
-          kappa += product;
-        } else {
-          words.emplace_back(zw, product);
-        }
+  // Lattice merge: every term — conflicts included, at word 0 — adds
+  // into its word's slot and marks the word in the touched bitmap, with
+  // no branch per term. Scanning the bitmap yields the touched words in
+  // ascending order, so nothing is sorted; the scan clears as it reads.
+  LatticeAccumulator& lat = s.lattice_terms;
+  double* const acc = lat.acc.data();
+  for (size_t i = 0; i < a.size; ++i) {
+    const uint64_t xw = a.words[i];
+    const double mx = a.masses[i];
+    for (size_t j = 0; j < b.size; ++j) {
+      const uint64_t zw = xw & b.words[j];
+      acc[zw] += mx * b.masses[j];
+      lat.touched[zw >> 6] |= uint64_t{1} << (zw & 63);
+      lat.top[zw >> 12] |= uint64_t{1} << ((zw >> 6) & 63);
+    }
+  }
+  const double kappa = acc[0];
+  for (size_t t = 0; t < std::size(lat.top); ++t) {
+    for (uint64_t top = std::exchange(lat.top[t], 0); top != 0;
+         top &= top - 1) {
+      const size_t k = t * 64 + std::countr_zero(top);
+      for (uint64_t bits = std::exchange(lat.touched[k], 0); bits != 0;
+           bits &= bits - 1) {
+        const uint64_t w = k * 64 + std::countr_zero(bits);
+        const double mass = std::exchange(acc[w], 0.0);
+        // A word whose products all underflowed to 0.0 is no focal
+        // element.
+        if (w != 0 && mass != 0.0) words.emplace_back(w, mass);
       }
     }
-    SortAndMergeWords(&words);
-  } else {
-    auto& accumulator = s.accumulator;
-    accumulator.Reset(terms);
-    for (size_t i = 0; i < a.size; ++i) {
-      const uint64_t xw = a.words[i];
-      const double mx = a.masses[i];
-      for (size_t j = 0; j < b.size; ++j) {
-        const double product = mx * b.masses[j];
-        if (product == 0.0) continue;
-        const uint64_t zw = xw & b.words[j];
-        if (zw == 0) {
-          kappa += product;
-        } else {
-          accumulator.Add(zw, product);
-        }
-      }
-    }
-    accumulator.Drain(&words);
-    std::sort(words.begin(), words.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
   }
   return kappa;
 }
@@ -217,7 +277,7 @@ double ConjunctiveProductPairwise(const MassFunction& m1,
     // bitwise.
     const InlineSpan a = GatherSpan(m1, &s.gather_words_a, &s.gather_masses_a);
     const InlineSpan b = GatherSpan(m2, &s.gather_words_b, &s.gather_masses_b);
-    kappa = ds_internal::PairwiseInlineSpans(a, b, s);
+    kappa = ds_internal::PairwiseInlineSpans(universe, a, b, s);
     out->AssignSortedInlineWords(s.words);
     return kappa;
   }

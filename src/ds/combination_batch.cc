@@ -297,7 +297,7 @@ void CombineColumnBatch(size_t universe, CombinationRule rule,
       }
       kappa = sidecar.kappa[slot];
     } else {
-      kappa = ds_internal::PairwiseInlineSpans(sa, sb, s);
+      kappa = ds_internal::PairwiseInlineSpans(universe, sa, sb, s);
     }
     if (FinishEvidenceRule(rule, universe, kappa, &s.words)) {
       AppendResult(s.words, out);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "ds/combination.h"
 #include "ds/mass_function.h"
 #include "ds/value_set.h"
 
@@ -35,9 +36,10 @@ struct InlineSpan {
 
 /// Open-addressing accumulator keyed by inline ValueSet words; the flat
 /// replacement for an unordered_map<ValueSet, double> in the pairwise
-/// kernel when the number of product terms is large. Word 0 (the empty
-/// set) never enters the table — empty intersections are the conflict
-/// mass — so it doubles as the free-slot sentinel.
+/// kernel over frames too wide for the lattice accumulator, when the
+/// number of product terms is large. Word 0 (the empty set) never enters
+/// the table — empty intersections are the conflict mass — so it doubles
+/// as the free-slot sentinel.
 class WordAccumulator {
  public:
   void Reset(size_t expected_terms) {
@@ -109,13 +111,28 @@ class WordAccumulator {
   size_t count_ = 0;
 };
 
+/// Dense accumulator the pairwise kernel merges product terms into for
+/// frames of at most kFmtMaxUniverse values: one slot per subset word,
+/// plus a two-level touched bitmap (bit w of `touched` marks slot w, bit
+/// k of `top` marks a non-zero `touched[k]`). Every slot and bit is zero
+/// between calls: the ascending bitmap scan that reads the result clears
+/// what it visits.
+struct LatticeAccumulator {
+  static constexpr size_t kSlots = size_t{1} << kFmtMaxUniverse;
+  std::vector<double> acc = std::vector<double>(kSlots, 0.0);
+  uint64_t touched[kSlots / 64] = {};
+  uint64_t top[kSlots / 64 / 64] = {};
+};
+
 /// Buffers reused across combinations on the same thread, so per-tuple
 /// (and per-batch) combination in the relational operators does not
-/// allocate once the buffers have warmed up.
+/// allocate once the buffers have warmed up. Each thread has its own
+/// (Scratch() is thread-local), so morsel workers never share one.
 struct KernelScratch {
   MassFunction::FocalVector entries;  // multi-word product terms
   std::vector<std::pair<uint64_t, double>> words;  // inline product terms
-  WordAccumulator accumulator;        // inline terms, hash-merged
+  LatticeAccumulator lattice_terms;   // inline terms, frames <= 14 values
+  WordAccumulator accumulator;        // inline terms, wider frames
   std::unordered_map<ValueSet, double, ValueSetHash>
       set_accumulator;                // multi-word terms, hash-merged
   std::vector<double> lattice;        // dense 2^n accumulator (commonality)
@@ -132,9 +149,10 @@ struct KernelScratch {
 
 KernelScratch& Scratch();
 
-/// Above this many product terms, merging through the flat hash beats
-/// sorting the raw term list.
-inline constexpr size_t kHashMergeMinTerms = 512;
+/// Frames wider than kFmtMaxUniverse values merge products of up to
+/// this many terms by an insertion sort of the raw term list, and larger
+/// ones through the flat hash.
+inline constexpr size_t kHashMergeMinTerms = 16;
 
 /// Sorts raw (word, mass) terms and folds duplicate words in place.
 void SortAndMergeWords(std::vector<std::pair<uint64_t, double>>* words);
@@ -150,17 +168,25 @@ void MoebiusSuperset(double* q, size_t universe);
 /// True when the dense fast-Möbius kernel is expected to beat the
 /// pairwise kernel: the frame must fit the lattice and the pairwise
 /// focal-product work must exceed the (3n+2)·2^n transform work. The
-/// constant 16 weighs a pairwise term (two loads, a multiply, an AND, a
-/// branchy merge insert) against a transform add.
+/// constant 16 weighs a pairwise term (two loads, a multiply, an AND and
+/// a scatter-add into the lattice accumulator) against a transform add.
+/// It was fitted when the merge was a branchy sort insert and is kept
+/// unchanged on purpose: every pair keeps its backend, so fast-Möbius
+/// results stay bit-identical.
 bool FmtProfitable(size_t universe, size_t pairwise_terms);
 
-/// Pairwise conjunctive product of two inline spans. The merged result —
-/// sorted by word, unique, free of zero words — is left in `s.words`;
-/// the return value is kappa, the mass on empty intersections. Small
-/// products merge duplicates by sorting the raw term list; large ones
-/// accumulate through the flat hash so the merge is O(terms).
-double PairwiseInlineSpans(const InlineSpan& a, const InlineSpan& b,
-                           KernelScratch& s);
+/// Pairwise conjunctive product of two inline spans over a frame of
+/// `universe` values. The merged result — sorted by word, unique, free
+/// of zero words and of zero masses — is left in `s.words`; the return
+/// value is kappa, the mass on empty intersections. Terms are generated
+/// i-major, j-minor, and the products landing on one word (kappa's
+/// included) are summed in exactly that order on every path, so the
+/// result does not depend on how the merge is done. Frames of at most
+/// kFmtMaxUniverse values merge branch-free through the lattice
+/// accumulator; wider ones by insertion sort (small products) or the
+/// flat hash.
+double PairwiseInlineSpans(size_t universe, const InlineSpan& a,
+                           const InlineSpan& b, KernelScratch& s);
 
 /// Fast-Möbius conjunctive product of two inline spans over a frame of
 /// `universe` <= kFmtMaxUniverse values: masses → commonalities (zeta),

@@ -2,6 +2,10 @@
 // the deterministic RNG, domains, and raw tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/domain.h"
 #include "common/math_util.h"
 #include "common/result.h"
@@ -113,6 +117,36 @@ TEST(StrUtilTest, EditDistance) {
   EXPECT_EQ(EditDistance("abc", ""), 3u);
   EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
   EXPECT_EQ(EditDistance("wok", "wok"), 0u);
+}
+
+TEST(StrUtilTest, EditDistanceMatchesTheFullMatrix) {
+  // The one-row DP (reused across calls) against the textbook
+  // (n+1) x (m+1) matrix, over random strings of varying lengths so a
+  // long call is followed by shorter ones.
+  auto full_matrix = [](const std::string& a, const std::string& b) {
+    std::vector<std::vector<size_t>> d(a.size() + 1,
+                                       std::vector<size_t>(b.size() + 1));
+    for (size_t i = 0; i <= a.size(); ++i) d[i][0] = i;
+    for (size_t j = 0; j <= b.size(); ++j) d[0][j] = j;
+    for (size_t i = 1; i <= a.size(); ++i) {
+      for (size_t j = 1; j <= b.size(); ++j) {
+        d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                            d[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      }
+    }
+    return d[a.size()][b.size()];
+  };
+  Rng rng(77);
+  auto random_string = [&rng]() {
+    std::string s(rng.Below(24), 'a');
+    for (char& c : s) c = static_cast<char>('a' + rng.Below(4));
+    return s;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::string a = random_string();
+    const std::string b = random_string();
+    EXPECT_EQ(EditDistance(a, b), full_matrix(a, b)) << a << " vs " << b;
+  }
 }
 
 TEST(StrUtilTest, StringSimilarity) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/domain.h"
@@ -297,6 +298,74 @@ TEST(GovernorTest, FusedProbeChargesEvenWhenTheBuildSideIsEmpty) {
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), StatusCode::kExecError);
     EXPECT_NE(got.status().message().find("requested 7488 bytes"),
+              std::string::npos)
+        << got.status();
+  }
+}
+
+/// Two union-compatible sources: S0 holds keys [0, 96), S1 keys
+/// [48, 144), so 48 entities are shared, with identical evidence on both
+/// sides (no conflict to resolve).
+std::pair<ExtendedRelation, ExtendedRelation> OverlappingSources() {
+  DomainPtr dom =
+      Domain::MakeSymbolic("ov_dom", {"a0", "a1", "a2", "a3"}).value();
+  SchemaPtr schema = RelationSchema::Make({AttributeDef::Key("k"),
+                                           AttributeDef::Definite("d"),
+                                           AttributeDef::Uncertain("u", dom)})
+                         .value();
+  auto fill = [&](const std::string& name, int64_t from, int64_t to) {
+    ExtendedRelation rel(name, schema);
+    for (int64_t i = from; i < to; ++i) {
+      ExtendedTuple t;
+      t.cells = {Value(i), Value(i % 8),
+                 Singleton(dom, static_cast<size_t>(i % 4))};
+      t.membership =
+          i % 3 == 0 ? SupportPair{0.5, 0.9} : SupportPair::Certain();
+      EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    }
+    return rel;
+  };
+  return {fill("S0", 0, 96), fill("S1", 48, 144)};
+}
+
+TEST(GovernorTest, IntersectChargesOnlyItsOutputOnce) {
+  ModeGuard guard;
+  const auto [left, right] = OverlappingSources();
+  const uint64_t per_row = QueryContext::FootprintPerRow(*left.schema());
+  const uint64_t output_bytes = 48 * per_row;
+  const uint64_t union_bytes = 144 * per_row;
+  for (const Mode& mode : AllModes()) {
+    SetBatchSimdEnabled(mode.simd);
+    SetParallelMaxThreads(mode.threads);
+    QueryContext ctx;
+    ScopedQueryContext scope(&ctx);
+    ctx.BeginQuery();
+    auto got = Intersect(left, right);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->size(), 48u);
+    EXPECT_EQ(ctx.rows_charged(), got->size());
+    EXPECT_EQ(ctx.bytes_charged(), got->size() * per_row);
+  }
+  // The union of the two sources is never built, so a budget between
+  // the output alone and union + output suffices...
+  {
+    QueryContext ctx;
+    ctx.set_memory_budget(output_bytes + union_bytes / 2);
+    ScopedQueryContext scope(&ctx);
+    ctx.BeginQuery();
+    auto got = Intersect(left, right);
+    EXPECT_TRUE(got.ok()) << got.status();
+  }
+  // ... and one byte less than the output does not.
+  {
+    QueryContext ctx;
+    ctx.set_memory_budget(output_bytes - 1);
+    ScopedQueryContext scope(&ctx);
+    ctx.BeginQuery();
+    auto got = Intersect(left, right);
+    ASSERT_FALSE(got.ok());
+    EXPECT_NE(got.status().message().find(
+                  "requested " + std::to_string(output_bytes) + " bytes"),
               std::string::npos)
         << got.status();
   }

@@ -7,16 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "core/column_store.h"
 #include "core/operations.h"
 #include "core/parallel.h"
 #include "ds/combination.h"
+#include "ds/combination_internal.h"
 #include "integration/tuple_merger.h"
 #include "reference/reference.h"
 #include "workload/generator.h"
@@ -614,6 +619,203 @@ TEST(ColumnarDifferentialTest, BatchCombineMatchesRowKernelExactly) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Generation-order oracle: the pairwise kernel sums the products landing
+// on one word (kappa's included) in generation order, i-major over the
+// left focal elements and j-minor over the right ones, whichever merge
+// it uses. A naive std::map accumulator fed in that order must therefore
+// match it bit for bit, through the row store and the batch kernel.
+
+/// Dempster's rule the naive way. Returns false on total conflict.
+bool OracleDempster(const MassFunction& a, const MassFunction& b,
+                    double* kappa, std::map<uint64_t, double>* terms) {
+  *kappa = 0.0;
+  terms->clear();
+  for (const auto& [x, mx] : a.focals()) {
+    for (const auto& [y, my] : b.focals()) {
+      const double product = mx * my;
+      if (product == 0.0) continue;
+      const uint64_t z = x.InlineWord() & y.InlineWord();
+      if (z == 0) {
+        *kappa += product;
+      } else {
+        (*terms)[z] += product;
+      }
+    }
+  }
+  if (*kappa >= 1.0 - kMassEpsilon) return false;
+  double total = 0.0;
+  for (const auto& [word, mass] : *terms) total += mass;
+  if (total <= kMassEpsilon) return false;
+  for (auto& [word, mass] : *terms) mass /= total;
+  return true;
+}
+
+uint64_t FrameMask(size_t universe) {
+  return universe >= 64 ? ~uint64_t{0} : (uint64_t{1} << universe) - 1;
+}
+
+/// A mass function on `count` distinct non-empty focal words drawn
+/// inside `mask`, or nullopt when the mask cannot hold that many.
+std::optional<MassFunction> DistinctWordMass(Rng* rng, size_t universe,
+                                             uint64_t mask, size_t count) {
+  const int bits = std::popcount(mask);
+  if (bits < 20 && count > (size_t{1} << bits) - 1) return std::nullopt;
+  std::set<uint64_t> words;
+  while (words.size() < count) {
+    const uint64_t w = rng->Next() & mask;
+    if (w != 0) words.insert(w);
+  }
+  std::vector<double> weights(count);
+  double total = 0.0;
+  for (double& w : weights) {
+    w = 0.05 + rng->NextDouble();
+    total += w;
+  }
+  MassFunction m(universe);
+  size_t f = 0;
+  for (uint64_t w : words) {
+    EXPECT_TRUE(m.Add(ValueSet::FromWord(universe, w), weights[f++] / total)
+                    .ok());
+  }
+  return m;
+}
+
+TEST(KernelDifferentialTest, PairwiseKernelSumsInGenerationOrder) {
+  Rng rng(1717);
+  // Focal counts whose products are 1, 16, 17, 512 and 513 terms: the
+  // old merge switched from insertion sort to introsort above 16 terms
+  // and from sorting to hashing above 512.
+  const std::pair<size_t, size_t> shapes[] = {
+      {1, 1}, {4, 4}, {16, 1}, {17, 1}, {1, 17}, {32, 16}, {16, 32},
+      {27, 19}, {19, 27}};
+  std::vector<size_t> universes;
+  for (size_t u = 1; u <= 20; ++u) universes.push_back(u);
+  for (size_t u : {24, 31, 32, 33, 48, 63, 64}) universes.push_back(u);
+
+  size_t cases = 0, conflicts = 0;
+  for (const size_t universe : universes) {
+    const uint64_t full = FrameMask(universe);
+    // Duplicate-heavy operands: the right side lives in the low bits
+    // only, so the products collapse onto few words (and onto kappa).
+    const uint64_t low = FrameMask(std::min<size_t>(universe, 5));
+    // Total conflict: the two sides live in disjoint halves.
+    const uint64_t half = FrameMask(universe / 2);
+    std::vector<std::pair<MassFunction, MassFunction>> pairs;
+    for (const auto& [fa, fb] : shapes) {
+      for (int mode = 0; mode < 3; ++mode) {
+        if (mode == 2 && universe < 2) continue;
+        const uint64_t left_mask = mode == 2 ? full & ~half : full;
+        const uint64_t right_mask =
+            mode == 0 ? full : (mode == 1 ? low : half);
+        std::optional<MassFunction> a =
+            DistinctWordMass(&rng, universe, left_mask, fa);
+        std::optional<MassFunction> b =
+            DistinctWordMass(&rng, universe, right_mask, fb);
+        if (a && b) pairs.emplace_back(std::move(*a), std::move(*b));
+      }
+    }
+    // Products that underflow to 0.0 are skipped: {0,1} is reached only
+    // by the 1e-200 · 1e-200 term and must not become a focal element.
+    if (universe >= 3) {
+      MassFunction a(universe), b(universe);
+      ASSERT_TRUE(a.Add(ValueSet::FromWord(universe, 0b011), 1e-200).ok());
+      ASSERT_TRUE(a.Add(ValueSet::FromWord(universe, 0b100), 1.0).ok());
+      ASSERT_TRUE(b.Add(ValueSet::FromWord(universe, 0b011), 1e-200).ok());
+      ASSERT_TRUE(b.Add(ValueSet::FromWord(universe, 0b110), 1.0).ok());
+      double kappa = 0.0;
+      std::map<uint64_t, double> terms;
+      ASSERT_TRUE(OracleDempster(a, b, &kappa, &terms));
+      ASSERT_EQ(terms.count(0b011), 0u);
+      pairs.emplace_back(std::move(a), std::move(b));
+    }
+
+    DomainPtr domain =
+        Domain::MakeIntRange("frame", 0, static_cast<int64_t>(universe) - 1)
+            .value();
+    std::vector<MassFunction> lhs, rhs;
+    std::vector<bool> oracle_ok;
+    std::vector<std::map<uint64_t, double>> oracle_terms;
+    for (const auto& [a, b] : pairs) {
+      ++cases;
+      const std::string where = "universe " + std::to_string(universe) +
+                                " terms " +
+                                std::to_string(a.FocalCount() * b.FocalCount());
+      double kappa = 0.0;
+      std::map<uint64_t, double> terms;
+      const bool ok = OracleDempster(a, b, &kappa, &terms);
+      conflicts += ok ? 0 : 1;
+
+      // The row store, forced pairwise.
+      double kernel_kappa = -1.0;
+      auto combined = Combine(a, b, CombinationRule::kDempster,
+                              &kernel_kappa, CombineBackend::kPairwise);
+      EXPECT_EQ(kernel_kappa, kappa) << where;
+      ASSERT_EQ(combined.ok(), ok) << where;
+      if (ok) {
+        ASSERT_EQ(combined->FocalCount(), terms.size()) << where;
+        size_t f = 0;
+        for (const auto& [word, mass] : terms) {
+          EXPECT_EQ(combined->focals()[f].first.InlineWord(), word) << where;
+          EXPECT_EQ(combined->focals()[f].second, mass) << where;
+          ++f;
+        }
+      }
+      // The evidence-facing entry point, where the cost model keeps the
+      // pair on the pairwise kernel.
+      if (!ds_internal::FmtProfitable(universe,
+                                      a.FocalCount() * b.FocalCount())) {
+        auto evidence = CombineEvidence(EvidenceSet::MakeTrusted(domain, a),
+                                        EvidenceSet::MakeTrusted(domain, b));
+        ASSERT_EQ(evidence.ok(), ok) << where;
+        if (ok) {
+          EXPECT_EQ(evidence->mass().focals(), combined->focals()) << where;
+        }
+      }
+      lhs.push_back(a);
+      rhs.push_back(b);
+      oracle_ok.push_back(ok);
+      oracle_terms.push_back(std::move(terms));
+    }
+
+    // The batch kernel over the same pairs.
+    std::vector<uint64_t> lw, rw;
+    std::vector<double> lm, rm;
+    std::vector<uint32_t> lo, ro;
+    PackColumn(lhs, &lw, &lm, &lo);
+    PackColumn(rhs, &rw, &rm, &ro);
+    const FocalSpanColumn lcol{lw.data(), lm.data(), lo.data()};
+    const FocalSpanColumn rcol{rw.data(), rm.data(), ro.data()};
+    BatchCombineResult batch;
+    CombineColumnBatch(universe, CombinationRule::kDempster, lcol, nullptr,
+                       rcol, nullptr, lhs.size(), &batch);
+    ASSERT_EQ(batch.offsets.size(), lhs.size() + 1);
+    for (size_t i = 0; i < lhs.size(); ++i) {
+      if (ds_internal::FmtProfitable(
+              universe, lhs[i].FocalCount() * rhs[i].FocalCount())) {
+        continue;
+      }
+      const std::string where =
+          "universe " + std::to_string(universe) + " pair " +
+          std::to_string(i);
+      ASSERT_EQ(batch.total_conflict[i] == 0, oracle_ok[i]) << where;
+      if (!oracle_ok[i]) continue;
+      ASSERT_EQ(batch.offsets[i + 1] - batch.offsets[i],
+                oracle_terms[i].size())
+          << where;
+      size_t k = batch.offsets[i];
+      for (const auto& [word, mass] : oracle_terms[i]) {
+        EXPECT_EQ(batch.words[k], word) << where;
+        EXPECT_EQ(batch.masses[k], mass) << where;
+        ++k;
+      }
+    }
+  }
+  // The generator really reached every regime.
+  EXPECT_GT(cases, 400u);
+  EXPECT_GT(conflicts, 20u);
 }
 
 TEST(ColumnarDifferentialTest, SimdLatticeMatchesScalarWithinBound) {

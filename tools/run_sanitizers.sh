@@ -22,7 +22,8 @@
 #                   --gtest_repeat=20, since a race shows up only on some
 #                   interleavings (the shared filter pass runs every
 #                   filtered scan and fused join probe on morsel
-#                   workers).
+#                   workers, and the union/intersect batch combine runs
+#                   the kernel's per-thread lattice accumulator there).
 #   all:            both, sequentially.
 #
 # Usage:
