@@ -7,78 +7,6 @@
 
 namespace evident {
 
-ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
-  ColumnStore store;
-  store.schema_ = rel.schema();
-  store.name_ = rel.name();
-  const size_t rows = rel.size();
-  const size_t attrs = store.schema_ != nullptr ? store.schema_->size() : 0;
-  store.kinds_.resize(attrs);
-  store.slots_.resize(attrs);
-
-  for (size_t a = 0; a < attrs; ++a) {
-    const AttributeDef& attr = store.schema_->attribute(a);
-    if (attr.kind != AttributeKind::kUncertain) {
-      store.kinds_[a] = ColumnKind::kValue;
-      store.slots_[a] = static_cast<uint32_t>(store.value_columns_.size());
-      ValueColumn col;
-      col.values.reserve(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        col.values.push_back(std::get<Value>(rel.row(r).cells[a]));
-      }
-      store.value_columns_.push_back(std::move(col));
-      continue;
-    }
-    if (attr.domain->size() > ValueSet::kMaxInlineUniverse) {
-      store.kinds_[a] = ColumnKind::kBoxed;
-      store.slots_[a] = static_cast<uint32_t>(store.boxed_columns_.size());
-      BoxedColumn col;
-      col.sets.reserve(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        col.sets.push_back(std::get<EvidenceSet>(rel.row(r).cells[a]));
-      }
-      store.boxed_columns_.push_back(std::move(col));
-      continue;
-    }
-    store.kinds_[a] = ColumnKind::kEvidence;
-    store.slots_[a] = static_cast<uint32_t>(store.evidence_columns_.size());
-    EvidenceColumn col;
-    col.domain = attr.domain;
-    col.universe = attr.domain->size();
-    size_t total_focals = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      total_focals +=
-          std::get<EvidenceSet>(rel.row(r).cells[a]).mass().FocalCount();
-    }
-    // Spans are addressed with 32-bit offsets; a column with 2^32 focal
-    // elements (> 64 GiB packed) exhausts memory long before this, so
-    // the limit fails loudly instead of wrapping offsets silently.
-    if (total_focals > std::numeric_limits<uint32_t>::max()) std::abort();
-    col.words.reserve(total_focals);
-    col.masses.reserve(total_focals);
-    col.offsets.reserve(rows + 1);
-    col.offsets.push_back(0);
-    for (size_t r = 0; r < rows; ++r) {
-      const MassFunction& mass =
-          std::get<EvidenceSet>(rel.row(r).cells[a]).mass();
-      for (const auto& [set, m] : mass.focals()) {
-        col.words.push_back(set.InlineWord());
-        col.masses.push_back(m);
-      }
-      col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
-    }
-    store.evidence_columns_.push_back(std::move(col));
-  }
-
-  store.sn_.reserve(rows);
-  store.sp_.reserve(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    store.sn_.push_back(rel.row(r).membership.sn);
-    store.sp_.push_back(rel.row(r).membership.sp);
-  }
-  return store;
-}
-
 ColumnStore ColumnStore::EmptyLike(SchemaPtr schema, std::string name) {
   ColumnStore store;
   store.schema_ = std::move(schema);
@@ -121,10 +49,12 @@ ColumnStore ColumnStore::WithSchema(const ColumnStore& src, SchemaPtr schema,
   store.boxed_columns_ = src.boxed_columns_;
   store.sn_ = src.sn_;
   store.sp_ = src.sp_;
-  // A schema relabel keeps the column data, so the profile, the
-  // partition zones and any pending deferred verification carry over
-  // (the verifier reads the store it is handed, and the relabeled
+  // A schema relabel keeps the column data, so the keys, the profile,
+  // the partition zones and any pending deferred verification carry
+  // over (the verifier reads the store it is handed, and the relabeled
   // columns are bit-identical).
+  store.encoded_keys_ = src.encoded_keys_;
+  store.key_index_ = src.key_index_;
   store.statistics_ = src.statistics_;
   store.partitions_ = src.partitions_;
   store.deferred_ = src.deferred_;
@@ -205,24 +135,99 @@ void ColumnStore::EncodeKeyOfRow(size_t row, std::string* out) const {
   }
 }
 
-ColumnStore::EncodedKeys ColumnStore::BuildEncodedKeys() const {
+EncodedKeys ColumnStore::BuildEncodedKeys() const {
   const size_t n = rows();
   EncodedKeys keys;
   keys.offsets.reserve(n + 1);
-  keys.offsets.push_back(0);
   for (size_t r = 0; r < n; ++r) {
     for (size_t a : schema_->key_indices()) {
       value_columns_[slots_[a]].values[r].AppendCanonicalKey(&keys.arena);
     }
-    // The arena is offset-addressed with 32 bits, like the key index's;
-    // a 4 GiB key arena exhausts memory long before this, so the limit
-    // fails loudly instead of wrapping offsets silently.
+    // The arena is offset-addressed with 32 bits (see
+    // EncodedKeys::Append).
     if (keys.arena.size() > std::numeric_limits<uint32_t>::max()) {
       std::abort();
     }
     keys.offsets.push_back(static_cast<uint32_t>(keys.arena.size()));
   }
   return keys;
+}
+
+EncodedKeyIndex ColumnStore::BuildKeyIndex() const {
+  const EncodedKeys& keys = encoded_keys();
+  EncodedKeyIndex index;
+  index.Reserve(keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) index.Insert(keys, keys.key(r));
+  return index;
+}
+
+void ColumnStore::ReserveRows(size_t n) {
+  for (ValueColumn& col : value_columns_) col.values.reserve(n);
+  for (EvidenceColumn& col : evidence_columns_) col.offsets.reserve(n + 1);
+  for (BoxedColumn& col : boxed_columns_) col.sets.reserve(n);
+  sn_.reserve(n);
+  sp_.reserve(n);
+}
+
+void ColumnStore::ReserveKeys(size_t n) {
+  (void)key_index();
+  EncodedKeys& keys = encoded_keys_.Mutable();
+  keys.arena.reserve(keys.arena.size() + n * 12);
+  keys.offsets.reserve(keys.offsets.size() + n);
+  key_index_.Mutable().Reserve(n);
+}
+
+void ColumnStore::AppendCell(size_t attr, Cell* cell) {
+  switch (kinds_[attr]) {
+    case ColumnKind::kValue:
+      value_column_mut(attr).values.push_back(
+          std::move(std::get<Value>(*cell)));
+      break;
+    case ColumnKind::kEvidence: {
+      EvidenceColumn& col = evidence_column_mut(attr);
+      for (const auto& [set, m] : std::get<EvidenceSet>(*cell).mass().focals()) {
+        col.words.push_back(set.InlineWord());
+        col.masses.push_back(m);
+      }
+      // Spans are addressed with 32-bit offsets; a column with 2^32
+      // focal elements (> 64 GiB packed) exhausts memory long before
+      // this, so the limit fails loudly instead of wrapping silently.
+      if (col.words.size() > std::numeric_limits<uint32_t>::max()) {
+        std::abort();
+      }
+      col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
+      break;
+    }
+    case ColumnKind::kBoxed:
+      boxed_column_mut(attr).sets.push_back(
+          std::move(std::get<EvidenceSet>(*cell)));
+      break;
+  }
+}
+
+Status ColumnStore::AppendRow(std::vector<Cell>* cells,
+                              SupportPair membership,
+                              const std::string& relation_name) {
+  thread_local std::string key;
+  key.clear();
+  for (size_t k : schema_->key_indices()) {
+    std::get<Value>((*cells)[k]).AppendCanonicalKey(&key);
+  }
+  (void)key_index();  // the first append builds the arena and index
+  EncodedKeys& keys = encoded_keys_.Mutable();
+  if (key_index_.Mutable().Insert(keys, key) != EncodedKeyIndex::kNoRow) {
+    KeyVector key_values;
+    for (size_t k : schema_->key_indices()) {
+      key_values.push_back(std::get<Value>((*cells)[k]));
+    }
+    return MakeDuplicateKeyError(key_values, relation_name);
+  }
+  keys.Append(key);
+  for (size_t a = 0; a < kinds_.size(); ++a) AppendCell(a, &(*cells)[a]);
+  AppendMembership(membership);
+  if (!partitions_.empty()) partitions_.clear();
+  if (statistics_.built()) statistics_.Reset();
+  return Status::OK();
 }
 
 TableStatistics ColumnStore::BuildStatistics() const {
@@ -321,16 +326,6 @@ EvidenceSet ColumnStore::MaterializeEvidence(size_t attr, size_t row) const {
                                col.masses.data() + begin,
                                col.offsets[row + 1] - begin);
   return EvidenceSet::MakeTrusted(col.domain, std::move(mass));
-}
-
-Result<ExtendedRelation> ColumnStore::ToRelation() const {
-  ExtendedRelation out(name_, schema_);
-  const size_t n = rows();
-  out.Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(MaterializeRow(r)));
-  }
-  return out;
 }
 
 }  // namespace evident

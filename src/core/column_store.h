@@ -13,6 +13,7 @@
 #include "common/result.h"
 #include "core/column_span.h"
 #include "core/extended_relation.h"
+#include "core/key_index.h"
 #include "core/lazy_once.h"
 #include "core/schema.h"
 #include "core/support_pair.h"
@@ -47,9 +48,9 @@ struct TableStatistics {
   }
 };
 
-/// \brief The column-major storage mode of an extended relation: one
-/// column per schema attribute plus the membership support pairs as
-/// parallel sn/sp arrays.
+/// \brief The in-memory representation of an extended relation: one
+/// column per schema attribute, the membership support pairs as parallel
+/// sn/sp arrays, and the relation's encoded keys with their index.
 ///
 /// Key and definite attributes become plain Value columns. Uncertain
 /// attributes over inline (≤ 64 value) domains — every paper domain —
@@ -61,8 +62,10 @@ struct TableStatistics {
 /// domains stay boxed as EvidenceSet objects (rare; the row kernels
 /// handle them).
 ///
-/// The conversion is lossless: FromRelation walks the rows once,
-/// ToRelation rebuilds a relation whose tuples equal the originals.
+/// Rows enter one at a time through AppendRow (ExtendedRelation::Insert
+/// and the attribute preprocessor) or in bulk through the operators'
+/// splice primitives; MaterializeRow turns a row back into a tuple
+/// bit-identical to the one appended.
 class ColumnStore {
  public:
   /// One packed uncertain attribute. Row r's focal elements occupy
@@ -116,11 +119,6 @@ class ColumnStore {
 
   ColumnStore() = default;
 
-  /// \brief Packs `rel` column-major. O(total cells + total focal
-  /// elements); performs no validation (the relation's invariants hold
-  /// by construction).
-  static ColumnStore FromRelation(const ExtendedRelation& rel);
-
   /// \brief An empty store with `schema`'s column layout (kinds and
   /// slots prepared, zero rows) — the starting point for operators that
   /// build their output column-at-a-time; fill through the *_mut
@@ -139,8 +137,9 @@ class ColumnStore {
   /// \brief Splices a projected row subset of `src` into a fresh store:
   /// output attribute `a` (of `schema`, whose kinds and domains must
   /// match) takes the cells of `src` attribute `attr_indices[a]` at the
-  /// rows listed in `keep` (ascending); `memberships` is parallel to
-  /// `keep` and becomes the membership column. Value columns are copied
+  /// rows listed in `keep`, in that order (ascending for the filters,
+  /// rank order for ORDER BY); `memberships` is parallel to `keep` and
+  /// becomes the membership column. Value columns are copied
   /// element-wise, packed focal spans are repacked with rebased offsets,
   /// boxed sets are shared. The row-subset primitive of the columnar
   /// operators (Select's keep list, the pushdown prefilter, Intersect's
@@ -152,38 +151,47 @@ class ColumnStore {
                                 const std::vector<uint32_t>& keep,
                                 const std::vector<SupportPair>& memberships);
 
-  /// \brief Rebuilds the row representation. The result's tuples are
-  /// bit-identical to the relation the store was packed from.
-  Result<ExtendedRelation> ToRelation() const;
+  /// \brief Appends one row whose cells (schema order) and membership
+  /// the caller has already validated: its key is encoded once into the
+  /// store's key arena and indexed, then each cell is moved out of
+  /// `cells` into its column. Fails with `relation_name`'s AlreadyExists
+  /// on a duplicate key, leaving the store and `cells` unchanged. An
+  /// append drops the partition zone maps and the statistics (they no
+  /// longer describe the rows). O(row size) amortized; the first append
+  /// to a store builds its key index. The one append path of
+  /// ExtendedRelation::Insert* and AttributePreprocessor::Run.
+  Status AppendRow(std::vector<Cell>* cells, SupportPair membership,
+                   const std::string& relation_name);
 
   /// \brief Materializes one row as a tuple (cells in schema order plus
-  /// membership), bit-identical to the row the store was packed from.
+  /// membership), bit-identical to the row that was appended.
   ExtendedTuple MaterializeRow(size_t row) const;
 
   /// \brief Writes the canonical encoding of row `row`'s key cells to
-  /// `out` (cleared first) — same bytes as
-  /// ExtendedRelation::EncodeKeyOf of the materialized row, straight off
+  /// `out` (cleared first) — the key index's storage form, straight off
   /// the contiguous key value columns.
   void EncodeKeyOfRow(size_t row, std::string* out) const;
 
-  /// \brief Every row's encoded key packed into one arena string with a
-  /// per-row offset array.
-  struct EncodedKeys {
-    std::string arena;
-    std::vector<uint32_t> offsets;  // rows + 1 entries
-    std::string_view key(size_t row) const {
-      return std::string_view(arena).substr(offsets[row],
-                                            offsets[row + 1] - offsets[row]);
-    }
-  };
-
-  /// \brief The encoded-key arena of this store, built lazily on first
-  /// use and cached alongside the column image. Catalog relations share
-  /// their column image across queries, so repeated probe passes (the
-  /// union/merge operators, the lazily-built key index) encode each scan
-  /// key once per relation instead of once per query.
+  /// \brief The encoded-key arena of this store: every row's encoded
+  /// key, built lazily on first use and cached alongside the column
+  /// image. Catalog relations share their column image across queries,
+  /// so repeated probe passes (the union/merge operators, the key index)
+  /// encode each scan key once per relation instead of once per query.
   const EncodedKeys& encoded_keys() const {
     return encoded_keys_.Get([this] { return BuildEncodedKeys(); });
+  }
+
+  /// \brief The key index over encoded_keys() (hashes and slots only —
+  /// the key bytes are the arena's), built lazily on first probe. Store
+  /// keys are unique (AppendRow rejects duplicates; operator outputs
+  /// are unique by construction), so the build does not re-check.
+  const EncodedKeyIndex& key_index() const {
+    return key_index_.Get([this] { return BuildKeyIndex(); });
+  }
+
+  /// \brief The row holding encoded key `key`, or EncodedKeyIndex::kNoRow.
+  uint32_t FindKey(std::string_view key) const {
+    return key_index().Find(encoded_keys(), key);
   }
 
   /// \brief The statistics of this store, built lazily on first use and
@@ -249,10 +257,10 @@ class ColumnStore {
     sn_.push_back(membership.sn);
     sp_.push_back(membership.sp);
   }
-  void ReserveRows(size_t n) {
-    sn_.reserve(n);
-    sp_.reserve(n);
-  }
+  /// Pre-sizes every column and the memberships for `n` rows.
+  void ReserveRows(size_t n);
+  /// Pre-sizes the key arena and index for `n` more AppendRow calls.
+  void ReserveKeys(size_t n);
   /// @}
 
   /// \name Partition zone maps.
@@ -284,14 +292,15 @@ class ColumnStore {
   }
   /// @}
 
-  /// \name Adoption paths (the column-image reader and the attribute
-  /// preprocessor, which fill these while building the image).
+  /// \name Adoption paths (the column-image reader, which fills these
+  /// while building the image).
   /// @{
-  /// Installs a precomputed encoded-key arena (the persisted key trailer
-  /// of an EVCIMG03 image, or the keys encoded as rows were appended)
-  /// and marks the lazy cache built.
-  void AdoptEncodedKeys(std::string arena, std::vector<uint32_t> offsets) {
-    encoded_keys_.Set(EncodedKeys{std::move(arena), std::move(offsets)});
+  /// Installs the persisted key trailer of an EVCIMG03 image — the
+  /// encoded-key arena and the index over it — and marks both lazy
+  /// caches built.
+  void AdoptKeys(EncodedKeys keys, EncodedKeyIndex index) {
+    encoded_keys_.Set(std::move(keys));
+    key_index_.Set(std::move(index));
   }
   /// Installs the membership arrays wholesale (possibly borrowed from a
   /// mapped image); both must have the same length as every column.
@@ -335,7 +344,9 @@ class ColumnStore {
 
  private:
   EncodedKeys BuildEncodedKeys() const;
+  EncodedKeyIndex BuildKeyIndex() const;
   TableStatistics BuildStatistics() const;
+  void AppendCell(size_t attr, Cell* cell);
 
   struct DeferredVerify {
     PartitionVerifier verifier;
@@ -360,6 +371,7 @@ class ColumnStore {
   // through any copy stands for all of them). Null = fully verified.
   std::shared_ptr<DeferredVerify> deferred_;
   LazyOnce<EncodedKeys> encoded_keys_;    // see encoded_keys()
+  LazyOnce<EncodedKeyIndex> key_index_;   // see key_index()
   LazyOnce<TableStatistics> statistics_;  // see statistics()
 };
 

@@ -85,58 +85,43 @@ Status ValidateMembership(const SupportPair& membership,
   return Status::OK();
 }
 
+ExtendedRelation::ExtendedRelation(std::string name, SchemaPtr schema)
+    : ExtendedRelation(std::make_shared<ColumnStore>(
+          ColumnStore::EmptyLike(std::move(schema), std::move(name)))) {}
+
+ExtendedRelation::ExtendedRelation(std::shared_ptr<ColumnStore> store)
+    : name_(store->name()), schema_(store->schema()), store_(std::move(store)) {}
+
 ExtendedRelation ExtendedRelation::AdoptColumns(ColumnStore store) {
-  ExtendedRelation rel(store.name(), store.schema());
-  rel.columns_.Set(std::make_shared<const ColumnStore>(std::move(store)));
-  rel.columnar_ = true;
-  rel.rows_.Reset();
-  rel.key_index_.Reset();
-  return rel;
+  return ExtendedRelation(std::make_shared<ColumnStore>(std::move(store)));
 }
 
-ExtendedRelation ExtendedRelation::AdoptColumnsWithIndex(
-    ColumnStore store, EncodedKeyIndex index) {
-  ExtendedRelation rel = AdoptColumns(std::move(store));
-  rel.key_index_.Set(std::move(index));
-  return rel;
-}
-
-size_t ExtendedRelation::size() const {
-  return columnar_ ? columns().rows() : rows().size();
-}
+size_t ExtendedRelation::size() const { return store_->rows(); }
 
 std::vector<ExtendedTuple> ExtendedRelation::MaterializeRows() const {
-  const ColumnStore& store = columns();
   std::vector<ExtendedTuple> rows;
-  rows.reserve(store.rows());
-  for (size_t r = 0; r < store.rows(); ++r) {
-    rows.push_back(store.MaterializeRow(r));
+  rows.reserve(store_->rows());
+  for (size_t r = 0; r < store_->rows(); ++r) {
+    rows.push_back(store_->MaterializeRow(r));
   }
   return rows;
 }
 
-EncodedKeyIndex ExtendedRelation::BuildKeyIndex() const {
-  const ColumnStore& store = columns();
-  EncodedKeyIndex index;
-  index.Reserve(store.rows());
-  // The store's cached encoded-key arena survives across queries for
-  // catalog relations (their column image is shared), so the index build
-  // re-encodes nothing on repeat probes.
-  const ColumnStore::EncodedKeys& keys = store.encoded_keys();
-  for (size_t r = 0; r < store.rows(); ++r) {
-    // Adopted stores carry unique keys by construction (see
-    // AdoptColumns); a duplicate here would be an operator bug, and
-    // first-wins matches the insert-time index's behaviour.
-    index.Insert(keys.key(r));
-  }
-  return index;
+uint32_t ExtendedRelation::ProbeEncodedKey(std::string_view key) const {
+  return store_->FindKey(key);
 }
 
-void ExtendedRelation::PrepareForInsert() {
-  if (!columnar_) return;
-  (void)rows();
-  (void)key_index();
-  columnar_ = false;
+Result<ColumnStore*> ExtendedRelation::MutableStore() {
+  if (store_.use_count() > 1 || store_->deferred_verification_pending()) {
+    // A corrupt mapped image must not be laundered into a relation that
+    // no longer carries its deferred checks.
+    EVIDENT_RETURN_NOT_OK(store_->EnsureAllVerified());
+    auto owned = std::make_shared<ColumnStore>(*store_);
+    owned->ClearDeferredVerification();
+    store_ = std::move(owned);
+    rows_.Reset();
+  }
+  return store_.get();
 }
 
 Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
@@ -175,14 +160,13 @@ Status ExtendedRelation::InsertUnchecked(ExtendedTuple tuple) {
 }
 
 Status ExtendedRelation::InsertTrusted(ExtendedTuple tuple) {
-  PrepareForInsert();
-  std::string& encoded = EncodeScratch();
-  EncodeKeyOf(tuple, &encoded);
-  if (key_index_.Mutable().Insert(encoded) != EncodedKeyIndex::kNoRow) {
-    return MakeDuplicateKeyError(KeyOf(tuple), name_);
+  EVIDENT_ASSIGN_OR_RETURN(ColumnStore * store, MutableStore());
+  EVIDENT_RETURN_NOT_OK(
+      store->AppendRow(&tuple.cells, tuple.membership, name_));
+  // A built row image is a view of the store; extend it in step.
+  if (rows_.built()) {
+    rows_.Mutable().push_back(store->MaterializeRow(store->rows() - 1));
   }
-  rows_.Mutable().push_back(std::move(tuple));
-  columns_.Reset();
   return Status::OK();
 }
 
@@ -193,14 +177,6 @@ KeyVector ExtendedRelation::KeyOf(const ExtendedTuple& tuple) const {
     key.push_back(std::get<Value>(tuple.cells[i]));
   }
   return key;
-}
-
-void ExtendedRelation::EncodeKeyOf(const ExtendedTuple& tuple,
-                                   std::string* out) const {
-  out->clear();
-  for (size_t i : schema_->key_indices()) {
-    std::get<Value>(tuple.cells[i]).AppendCanonicalKey(out);
-  }
 }
 
 Result<size_t> ExtendedRelation::FindByKey(const KeyVector& key) const {
@@ -225,15 +201,8 @@ bool ExtendedRelation::ContainsKey(const KeyVector& key) const {
   return ContainsEncodedKey(encoded);
 }
 
-const ColumnStore& ExtendedRelation::columns() const {
-  return *columns_.Get([this] {
-    return std::make_shared<const ColumnStore>(
-        ColumnStore::FromRelation(*this));
-  });
-}
-
 Status ExtendedRelation::ValidateInvariants() const {
-  if (columnar_) EVIDENT_RETURN_NOT_OK(columns().EnsureAllVerified());
+  EVIDENT_RETURN_NOT_OK(store_->EnsureAllVerified());
   for (const ExtendedTuple& t : rows()) {
     EVIDENT_RETURN_NOT_OK(ValidateTuple(t, /*require_positive_sn=*/true));
   }

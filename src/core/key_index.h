@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace evident {
@@ -25,15 +26,41 @@ inline uint64_t StableKeyHash(std::string_view key) {
   return h;
 }
 
+/// \brief Encoded keys packed back-to-back into one arena string with a
+/// per-row offset array — a relation's key bytes (held once, by its
+/// column image) or a standalone key set's.
+struct EncodedKeys {
+  std::string arena;
+  std::vector<uint32_t> offsets{0};  // rows + 1 entries
+
+  size_t size() const { return offsets.size() - 1; }
+  std::string_view key(size_t row) const {
+    return std::string_view(arena).substr(offsets[row],
+                                          offsets[row + 1] - offsets[row]);
+  }
+  /// Appends `key` (which must not point into `arena`) as the next row.
+  void Append(std::string_view key) {
+    // The arena is offset-addressed with 32 bits; an in-memory relation
+    // exhausts RAM long before that wraps, so the limit fails loudly
+    // instead of corrupting lookups silently.
+    if (arena.size() + key.size() > std::numeric_limits<uint32_t>::max()) {
+      std::abort();
+    }
+    arena.append(key);
+    offsets.push_back(static_cast<uint32_t>(arena.size()));
+  }
+};
+
 /// \brief A flat open-addressing index from encoded key bytes to row
-/// indices — the ExtendedRelation key index.
+/// indices over an EncodedKeys arena it does not own — the key index of
+/// a column image, which keeps the arena beside it so every key's bytes
+/// exist once.
 ///
-/// Keys are stored back-to-back in one arena string with a per-row
-/// offset array, so the index performs no per-entry node allocation (the
-/// former unordered_map paid one per insert) and lookups compare
-/// contiguous byte slices. Rows are appended in order: row i's key is
-/// the i-th successful Insert. Probing hashes a std::string_view over
-/// the caller's reused encode buffer — no temporary key objects.
+/// The index holds only a per-row hash and the slot table, so it
+/// performs no per-entry node allocation and lookups compare contiguous
+/// byte slices of the arena. Rows are indexed in order: Insert indexes
+/// row size(). Probing hashes a std::string_view over the caller's
+/// reused encode buffer — no temporary key objects.
 class EncodedKeyIndex {
  public:
   static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
@@ -41,51 +68,42 @@ class EncodedKeyIndex {
   size_t size() const { return hashes_.size(); }
 
   void Reserve(size_t rows) {
-    arena_.reserve(arena_.size() + rows * 12);
-    starts_.reserve(starts_.size() + rows);
     hashes_.reserve(hashes_.size() + rows);
     if ((hashes_.size() + rows + 1) * 4 > slots_.size() * 3) {
       Rehash(TableFor(hashes_.size() + rows));
     }
   }
 
-  /// \brief Indexes `key` as the next row. Returns kNoRow on success, or
-  /// the already-present row holding an equal key (nothing inserted).
-  uint32_t Insert(std::string_view key) {
-    // Keys are addressed with 32-bit arena offsets and row ids; an
-    // in-memory relation exhausts RAM long before either wraps, so the
-    // limit fails loudly instead of corrupting lookups silently.
-    if (arena_.size() + key.size() >
-            std::numeric_limits<uint32_t>::max() ||
-        hashes_.size() >= kNoRow) {
-      std::abort();
-    }
+  /// \brief Indexes `key` as row size() unless `keys` (the arena of the
+  /// rows indexed so far) already holds an equal key. Returns kNoRow on
+  /// success — the caller then appends `key` to `keys` — or the row
+  /// holding the equal key (nothing indexed).
+  uint32_t Insert(const EncodedKeys& keys, std::string_view key) {
+    // Row ids are 32-bit; see EncodedKeys::Append.
+    if (hashes_.size() >= kNoRow) std::abort();
     if ((hashes_.size() + 1) * 4 > slots_.size() * 3) {
       Rehash(TableFor(hashes_.size() + 1));
     }
-    const uint64_t h = Hash(key);
+    const uint64_t h = StableKeyHash(key);
     size_t s = h & mask_;
     while (slots_[s] != kNoRow) {
       const uint32_t other = slots_[s];
-      if (hashes_[other] == h && KeyAt(other) == key) return other;
+      if (hashes_[other] == h && keys.key(other) == key) return other;
       s = (s + 1) & mask_;
     }
-    const uint32_t row = static_cast<uint32_t>(hashes_.size());
-    slots_[s] = row;
+    slots_[s] = static_cast<uint32_t>(hashes_.size());
     hashes_.push_back(h);
-    arena_.append(key);
-    starts_.push_back(static_cast<uint32_t>(arena_.size()));
     return kNoRow;
   }
 
-  /// \brief The row indexed under `key`, or kNoRow.
-  uint32_t Find(std::string_view key) const {
+  /// \brief The row of `keys` indexed under `key`, or kNoRow.
+  uint32_t Find(const EncodedKeys& keys, std::string_view key) const {
     if (slots_.empty()) return kNoRow;
-    const uint64_t h = Hash(key);
+    const uint64_t h = StableKeyHash(key);
     size_t s = h & mask_;
     while (slots_[s] != kNoRow) {
       const uint32_t row = slots_[s];
-      if (hashes_[row] == h && KeyAt(row) == key) return row;
+      if (hashes_[row] == h && keys.key(row) == key) return row;
       s = (s + 1) & mask_;
     }
     return kNoRow;
@@ -93,17 +111,13 @@ class EncodedKeyIndex {
 
   /// \name Persisted-image adoption (the EVCIMG03 loader).
   ///
-  /// Installs a fully built index wholesale: `arena`/`starts` are the
-  /// key bytes in row order, `hashes` is StableKeyHash per row, and
-  /// `slots` is the open-addressing table (capacity a power of two,
-  /// kNoRow = empty). The caller has bounds-checked every slot entry;
-  /// semantic agreement (Find(key(r)) == r) is verified lazily by the
-  /// loader's deferred per-partition checks.
+  /// Installs a fully built index wholesale: `hashes` is StableKeyHash
+  /// per row, and `slots` is the open-addressing table (capacity a power
+  /// of two, kNoRow = empty). The caller has bounds-checked every slot
+  /// entry; semantic agreement (Find(key(r)) == r) is verified lazily by
+  /// the loader's deferred per-partition checks.
   /// @{
-  void AdoptParts(std::string arena, std::vector<uint32_t> starts,
-                  std::vector<uint64_t> hashes, std::vector<uint32_t> slots) {
-    arena_ = std::move(arena);
-    starts_ = std::move(starts);
+  void AdoptParts(std::vector<uint64_t> hashes, std::vector<uint32_t> slots) {
     hashes_ = std::move(hashes);
     slots_ = std::move(slots);
     mask_ = slots_.empty() ? 0 : slots_.size() - 1;
@@ -119,17 +133,10 @@ class EncodedKeyIndex {
   static size_t TableCapacityFor(size_t rows) { return TableFor(rows); }
 
  private:
-  static uint64_t Hash(std::string_view key) { return StableKeyHash(key); }
-
   static size_t TableFor(size_t rows) {
     size_t capacity = 16;
     while (rows * 4 > capacity * 3) capacity <<= 1;
     return capacity;
-  }
-
-  std::string_view KeyAt(uint32_t row) const {
-    return std::string_view(arena_).substr(starts_[row],
-                                           starts_[row + 1] - starts_[row]);
   }
 
   void Rehash(size_t capacity) {
@@ -142,11 +149,32 @@ class EncodedKeyIndex {
     }
   }
 
-  std::string arena_;
-  std::vector<uint32_t> starts_{0};  // per row, into arena_ (size + 1)
-  std::vector<uint64_t> hashes_;     // per row
-  std::vector<uint32_t> slots_;      // open addressing, kNoRow = empty
+  std::vector<uint64_t> hashes_;  // per row
+  std::vector<uint32_t> slots_;   // open addressing, kNoRow = empty
   uint64_t mask_ = 0;
+};
+
+/// \brief A standalone set of encoded keys: an arena plus its index, for
+/// the duplicate-key passes that build no column image (Project's
+/// uniqueness check, MergeTuples' rekey pass).
+class EncodedKeySet {
+ public:
+  void Reserve(size_t rows) {
+    keys_.offsets.reserve(keys_.offsets.size() + rows);
+    index_.Reserve(rows);
+  }
+  /// Adds `key`: kNoRow when it was new, else the row already holding it.
+  uint32_t Insert(std::string_view key) {
+    const uint32_t row = index_.Insert(keys_, key);
+    if (row == EncodedKeyIndex::kNoRow) keys_.Append(key);
+    return row;
+  }
+  const EncodedKeys& keys() const { return keys_; }
+  const EncodedKeyIndex& index() const { return index_; }
+
+ private:
+  EncodedKeys keys_;
+  EncodedKeyIndex index_;
 };
 
 }  // namespace evident

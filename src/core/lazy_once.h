@@ -11,8 +11,8 @@ namespace evident {
 
 /// \brief A value built on first use, safely, by whichever thread asks
 /// first — the one primitive behind every lazily-built cache on a shared
-/// `const` object (a relation's row image, key index and column image; a
-/// column store's encoded-key arena and statistics).
+/// `const` object (a relation's row image; a column store's encoded-key
+/// arena, key index and statistics).
 ///
 /// Get(build) runs `build` exactly once across any number of concurrent
 /// callers; the others block until it finishes and then read the same
@@ -73,7 +73,7 @@ class LazyOnce {
   }
 
   /// \brief In-place access to a built value, for owners that grow it
-  /// (a row-mode relation's inserts).
+  /// (a column store's key arena and index on append).
   T& Mutable() {
     assert(built());
     return *value_;

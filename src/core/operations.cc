@@ -427,8 +427,8 @@ namespace {
 ///     output row where its cells come from.
 ///  4. Build — the output's column image is assembled column-at-a-time
 ///     by splicing value/span slices from the operand stores and the
-///     batch results, and adopted as a columnar-mode relation: no row
-///     objects, no index inserts — both materialize lazily if a
+///     batch results, and adopted as the relation: no row objects, no
+///     index inserts — both materialize lazily if a
 ///     downstream consumer needs them.
 ///
 /// The combination arithmetic runs through the same span kernels as
@@ -457,7 +457,7 @@ Result<ExtendedRelation> UnionTagged(const ExtendedRelation& left,
   static_assert(EncodedKeyIndex::kNoRow ==
                 std::numeric_limits<uint32_t>::max());
   constexpr uint32_t kNoMatch = EncodedKeyIndex::kNoRow;
-  const ColumnStore::EncodedKeys& left_keys = left_store.encoded_keys();
+  const EncodedKeys& left_keys = left_store.encoded_keys();
   std::vector<uint32_t> match(n, kNoMatch);
   ParallelForMorsels(n, kParallelGrain,
                      [&](size_t, size_t begin, size_t end) {
@@ -926,7 +926,7 @@ Result<ExtendedRelation> Project(const ExtendedRelation& input,
     }
     return true;
   }();
-  EncodedKeyIndex unique;
+  EncodedKeySet unique;
   unique.Reserve(n);
   std::string scratch;
   for (size_t r = 0; r < n; ++r) {
@@ -1102,8 +1102,8 @@ bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
 ///     the first failing morsel in morsel order — which holds the first
 ///     failing probe row — reports its error.
 ///  3. Splice — the surviving pairs' column slices are copied by span
-///     into a fresh column image (SplicePairColumns) and adopted as a
-///     columnar-mode relation.
+///     into a fresh column image (SplicePairColumns) and adopted as the
+///     result relation.
 ///
 /// Neither operand's row image nor result rows are ever built, and the
 /// pair emission order (probe rows ascending, build chains ascending,

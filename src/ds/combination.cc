@@ -273,8 +273,8 @@ double ConjunctiveProductPairwise(const MassFunction& m1,
   auto& s = Scratch();
   if (universe <= ValueSet::kMaxInlineUniverse) {
     // Inline frames run through the shared span kernel — the same code
-    // path the columnar batch kernel uses, so both storage modes agree
-    // bitwise.
+    // path the columnar batch kernel uses, so per-pair and batch
+    // combination agree bitwise.
     const InlineSpan a = GatherSpan(m1, &s.gather_words_a, &s.gather_masses_a);
     const InlineSpan b = GatherSpan(m2, &s.gather_words_b, &s.gather_masses_b);
     kappa = ds_internal::PairwiseInlineSpans(universe, a, b, s);

@@ -5,8 +5,8 @@
 /// through 4-lane interleaved zeta/Möbius transforms (AVX2 when
 /// available, scalar otherwise — same per-lane operation sequence, so
 /// dispatch never changes results). Everything else goes through the
-/// same span-level pairwise kernel the row store uses, so the two
-/// storage modes are bit-identical by construction.
+/// same span-level pairwise kernel CombineMasses uses, so per-pair and
+/// batch combination are bit-identical by construction.
 #include <atomic>
 #include <cmath>
 #include <cstdint>

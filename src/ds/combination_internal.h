@@ -20,7 +20,7 @@
 /// frame of at most 64 values laid out as parallel (word, mass) arrays,
 /// the representation the ColumnStore packs and the row-store bridges
 /// gather into scratch. The row-store kernels and the batch kernel call
-/// the same span functions, so the two storage modes produce
+/// the same span functions, so per-pair and batch combination produce
 /// bit-identical results by construction rather than by parallel
 /// implementations that merely agree.
 

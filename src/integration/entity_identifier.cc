@@ -21,7 +21,7 @@ Result<MatchingInfo> MatchByKey(const ExtendedRelation& left,
   MatchingInfo info;
   // Probe the right operand's key index with the left operand's cached
   // encoded-key arena: no row objects, no per-probe key vectors.
-  const ColumnStore::EncodedKeys& left_keys = left.columns().encoded_keys();
+  const EncodedKeys& left_keys = left.columns().encoded_keys();
   std::vector<uint8_t> matched_right(right.size(), 0);
   for (size_t i = 0; i < left.size(); ++i) {
     const uint32_t j = right.ProbeEncodedKey(left_keys.key(i));

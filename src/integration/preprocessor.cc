@@ -2,13 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 #include <unordered_set>
 
 #include "common/str_util.h"
 #include "core/column_store.h"
-#include "core/key_index.h"
 #include "text/evidence_literal.h"
 
 namespace evident {
@@ -221,33 +219,6 @@ Result<CompiledSpec> Compile(const SchemaPtr& schema,
   return compiled;
 }
 
-/// Appends a validated cell to its column of `store`.
-void AppendCell(ColumnStore* store, size_t attr, Cell* cell) {
-  switch (store->kind(attr)) {
-    case ColumnStore::ColumnKind::kValue:
-      store->value_column_mut(attr).values.push_back(
-          std::move(std::get<Value>(*cell)));
-      break;
-    case ColumnStore::ColumnKind::kEvidence: {
-      ColumnStore::EvidenceColumn& col = store->evidence_column_mut(attr);
-      for (const auto& [set, m] : std::get<EvidenceSet>(*cell).mass().focals()) {
-        col.words.push_back(set.InlineWord());
-        col.masses.push_back(m);
-      }
-      // Spans are addressed with 32-bit offsets (see FromRelation).
-      if (col.words.size() > std::numeric_limits<uint32_t>::max()) {
-        std::abort();
-      }
-      col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
-      break;
-    }
-    case ColumnStore::ColumnKind::kBoxed:
-      store->boxed_column_mut(attr).sets.push_back(
-          std::move(std::get<EvidenceSet>(*cell)));
-      break;
-  }
-}
-
 }  // namespace
 
 Result<ExtendedRelation> AttributePreprocessor::Run(
@@ -259,19 +230,7 @@ Result<ExtendedRelation> AttributePreprocessor::Run(
 
   ColumnStore store = ColumnStore::EmptyLike(schema_, input.name);
   store.ReserveRows(rows);
-  for (size_t a = 0; a < schema.size(); ++a) {
-    if (store.kind(a) == ColumnStore::ColumnKind::kValue) {
-      store.value_column_mut(a).values.reserve(rows);
-    } else if (store.kind(a) == ColumnStore::ColumnKind::kEvidence) {
-      store.evidence_column_mut(a).offsets.reserve(rows + 1);
-    }
-  }
-  EncodedKeyIndex index;
-  index.Reserve(rows);
-  std::string key_arena;
-  std::vector<uint32_t> key_offsets;
-  key_offsets.reserve(rows + 1);
-  key_offsets.push_back(0);
+  store.ReserveKeys(rows);
 
   std::vector<Cell> cells(schema.size());
   for (const std::vector<std::string>& raw_row : input.rows) {
@@ -290,30 +249,9 @@ Result<ExtendedRelation> AttributePreprocessor::Run(
     }
     EVIDENT_RETURN_NOT_OK(
         ValidateMembership(membership, /*require_positive_sn=*/true));
-
-    const size_t key_start = key_arena.size();
-    for (size_t k : schema.key_indices()) {
-      std::get<Value>(cells[k]).AppendCanonicalKey(&key_arena);
-    }
-    const std::string_view key =
-        std::string_view(key_arena).substr(key_start);
-    if (index.Insert(key) != EncodedKeyIndex::kNoRow) {
-      KeyVector key_values;
-      for (size_t k : schema.key_indices()) {
-        key_values.push_back(std::get<Value>(cells[k]));
-      }
-      return MakeDuplicateKeyError(key_values, input.name);
-    }
-    key_offsets.push_back(static_cast<uint32_t>(key_arena.size()));
-
-    for (size_t a = 0; a < schema.size(); ++a) {
-      AppendCell(&store, a, &cells[a]);
-    }
-    store.AppendMembership(membership);
+    EVIDENT_RETURN_NOT_OK(store.AppendRow(&cells, membership, input.name));
   }
-  store.AdoptEncodedKeys(std::move(key_arena), std::move(key_offsets));
-  return ExtendedRelation::AdoptColumnsWithIndex(std::move(store),
-                                                 std::move(index));
+  return ExtendedRelation::AdoptColumns(std::move(store));
 }
 
 }  // namespace evident

@@ -84,9 +84,10 @@ struct MembershipDerivation {
 /// Domain::IndexOf run once per distinct token; a failed lookup is
 /// memoised as its Status, exact because the lookup is pure) and from a
 /// menu item to its taxonomy entry. It then makes one pass over the raw
-/// rows, writing each row straight into a column image: no row objects
-/// are built, and the result is a columnar relation whose encoded-key
-/// arena and key index were filled as the rows were appended.
+/// rows, writing each row straight into a column image through
+/// ColumnStore::AppendRow — the append path ExtendedRelation::Insert
+/// uses — so no row objects are built and the result's encoded-key
+/// arena and key index are filled as the rows are appended.
 ///
 /// Errors are those of a row-by-row build with ExtendedRelation::Insert:
 /// each row derives its cells in derivation order (the first failing

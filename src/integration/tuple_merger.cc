@@ -20,7 +20,7 @@ namespace {
 /// — one implementation of Dempster-based merging. The matching is
 /// validated over the operands' cached encoded-key arenas (including the
 /// insert path's duplicate-key check, replayed through an
-/// EncodedKeyIndex) and the rekeyed relation's column image is spliced
+/// EncodedKeySet) and the rekeyed relation's column image is spliced
 /// directly: key columns take the left row's values for matched rows,
 /// every other column is copied from the right row's slice. No row
 /// objects exist before the union.
@@ -29,8 +29,8 @@ Result<ExtendedRelation> RekeyRight(const ExtendedRelation& left,
                                             const MatchingInfo& matching) {
   const ColumnStore& lstore = left.columns();
   const ColumnStore& rstore = right.columns();
-  const ColumnStore::EncodedKeys& lkeys = lstore.encoded_keys();
-  const ColumnStore::EncodedKeys& rkeys = rstore.encoded_keys();
+  const EncodedKeys& lkeys = lstore.encoded_keys();
+  const EncodedKeys& rkeys = rstore.encoded_keys();
 
   struct RekeyRow {
     uint32_t right_row;
@@ -39,7 +39,7 @@ Result<ExtendedRelation> RekeyRight(const ExtendedRelation& left,
   };
   std::vector<RekeyRow> out_rows;
   out_rows.reserve(right.size());
-  EncodedKeyIndex rekeyed_index;
+  EncodedKeySet rekeyed_index;
   rekeyed_index.Reserve(right.size());
   std::vector<uint8_t> is_matched_right(right.size(), 0);
   std::unordered_set<std::string, EncodedKeyHash, std::equal_to<>>

@@ -559,12 +559,11 @@ double EdgeDivisor(const PlanNode& node, const MultiJoinEdge& edge,
 /// partitioned scan, rows of partitions its conjuncts refute can never
 /// survive, so the unpruned row sum is a hard cap on the selectivity
 /// estimate. Returns SIZE_MAX (no cap) when the child is not a
-/// partitioned columnar scan.
+/// partitioned scan.
 size_t UnprunedRowCap(const PlanNode* child,
                       const std::vector<PredicatePtr>& conjuncts) {
   if (child == nullptr || child->op != PlanNode::Op::kScan ||
-      child->rel == nullptr || child->rel->schema() == nullptr ||
-      !child->rel->columnar_mode()) {
+      child->rel == nullptr || child->rel->schema() == nullptr) {
     return std::numeric_limits<size_t>::max();
   }
   const auto& parts = child->rel->columns().partitions();

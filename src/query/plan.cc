@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -262,14 +263,9 @@ namespace {
 /// first read; any operator consuming a scan's rows must drive them
 /// first. The filter pass (FilterColumns: select, prefilter, fused
 /// pipelines and the fused join probe) verifies only the partitions it
-/// keeps; every other consumer gets the full sweep here. Row-mode
-/// relations never have checks pending, and columns() is not consulted
-/// for them (it would materialize the image).
+/// keeps; every other consumer gets the full sweep here.
 Status EnsureScanVerified(const ExtendedRelation& rel) {
-  if (!rel.columnar_mode()) return Status::OK();
-  const ColumnStore& store = rel.columns();
-  if (!store.deferred_verification_pending()) return Status::OK();
-  return store.EnsureAllVerified();
+  return rel.columns().EnsureAllVerified();
 }
 
 /// Runs a kFused node's stages as one filter pass over its scan's shared
@@ -467,34 +463,36 @@ Result<ExtendedRelation> ExecutePlan(const LogicalPlan& plan) {
   }
   // ORDER BY sn/sp ranks the single result set by certainty; LIMIT
   // truncates after ranking (without ORDER BY it keeps input order).
-  std::vector<size_t> order(projected.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Ranking reads the membership columns and the kept rows are spliced
+  // in rank order, so no row objects are built.
+  const ColumnStore& store = projected.columns();
+  std::vector<uint32_t> order(store.rows());
+  std::iota(order.begin(), order.end(), uint32_t{0});
   if (plan.order_by.field != OrderBy::Field::kNone) {
-    const bool by_sn = plan.order_by.field == OrderBy::Field::kSn;
+    const ColumnSpan<double>& support =
+        plan.order_by.field == OrderBy::Field::kSn ? store.sn() : store.sp();
     const bool desc = plan.order_by.descending;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                       const SupportPair& ma = projected.row(a).membership;
-                       const SupportPair& mb = projected.row(b).membership;
-                       const double xa = by_sn ? ma.sn : ma.sp;
-                       const double xb = by_sn ? mb.sn : mb.sp;
-                       return desc ? xa > xb : xa < xb;
-                     });
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return desc ? support[a] > support[b] : support[a] < support[b];
+    });
   }
   const size_t keep = plan.limit == 0
                           ? order.size()
                           : std::min(plan.limit, order.size());
+  order.resize(keep);
   // The ranked copy is a real materialization; its size is identical in
   // every execution mode, so the charge is too.
   if (QueryContext* const ctx = CurrentQueryContext()) {
     EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*projected.schema(), keep));
   }
-  ExtendedRelation ranked(projected.name(), projected.schema());
-  ranked.Reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    EVIDENT_RETURN_NOT_OK(ranked.InsertUnchecked(projected.row(order[i])));
-  }
-  return ranked;
+  std::vector<SupportPair> memberships;
+  memberships.reserve(keep);
+  for (uint32_t r : order) memberships.push_back(store.membership(r));
+  std::vector<size_t> identity(projected.schema()->size());
+  std::iota(identity.begin(), identity.end(), size_t{0});
+  return ExtendedRelation::AdoptColumns(
+      ColumnStore::SpliceRows(store, projected.schema(), projected.name(),
+                              identity, order, memberships));
 }
 
 namespace {
@@ -517,12 +515,8 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
       *os << "scan[" << node.relation;
       if (node.rel != nullptr) {
         *os << ", " << node.rel->size() << " rows";
-        // Only a columnar relation can carry partitions (the EVCIMG03
-        // loader's product); columns() is free to consult there.
-        if (node.rel->columnar_mode()) {
-          const size_t parts = node.rel->columns().partitions().size();
-          if (parts > 0) *os << ", " << parts << " partition(s)";
-        }
+        const size_t parts = node.rel->columns().partitions().size();
+        if (parts > 0) *os << ", " << parts << " partition(s)";
       }
       *os << "]";
       break;
@@ -590,7 +584,7 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
       // Zone-map verdicts are plan-time facts (the zones ride the
       // catalog image, the stages are bound), so EXPLAIN can show
       // exactly which partitions the scan will skip.
-      if (node.rel != nullptr && node.rel->columnar_mode()) {
+      if (node.rel != nullptr) {
         const auto& parts = node.rel->columns().partitions();
         if (!parts.empty()) {
           size_t pruned = 0;

@@ -279,7 +279,6 @@ Status CommitErelBlob(const std::string& blob, const std::string& path) {
 /// not silently persist garbage.
 Status VerifyBeforeSave(const Catalog& catalog) {
   for (const auto& [name, rel] : catalog.Snapshot()->relations()) {
-    if (!rel->columnar_mode()) continue;
     EVIDENT_RETURN_NOT_OK(rel->columns().EnsureAllVerified());
   }
   return Status::OK();

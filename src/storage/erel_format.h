@@ -177,8 +177,8 @@ namespace evident {
 /// validated eagerly in both modes.
 
 /// \brief Serializes every domain and relation in the catalog as v1
-/// text. Materializes rows of columnar-mode relations (use the column
-/// image to avoid that).
+/// text. Materializes every relation's rows (use the column image to
+/// avoid that).
 std::string WriteErel(const Catalog& catalog, int mass_decimals = 9);
 
 /// \brief How WriteErelColumnImageV3 / SaveErelFile split each
@@ -213,7 +213,7 @@ std::string WriteErelColumnImageV3(const Catalog& catalog,
 
 /// \brief Parses an .erel document — text, or a v3 image recognized by
 /// its magic (any other column-image version is a ParseError) — into a
-/// catalog. Column-image relations are adopted in columnar mode.
+/// catalog. Column-image relations adopt the decoded column image.
 /// `source` names where the bytes came from (a file path, via
 /// LoadErelFile) and prefixes binary-format errors.
 Result<Catalog> ReadErel(const std::string& text,

@@ -399,7 +399,7 @@ std::vector<std::vector<uint32_t>> AssignPartitions(
   }
   groups.resize(count);
   if (scheme == PartitionSpec::Scheme::kHash) {
-    const ColumnStore::EncodedKeys& keys = store.encoded_keys();
+    const EncodedKeys& keys = store.encoded_keys();
     for (size_t r = 0; r < rows; ++r) {
       groups[StableKeyHash(keys.key(r)) % count].push_back(
           static_cast<uint32_t>(r));
@@ -599,26 +599,25 @@ std::string WriteErelColumnImageV3(const Catalog& catalog,
 
     // Trailer: keys, the persisted index and the relation statistics,
     // all in the file's partition-major global row order.
-    std::string arena;
-    std::vector<uint32_t> key_offsets;
-    key_offsets.reserve(rows + 1);
-    key_offsets.push_back(0);
+    // Every row's key goes to the arena; a duplicate (a corrupt store)
+    // is left out of the index, so the loader rejects the image.
+    EncodedKeys keys;
+    keys.offsets.reserve(rows + 1);
     EncodedKeyIndex index;
     index.Reserve(rows);
     std::string encoded;
     for (const std::vector<uint32_t>& group : groups) {
       for (uint32_t r : group) {
         store.EncodeKeyOfRow(r, &encoded);
-        arena += encoded;
-        key_offsets.push_back(static_cast<uint32_t>(arena.size()));
-        index.Insert(encoded);
+        index.Insert(keys, encoded);
+        keys.Append(encoded);
       }
     }
-    PutU64(&out, arena.size());
+    PutU64(&out, keys.arena.size());
     PutU64(&out, index.capacity());
     header_crc.Cover(out.data(), out.size());
-    out += arena;
-    for (uint32_t o : key_offsets) PutU32(&out, o);
+    out += keys.arena;
+    for (uint32_t o : keys.offsets) PutU32(&out, o);
     for (uint64_t h : index.hashes()) PutU64(&out, h);
     for (uint32_t s : index.slots()) PutU32(&out, s);
     header_crc.Skip(out.size());
@@ -654,7 +653,6 @@ struct VerifyContext {
   const char* base = nullptr;
   size_t chunk_area = 0;  // absolute offset of the chunk area
   std::vector<ChunkMeta> chunks;
-  std::shared_ptr<const EncodedKeyIndex> index;
 };
 
 /// The deferred half of the load: the semantic checks over one
@@ -710,20 +708,22 @@ Status VerifyRelationPartition(const ColumnStore& store, size_t p,
     }
   }
   // Keys: the arena must reproduce the canonical encodings of the key
-  // value columns, and the persisted index must map every key back to
-  // its own row — which also proves uniqueness (two rows with equal
-  // keys cannot both win their probe).
-  const ColumnStore::EncodedKeys& keys = store.encoded_keys();
+  // value columns, and the persisted index — read in place, beside the
+  // arena it indexes — must map every key back to its own row, which
+  // also proves uniqueness (two rows with equal keys cannot both win
+  // their probe).
+  const EncodedKeys& keys = store.encoded_keys();
+  const EncodedKeyIndex& index = store.key_index();
   std::string encoded;
   for (size_t r = zone.begin_row; r < zone.end_row; ++r) {
     store.EncodeKeyOfRow(r, &encoded);
     if (keys.key(r) != encoded) {
       return wrap_row(r, "key arena disagrees with the key value columns");
     }
-    if (ctx.index->hashes()[r] != StableKeyHash(encoded)) {
+    if (index.hashes()[r] != StableKeyHash(encoded)) {
       return wrap_row(r, "key index hash disagrees with the key");
     }
-    const uint32_t found = ctx.index->Find(encoded);
+    const uint32_t found = index.Find(keys, encoded);
     if (found == EncodedKeyIndex::kNoRow) {
       return wrap_row(r, "key index does not reach the row");
     }
@@ -743,7 +743,6 @@ void AppendRaw(const char* bytes, size_t count, std::vector<T>* dst) {
 
 struct ParsedRelation {
   ColumnStore store;
-  EncodedKeyIndex index;
   std::shared_ptr<VerifyContext> ctx;
 };
 
@@ -1178,19 +1177,20 @@ Status ParseV3(ByteReader& in, const char* data,
     EVIDENT_RETURN_NOT_OK(in.Take(static_cast<size_t>(capacity) * 4,
                                   "key index slot", &slot_bytes));
     header_crc.Skip(in.pos());
-    std::vector<uint32_t> key_offsets(rows + 1);
-    std::memcpy(key_offsets.data(), offset_bytes, (rows + 1) * 4);
-    if (key_offsets[0] != 0 || key_offsets[rows] != arena_size) {
+    EncodedKeys keys;
+    keys.offsets.resize(rows + 1);
+    std::memcpy(keys.offsets.data(), offset_bytes, (rows + 1) * 4);
+    if (keys.offsets[0] != 0 || keys.offsets[rows] != arena_size) {
       return Status::ParseError("relation '" + rel_name +
                                 "': malformed key arena offsets");
     }
     for (size_t r = 0; r < rows; ++r) {
-      if (key_offsets[r + 1] < key_offsets[r]) {
+      if (keys.offsets[r + 1] < keys.offsets[r]) {
         return Status::ParseError("relation '" + rel_name +
                                   "': malformed key arena offsets");
       }
     }
-    std::string arena(arena_bytes, static_cast<size_t>(arena_size));
+    keys.arena.assign(arena_bytes, static_cast<size_t>(arena_size));
     std::vector<uint64_t> hashes(rows);
     // rows == 0 leaves the hash pointer null; memcpy forbids that even
     // for a zero count.
@@ -1216,7 +1216,7 @@ Status ParseV3(ByteReader& in, const char* data,
           "': key index slot count disagrees with the row count");
     }
     EncodedKeyIndex index;
-    index.AdoptParts(arena, key_offsets, std::move(hashes), std::move(slots));
+    index.AdoptParts(std::move(hashes), std::move(slots));
 
     {
       const char* magic;
@@ -1232,7 +1232,7 @@ Status ParseV3(ByteReader& in, const char* data,
       store.AdoptStatistics(std::move(stats));
     }
 
-    store.AdoptEncodedKeys(std::move(arena), std::move(key_offsets));
+    store.AdoptKeys(std::move(keys), std::move(index));
     store.AdoptPartitions(std::move(zones));
 
     auto ctx = std::make_shared<VerifyContext>();
@@ -1242,11 +1242,7 @@ Status ParseV3(ByteReader& in, const char* data,
     ctx->base = data;
     ctx->chunk_area = chunk_area;
     ctx->chunks = std::move(chunks);
-    // The verifier gets its own copy: the relation's index moves out of
-    // reach once the relation is registered.
-    ctx->index = std::make_shared<const EncodedKeyIndex>(index);
-    out->push_back(
-        ParsedRelation{std::move(store), std::move(index), std::move(ctx)});
+    out->push_back(ParsedRelation{std::move(store), std::move(ctx)});
   }
   header_crc.Cover(data, in.pos());
   EVIDENT_ASSIGN_OR_RETURN(uint32_t stored_crc, in.U32("header checksum"));
@@ -1283,9 +1279,8 @@ Result<Catalog> ReadErelColumnImageV3(const char* data, size_t size,
       EVIDENT_RETURN_NOT_OK(rel.store.EnsureAllVerified());
       rel.store.ClearDeferredVerification();
     }
-    EVIDENT_RETURN_NOT_OK(
-        catalog.RegisterRelation(ExtendedRelation::AdoptColumnsWithIndex(
-            std::move(rel.store), std::move(rel.index))));
+    EVIDENT_RETURN_NOT_OK(catalog.RegisterRelation(
+        ExtendedRelation::AdoptColumns(std::move(rel.store))));
   }
   return catalog;
 }

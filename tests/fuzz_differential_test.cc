@@ -704,7 +704,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       for (const ExtendedRelation& base : c.bases) {
         const ExtendedRelation* loaded =
             v3->GetRelation(base.name()).value();
-        EXPECT_TRUE(loaded->columnar_mode()) << tag;
+        EXPECT_EQ(loaded->rows_materialized(), 0u) << tag;
         v3_bases.push_back(*loaded);
       }
       ExpectOutcomesMatch(baseline, RunPlan(v3_bases, c.nodes),
@@ -740,7 +740,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       std::vector<size_t> saved_ops;
       for (size_t i = 0; i < fresh.size(); ++i) {
         if (!fresh[i].ok() || fresh[i]->size() == 0) continue;
-        EXPECT_TRUE(fresh[i]->columnar_mode())
+        EXPECT_EQ(fresh[i]->rows_materialized(), 0u)
             << tag << ": op " << i << " (" << NodeOpName(c.nodes[i].op)
             << ") built row objects";
         ExtendedRelation copy = *fresh[i];
@@ -761,7 +761,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       for (size_t i : saved_ops) {
         const ExtendedRelation* rel =
             loaded->GetRelation("out" + std::to_string(i)).value();
-        EXPECT_TRUE(rel->columnar_mode()) << tag;
+        EXPECT_EQ(rel->rows_materialized(), 0u) << tag;
         ExpectRelationsMatch(*fresh[i], *rel, /*eps=*/0.0,
                              tag + " v3 output round trip op " +
                                  std::to_string(i) + " (" +
@@ -868,7 +868,6 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         Status deferred = Status::OK();
         for (const std::string& name : bad_mapped->RelationNames()) {
           const ExtendedRelation* rel = bad_mapped->GetRelation(name).value();
-          if (!rel->columnar_mode()) continue;
           deferred = rel->columns().EnsureAllVerified();
           if (!deferred.ok()) break;
         }

@@ -1,7 +1,8 @@
 // LazyOnce<T> and the `const`-is-shareable contract it gives relations:
-// the cell's once/retry/copy semantics, and relations (fresh operator
-// output, a mapped image, a row-mode catalog relation under concurrent
-// queries) whose lazy state is first built by several threads at once.
+// the cell's once/retry/copy semantics, relations (fresh operator
+// output, a mapped image, an inserted catalog relation under concurrent
+// queries) whose lazy state is first built by several threads at once,
+// and an insert into a copy while other threads scan the original.
 // tools/run_sanitizers.sh runs this suite under TSan with repeats.
 #include "core/lazy_once.h"
 
@@ -196,7 +197,7 @@ void ExpectSharedReadsMatchSerial(const ExtendedRelation& shared,
                                   const ExtendedRelation& expected) {
   const size_t n = expected.size();
   ASSERT_GT(n, 0u);
-  const ColumnStore::EncodedKeys& keys = expected.columns().encoded_keys();
+  const EncodedKeys& keys = expected.columns().encoded_keys();
   const TableStatistics& stats = expected.columns().statistics();
   std::vector<KeyVector> key_vectors;
   for (size_t i = 0; i < n; ++i) {
@@ -237,7 +238,7 @@ void ExpectSharedReadsMatchSerial(const ExtendedRelation& shared,
                 EncodedKeyIndex::kNoRow);
         },
         [&] {
-          const ColumnStore::EncodedKeys& got =
+          const EncodedKeys& got =
               shared.columns().encoded_keys();
           check(got.arena == keys.arena && got.offsets == keys.offsets);
         },
@@ -255,14 +256,12 @@ void ExpectSharedReadsMatchSerial(const ExtendedRelation& shared,
     EXPECT_EQ(rows_seen[t], rows_seen[0]) << "thread " << t;
     EXPECT_EQ(stats_seen[t], stats_seen[0]) << "thread " << t;
   }
-  EXPECT_TRUE(shared.columnar_mode());
   EXPECT_EQ(shared.rows_materialized(), 1u);
 }
 
 TEST(LazyRelationTest, FreshUnionResultIsSafeToShare) {
   const ExtendedRelation shared = FreshUnion();
   const ExtendedRelation expected = FreshUnion();
-  ASSERT_TRUE(shared.columnar_mode());
   ASSERT_EQ(shared.rows_materialized(), 0u);
   ExpectSharedReadsMatchSerial(shared, expected);
 }
@@ -298,7 +297,7 @@ class ThreadGuard {
   ~ThreadGuard() { SetParallelMaxThreads(0); }
 };
 
-Catalog RowModeCatalog() {
+Catalog InsertedCatalog() {
   Catalog catalog;
   EXPECT_TRUE(catalog.RegisterRelation(MakeRows("A", "", 0, 600, true)).ok());
   EXPECT_TRUE(
@@ -310,8 +309,8 @@ Catalog RowModeCatalog() {
 
 TEST(LazyRelationTest, FirstQueriesOverARowModeCatalogBuildItsCachesOnce) {
   // Registration builds nothing, so the first concurrent queries build
-  // each relation's column image, encoded-key arena and statistics
-  // under contention.
+  // each relation's encoded-key arena, key index and statistics under
+  // contention.
   ThreadGuard guard;
   SetParallelMaxThreads(3);
   const std::vector<std::string> statements = {
@@ -322,7 +321,7 @@ TEST(LazyRelationTest, FirstQueriesOverARowModeCatalogBuildItsCachesOnce) {
   };
   std::vector<ExtendedRelation> expected;
   {
-    const Catalog serial = RowModeCatalog();
+    const Catalog serial = InsertedCatalog();
     QueryEngine engine(&serial);
     for (const std::string& stmt : statements) {
       auto result = engine.Execute(stmt);
@@ -332,7 +331,7 @@ TEST(LazyRelationTest, FirstQueriesOverARowModeCatalogBuildItsCachesOnce) {
     }
   }
 
-  const Catalog catalog = RowModeCatalog();
+  const Catalog catalog = InsertedCatalog();
   std::atomic<int> mismatches{0};
   RunTogether([&](int t) {
     QueryEngine engine(&catalog);
@@ -347,9 +346,67 @@ TEST(LazyRelationTest, FirstQueriesOverARowModeCatalogBuildItsCachesOnce) {
   EXPECT_EQ(mismatches.load(), 0);
   for (const char* name : {"A", "B", "C"}) {
     const ExtendedRelation* rel = catalog.GetRelation(name).value();
-    EXPECT_FALSE(rel->columnar_mode()) << name;
     EXPECT_EQ(rel->rows_materialized(), 0u) << name;
   }
+}
+
+TEST(LazyRelationTest, InsertIntoACopyWhileThreadsScanTheOriginal) {
+  // The copy shares the original's column image until its first insert
+  // clones it; the scans on the other threads keep reading (and lazily
+  // indexing) the original, which must come out bit-identical.
+  constexpr int kScanners = 4;
+  const Catalog catalog = InsertedCatalog();
+  const ExtendedRelation& original = *catalog.GetRelation("A").value();
+  const ExtendedRelation expected = MakeRows("A", "", 0, 600, true);
+  const size_t n = expected.size();
+  const std::string stmt = "SELECT * FROM A WHERE d < 5";
+  ExtendedRelation expected_scan;
+  {
+    const Catalog serial = InsertedCatalog();
+    auto result = QueryEngine(&serial).Execute(stmt);
+    ASSERT_TRUE(result.ok()) << result.status();
+    expected_scan = std::move(result).value();
+  }
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; ++t) {
+    scanners.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      QueryEngine engine(&catalog);
+      for (int i = 0; i < 10; ++i) {
+        auto result = engine.Execute(stmt);
+        if (!result.ok() || !SameRows(*result, expected_scan)) {
+          mismatches.fetch_add(1);
+        }
+        const EncodedKeys& keys = original.columns().encoded_keys();
+        for (size_t r = 0; r < n; r += 37) {
+          if (original.ProbeEncodedKey(keys.key(r)) != r) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  ExtendedRelation copy = original;
+  for (int64_t k = 1000; k < 1050; ++k) {
+    ExtendedTuple t;
+    t.cells = {Value(k), Value(k % 10),
+               EvidenceSet::MakeTrusted(UDomain(),
+                                        MassFunction::Definite(4, 1))};
+    t.membership = SupportPair::Certain();
+    EXPECT_TRUE(copy.Insert(std::move(t)).ok());
+  }
+  for (std::thread& thread : scanners) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(copy.size(), n + 50);
+  EXPECT_TRUE(copy.ContainsKey({Value(int64_t{1049})}));
+  EXPECT_EQ(original.size(), n);
+  EXPECT_FALSE(original.ContainsKey({Value(int64_t{1000})}));
+  EXPECT_EQ(original.columns().encoded_keys().size(), n);
+  EXPECT_EQ(original.rows_materialized(), 0u);
+  EXPECT_TRUE(SameRows(original, expected));
 }
 
 }  // namespace

@@ -323,11 +323,9 @@ TEST_F(PlanTest, PrefilterDropsOnlyZeroSupportRowsAndKeepsMemberships) {
 
 TEST_F(PlanTest, RenameAdoptsColumnImageWithoutMaterializingRows) {
   const ExtendedRelation& l = *catalog_.GetRelation("L").value();
-  ExtendedRelation columnar =
-      ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(l));
+  ExtendedRelation columnar = ExtendedRelation::AdoptColumns(l.columns());
   auto renamed = RenameAttribute(columnar, "ld", "ld_renamed");
   ASSERT_TRUE(renamed.ok()) << renamed.status();
-  EXPECT_TRUE(renamed->columnar_mode());
   EXPECT_EQ(renamed->rows_materialized(), 0u);
   EXPECT_EQ(columnar.rows_materialized(), 0u);
   EXPECT_TRUE(renamed->schema()->Has("ld_renamed"));

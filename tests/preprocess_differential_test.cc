@@ -134,7 +134,6 @@ std::string DiffOutcomes(const Result<ExtendedRelation>& got,
     }
     return "";
   }
-  if (!got->columnar_mode()) return "engine result is not columnar";
   const std::string diff = DiffImages(got->columns(), want->columns());
   if (!diff.empty()) return diff;
   const auto& keys = got->columns().encoded_keys();

@@ -152,12 +152,12 @@ void ExpectKeyMatchedEqual(const ExtendedRelation& a,
                            const ExtendedRelation& b) {
   ASSERT_TRUE(a.schema()->Equals(*b.schema()));
   ASSERT_EQ(a.size(), b.size());
-  const ColumnStore::EncodedKeys& keys_b = b.columns().encoded_keys();
+  const EncodedKeys& keys_b = b.columns().encoded_keys();
   std::unordered_map<std::string, size_t> by_key;
   for (size_t r = 0; r < b.size(); ++r) {
     by_key.emplace(std::string(keys_b.key(r)), r);
   }
-  const ColumnStore::EncodedKeys& keys_a = a.columns().encoded_keys();
+  const EncodedKeys& keys_a = a.columns().encoded_keys();
   for (size_t i = 0; i < a.size(); ++i) {
     const auto it = by_key.find(std::string(keys_a.key(i)));
     ASSERT_NE(it, by_key.end()) << "row " << i << ": key not found";
@@ -230,7 +230,7 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   auto selected = Select(*catalog.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1", "v2", "v3"}));
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
-  ASSERT_TRUE(selected->columnar_mode());
+  ASSERT_EQ(selected->rows_materialized(), 0u);
   ExtendedRelation copy = *selected;
   copy.set_name("S");
   Catalog outputs;
@@ -263,13 +263,13 @@ TEST(ColumnImageFormatTest, SaveErelFileWritesV3WhateverTheStorageMode) {
     in.read(head.data(), 8);
     return head;
   };
-  // Row-mode relations and columnar operator outputs alike persist as a
+  // Inserted relations and operator outputs alike persist as a
   // monolithic v3 image, from their column images.
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
   ASSERT_TRUE(selected.ok());
-  ASSERT_TRUE(selected->columnar_mode());
+  ASSERT_EQ(selected->rows_materialized(), 0u);
   selected->set_name("S");
   ASSERT_TRUE(mixed.RegisterRelation(*selected).ok());
   ASSERT_TRUE(SaveErelFile(mixed, path).ok());
@@ -478,7 +478,6 @@ TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
   // Adopted columns: scanning the image must not build rows.
-  EXPECT_TRUE(rel->columnar_mode());
   EXPECT_EQ(rel->rows_materialized(), 0u);
   (void)rel->columns();
   EXPECT_EQ(rel->rows_materialized(), 0u);
@@ -1010,9 +1009,9 @@ std::string WriteCorruptBigImage(const std::string& path) {
 }
 
 TEST(ColumnImageV3Test, ReadingRowsKeepsAMappedImageVerified) {
-  // Building the row image of a mapped relation must not switch it out
-  // of columnar mode: its deferred checks still guard every later scan
-  // and save, and EXPLAIN still shows its partitions.
+  // Building the row image of a mapped relation must not replace its
+  // column image: its deferred checks still guard every later scan and
+  // save, and EXPLAIN still shows its partitions.
   const std::string path = "/tmp/evident_test_v3_rows_corrupt.erel";
   const std::string resave = "/tmp/evident_test_v3_rows_corrupt_resave.erel";
   const std::string diagnosis = WriteCorruptBigImage(path);
@@ -1024,7 +1023,6 @@ TEST(ColumnImageV3Test, ReadingRowsKeepsAMappedImageVerified) {
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     const ExtendedRelation* rel = loaded->GetRelation("Big").value();
     EXPECT_EQ(rel->rows().size(), 3000u);
-    EXPECT_TRUE(rel->columnar_mode());
     EXPECT_EQ(rel->rows_materialized(), 1u);
 
     QueryEngine engine(&*loaded);
@@ -1041,6 +1039,123 @@ TEST(ColumnImageV3Test, ReadingRowsKeepsAMappedImageVerified) {
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
   std::remove(resave.c_str());
+}
+
+TEST(ColumnImageV3Test, InsertIntoACopyOfACorruptMappedImageReportsIt) {
+  // A copy of a mapped relation shares its column image; inserting into
+  // it must not launder the corrupt chunk into a relation that no longer
+  // carries the deferred checks. The insert reports the eager-load
+  // diagnosis and leaves the copy as it was, so validating or saving the
+  // copy reports it too.
+  const std::string path = "/tmp/evident_test_v3_insert_corrupt.erel";
+  const std::string resave = "/tmp/evident_test_v3_insert_corrupt_resave.erel";
+  const std::string diagnosis = WriteCorruptBigImage(path);
+  ASSERT_FALSE(diagnosis.empty());
+  {
+    LoadOptions mapped;
+    mapped.map = LoadOptions::Map::kAlways;
+    auto loaded = LoadErelFile(path, mapped, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExtendedRelation* rel = loaded->GetRelation("Big").value();
+    ExtendedRelation copy = *rel;
+    const DomainPtr dom = rel->schema()->attribute(2).domain;
+    ExtendedTuple t;
+    t.cells = {Value(int64_t{5000}), Value("fresh"),
+               EvidenceSet::MakeTrusted(
+                   dom, MassFunction::Definite(dom->size(), 0))};
+    t.membership = SupportPair::Certain();
+    const Status inserted = copy.Insert(std::move(t));
+    EXPECT_FALSE(inserted.ok()) << copy.size() << " rows after the insert";
+    EXPECT_EQ(inserted.message(), diagnosis);
+    const Status valid = copy.ValidateInvariants();
+    EXPECT_FALSE(valid.ok());
+    EXPECT_EQ(valid.message(), diagnosis);
+    Catalog copies;
+    ASSERT_TRUE(copies.RegisterRelation(copy).ok());
+    const Status saved = SaveErelFile(copies, resave);
+    EXPECT_FALSE(saved.ok());
+    EXPECT_EQ(saved.message(), diagnosis);
+    EXPECT_EQ(rel->size(), 3000u);
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+  std::remove(resave.c_str());
+}
+
+TEST(ColumnImageV3Test, InsertIntoACopyOfAPartitionedImageIsScanned) {
+  // The inserted key lies above every key-range zone; the copy must drop
+  // the zone maps it inherited, or a pruned scan would miss the new row.
+  // The original keeps its rows and its partitions.
+  const std::string path = "/tmp/evident_test_v3_insert_zones.erel";
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kKeyRange;
+  spec.partitions = 4;
+  ASSERT_TRUE(SaveErelFile(BigCatalog(), path, spec).ok());
+  {
+    LoadOptions mapped;
+    mapped.map = LoadOptions::Map::kAlways;
+    auto loaded = LoadErelFile(path, mapped, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExtendedRelation* rel = loaded->GetRelation("Big").value();
+    ASSERT_EQ(rel->columns().partitions().size(), 4u);
+    ExtendedRelation copy = *rel;
+    const DomainPtr dom = rel->schema()->attribute(2).domain;
+    ExtendedTuple t;
+    t.cells = {Value(int64_t{5000}), Value("fresh"),
+               EvidenceSet::MakeTrusted(
+                   dom, MassFunction::Definite(dom->size(), 0))};
+    t.membership = SupportPair::Certain();
+    ASSERT_TRUE(copy.Insert(std::move(t)).ok());
+    EXPECT_EQ(copy.size(), 3001u);
+    EXPECT_TRUE(copy.ValidateInvariants().ok());
+
+    Catalog copies;
+    ASSERT_TRUE(copies.RegisterRelation(copy).ok());
+    auto fresh = QueryEngine(&copies).Execute(
+        "SELECT * FROM Big WHERE k >= 5000");
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    ASSERT_EQ(fresh->size(), 1u);
+    EXPECT_EQ(std::get<Value>(fresh->row(0).cells[1]), Value("fresh"));
+
+    auto original = QueryEngine(&*loaded).Execute(
+        "SELECT * FROM Big WHERE k >= 5000");
+    ASSERT_TRUE(original.ok()) << original.status();
+    EXPECT_EQ(original->size(), 0u);
+    EXPECT_EQ(rel->size(), 3000u);
+    EXPECT_EQ(rel->columns().partitions().size(), 4u);
+    EXPECT_FALSE(rel->ContainsKey({Value(int64_t{5000})}));
+    EXPECT_EQ(rel->rows_materialized(), 0u);
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ColumnImageV3Test, WriterBytesArePinned) {
+  // The EVCIMG03 bytes of BigCatalog under three partition specs, as
+  // StableKeyHash of the whole image: the format is stable across
+  // changes to how the writer builds its key trailer.
+  PartitionSpec hash;
+  hash.scheme = PartitionSpec::Scheme::kHash;
+  hash.partitions = 4;
+  PartitionSpec range;
+  range.scheme = PartitionSpec::Scheme::kKeyRange;
+  range.partitions = 4;
+  const struct {
+    const char* name;
+    PartitionSpec spec;
+    size_t size;
+    uint64_t hash;
+  } kGolden[] = {
+      {"monolithic", PartitionSpec{}, 526343, 0x46e8d41a7f9dceabULL},
+      {"hash P=4", hash, 528207, 0x63d36d62b8916973ULL},
+      {"key-range P=4", range, 528207, 0x151a4ccc24a6d2a4ULL},
+  };
+  const Catalog catalog = BigCatalog();
+  for (const auto& golden : kGolden) {
+    const std::string blob = WriteErelColumnImageV3(catalog, golden.spec);
+    EXPECT_EQ(blob.size(), golden.size) << golden.name;
+    EXPECT_EQ(StableKeyHash(blob), golden.hash) << golden.name;
+  }
 }
 
 TEST(ColumnImageV3Test, ValidateInvariantsRunsAMappedImagesDeferredChecks) {

@@ -4,12 +4,14 @@
 #
 #   asan (default): storage/join/fuzz/kernel-differential/plan/
 #                   governor/fault-injection/session/lazy-once/
-#                   integration/preprocess-differential suites under
-#                   ASan + UBSan (the session suite pins catalog
-#                   snapshots across replaces — the UAF regression lives
-#                   there; the preprocessing suites feed malformed raw
-#                   exports through the vote tokenizer and the linear
-#                   transform).
+#                   integration/preprocess-differential suites, plus the
+#                   schema-relation and query suites, under ASan + UBSan
+#                   (the session suite pins catalog snapshots across
+#                   replaces — the UAF regression lives there; the
+#                   preprocessing suites feed malformed raw exports
+#                   through the vote tokenizer and the linear transform;
+#                   Insert's error paths and ORDER BY's rank-order splice
+#                   write packed spans with 32-bit offsets).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
 #                   fused pipelines, the differential fuzz harness and
 #                   the operator differentials against the reference
@@ -63,7 +65,11 @@ run_pass() {
                  kernel_differential_test plan_test morsel_test governor_test
                  fault_injection_test session_test lazy_once_test
                  integration_test preprocess_differential_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|kernel_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|lazy_once_test|integration_test|preprocess_differential_test)$'
+  if [[ "${preset}" == asan ]]; then
+    targets+=(schema_relation_test query_test)
+  fi
+  local filter
+  filter="^($(IFS='|'; echo "${targets[*]}"))\$"
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
