@@ -4,7 +4,8 @@
 // predicate. The FROM list (D1, D2, F) is deliberately hostile: executed
 // in parse order the enumeration must cross the two dimensions before
 // the fact's equi edges apply, while the optimizer starts from the
-// prefiltered selective dimension and never crosses.
+// prefiltered selective dimension and never crosses. A second arm
+// prices a cross-operand residual against the same star without it.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -108,8 +109,41 @@ BENCHMARK(BM_MultiwayJoin)
     ->Args({8192, 1})
     ->Unit(benchmark::kMillisecond);
 
+/// The optimizer-ordered star without the selective conjunct,
+/// range(1) = 0, against the same star plus the cross-operand residual
+/// w1 < sel, range(1) = 1, which keeps about a quarter of the fact's
+/// matches: the executor drops a combination once both dimensions are
+/// placed, so the residual arm should cost in proportion to its output.
+void BM_MultiwayResidual(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool residual = state.range(1) != 0;
+  Catalog catalog;
+  RegisterStar(&catalog, n);
+  QueryEngine engine(&catalog);
+  const std::string query =
+      std::string("SELECT * FROM D1, D2, F WHERE d1key = d1k AND d2key = d2k") +
+      (residual ? " AND w1 < sel" : "");
+  for (auto _ : state) {
+    auto result = engine.Execute(query);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetLabel(residual ? "w1 < sel" : "edges only");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_MultiwayResidual)
+    ->Args({8192, 0})
+    ->Args({8192, 1})
+    ->Args({65536, 0})
+    ->Args({65536, 1})
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace evident
 
 EVIDENT_PERF_BENCH_MAIN("bench_perf_multiway",
-                        "BM_MultiwayJoin/(2048/0|2048/1)$")
+                        "BM_Multiway(Join/(2048/0|2048/1)|Residual/8192/1)$")

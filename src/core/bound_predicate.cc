@@ -62,32 +62,27 @@ SupportPair IsEvidenceSupportSpan(uint64_t set, const uint64_t* words,
   return SupportPair{ClampUnit(bel), ClampUnit(pls)};
 }
 
-SupportPair IsEvidenceSupportFocals(uint64_t set,
-                                    const MassFunction::FocalVector& focals) {
-  double bel = 0.0;
-  double pls = 0.0;
-  for (const auto& [focal, mass] : focals) {
-    const uint64_t w = focal.InlineWord();
-    if (w != 0 && (w & ~set) == 0) bel += mass;
-    if ((w & set) != 0) pls += mass;
-  }
-  return SupportPair{ClampUnit(bel), ClampUnit(pls)};
-}
-
 }  // namespace
 
 BoundPredicate BoundPredicate::Bind(PredicatePtr predicate, SchemaPtr schema) {
-  return BindPair(std::move(predicate), std::move(schema), 0);
-}
-
-BoundPredicate BoundPredicate::BindPair(PredicatePtr predicate,
-                                        SchemaPtr schema, size_t left_cells) {
   BoundPredicate bound;
   bound.root_ = std::move(predicate);
   bound.schema_ = std::move(schema);
-  bound.left_cells_ = left_cells;
   bound.fully_bound_ = bound.root_ != nullptr && bound.schema_ != nullptr;
   if (bound.root_ != nullptr) bound.BindInto(bound.root_);
+  return bound;
+}
+
+BoundPredicate BoundPredicate::BindProduct(
+    PredicatePtr predicate, SchemaPtr schema,
+    const std::vector<size_t>& operand_attr_counts) {
+  BoundPredicate bound = Bind(std::move(predicate), std::move(schema));
+  for (size_t op = 0; op < operand_attr_counts.size(); ++op) {
+    for (size_t a = 0; a < operand_attr_counts[op]; ++a) {
+      bound.operand_of_.push_back(static_cast<uint32_t>(op));
+      bound.local_of_.push_back(static_cast<uint32_t>(a));
+    }
+  }
   return bound;
 }
 
@@ -322,71 +317,25 @@ SupportPair EvalTheta(const BoundPredicate::Conjunct& c, ValueAt&& value_at,
   return ThetaSupport(c.semantics, s.lhs_focals, s.rhs_focals, sat);
 }
 
-void GatherCellFocals(const Cell& cell, FocalBuf* buf) {
-  for (const auto& [set, mass] : std::get<EvidenceSet>(cell).mass().focals()) {
-    buf->emplace_back(set.InlineWord(), mass);
-  }
-}
-
 }  // namespace
 
-SupportPair BoundPredicate::EvaluatePair(const ExtendedTuple& left,
-                                         const ExtendedTuple& right) const {
-  EvalScratch& s = Scratch();
-  auto cell_at = [&](size_t a) -> const Cell& {
-    return a < left_cells_ ? left.cells[a] : right.cells[a - left_cells_];
-  };
-  SupportPair acc = SupportPair::Certain();
-  for (const Conjunct& c : conjuncts_) {
-    SupportPair support;
-    switch (c.kind) {
-      case Conjunct::Kind::kIsDefinite:
-        support =
-            IsDefiniteSupport(std::get<Value>(cell_at(c.attr)), *c.is_values);
-        break;
-      case Conjunct::Kind::kIsEvidence:
-        support = IsEvidenceSupportFocals(
-            c.set_word,
-            std::get<EvidenceSet>(cell_at(c.attr)).mass().focals());
-        break;
-      case Conjunct::Kind::kTheta:
-        support = EvalTheta(
-            c,
-            [&](size_t a) -> const Value& {
-              return std::get<Value>(cell_at(a));
-            },
-            [&](size_t a, FocalBuf* buf) { GatherCellFocals(cell_at(a), buf); },
-            s);
-        break;
-    }
-    acc = acc.Multiply(support);
-  }
-  return acc;
-}
-
-SupportPair BoundPredicate::EvaluatePairColumns(const ColumnStore& left,
-                                                size_t lrow,
-                                                const ColumnStore& right,
-                                                size_t rrow) const {
+SupportPair BoundPredicate::EvaluateCombination(
+    const ColumnStore* const* stores, const uint32_t* rows) const {
   EvalScratch& s = Scratch();
   // Bound conjuncts only reference kValue columns (definite attributes)
   // and kEvidence columns (inline-frame uncertain attributes) — wider
-  // frames never bind — so the two stores cover every resolvable
-  // operand. Product-schema attribute `a` maps to left attribute `a` or
-  // right attribute `a - left_cells_`.
+  // frames never bind — so the operand stores cover every resolvable
+  // operand.
   auto value_at = [&](size_t a) -> const Value& {
-    return a < left_cells_
-               ? left.value_column(a).values[lrow]
-               : right.value_column(a - left_cells_).values[rrow];
+    const uint32_t op = operand_of_[a];
+    return stores[op]->value_column(local_of_[a]).values[rows[op]];
   };
   auto span_of = [&](size_t a, const ColumnStore::EvidenceColumn** col,
                      uint32_t* first, uint32_t* count) {
-    const bool from_left = a < left_cells_;
-    const ColumnStore& store = from_left ? left : right;
-    const size_t row = from_left ? lrow : rrow;
-    *col = &store.evidence_column(from_left ? a : a - left_cells_);
-    *first = (*col)->offsets[row];
-    *count = (*col)->offsets[row + 1] - *first;
+    const uint32_t op = operand_of_[a];
+    *col = &stores[op]->evidence_column(local_of_[a]);
+    *first = (*col)->offsets[rows[op]];
+    *count = (*col)->offsets[rows[op] + 1] - *first;
   };
   auto gather = [&](size_t a, FocalBuf* buf) {
     const ColumnStore::EvidenceColumn* col;
@@ -532,7 +481,7 @@ bool ZonesRefuteTheta(ThetaOp op, const ColumnStore::ValueZone& a,
 
 bool BoundPredicate::RefutesPartition(
     const ColumnStore::PartitionZone& zone) const {
-  if (!fully_bound_ || left_cells_ != 0) return false;
+  if (!fully_bound_ || !operand_of_.empty()) return false;
   auto value_zone = [&](size_t attr) -> const ColumnStore::ValueZone* {
     if (attr >= zone.values.size() || !zone.values[attr].has) return nullptr;
     return &zone.values[attr];

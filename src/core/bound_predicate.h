@@ -27,39 +27,35 @@ namespace evident {
 /// predicate types it does not know — fall back to the interpreted
 /// predicate so behaviour (including per-row error reporting) never
 /// changes; such predicates report fully_bound() == false and are
-/// excluded from the columnar and pair fast paths.
+/// excluded from the columnar and combination fast paths.
 class BoundPredicate {
  public:
   /// \brief Compiles `predicate` against `schema`. Never fails: what
   /// cannot be bound falls back to interpretation.
   static BoundPredicate Bind(PredicatePtr predicate, SchemaPtr schema);
 
-  /// \brief Bind against a product schema whose first `left_cells`
-  /// attributes come from the left operand — enables EvaluatePair for
-  /// the hash-join residual without materializing the pair's tuple.
-  static BoundPredicate BindPair(PredicatePtr predicate, SchemaPtr schema,
-                                 size_t left_cells);
+  /// \brief Bind against a flat product schema whose operands contribute
+  /// `operand_attr_counts` attributes each, in operand order — enables
+  /// EvaluateCombination for the join executor without materializing
+  /// the combination's tuple.
+  static BoundPredicate BindProduct(
+      PredicatePtr predicate, SchemaPtr schema,
+      const std::vector<size_t>& operand_attr_counts);
 
   /// \brief True when every conjunct was pre-resolved. Then evaluation
-  /// cannot fail and EvaluatePair / EvaluateColumns are available;
-  /// otherwise callers fall back to the interpreted predicate.
+  /// cannot fail and EvaluateCombination / EvaluateColumns are
+  /// available; otherwise callers fall back to the interpreted predicate.
   bool fully_bound() const { return fully_bound_; }
 
-  /// \brief Evaluate over the (left, right) pair as if over the
-  /// concatenated product tuple, without building it. Requires
-  /// fully_bound() and a BindPair-compiled predicate.
-  SupportPair EvaluatePair(const ExtendedTuple& left,
-                           const ExtendedTuple& right) const;
-
-  /// \brief EvaluatePair straight off the operands' column stores:
-  /// evaluates the pair (left row `lrow`, right row `rrow`) reading
-  /// packed value/evidence columns — the join splice path, which never
-  /// materializes operand row objects. Requires fully_bound() and a
-  /// BindPair-compiled predicate; arithmetic-identical to EvaluatePair
-  /// (same focal orders, same accumulation sequences).
-  SupportPair EvaluatePairColumns(const ColumnStore& left, size_t lrow,
-                                  const ColumnStore& right,
-                                  size_t rrow) const;
+  /// \brief Evaluates one combination of the operands' rows as if over
+  /// the concatenated product tuple, reading packed value/evidence
+  /// columns straight off the operands' column stores: operand i
+  /// contributes row `rows[i]` of `*stores[i]`. Requires fully_bound()
+  /// and a BindProduct-compiled predicate; only the operands the
+  /// predicate references are read. Arithmetic-identical to evaluating
+  /// the product row (same focal orders, same accumulation sequences).
+  SupportPair EvaluateCombination(const ColumnStore* const* stores,
+                                  const uint32_t* rows) const;
 
   /// \brief True when some conjunct is provably unsatisfiable on every
   /// row of the partition, judged from its zone map alone — then every
@@ -68,7 +64,7 @@ class BoundPredicate {
   /// reading (or even verifying) its bytes. Only definite-attribute
   /// theta comparisons and definite IS conjuncts consult the zones;
   /// everything else conservatively returns false. Requires
-  /// fully_bound() on a single-relation (Bind, not BindPair) predicate;
+  /// fully_bound() on a single-relation (Bind, not BindProduct) predicate;
   /// returns false otherwise.
   bool RefutesPartition(const ColumnStore::PartitionZone& zone) const;
 
@@ -143,7 +139,10 @@ class BoundPredicate {
   PredicatePtr root_;
   SchemaPtr schema_;
   std::vector<Conjunct> conjuncts_;
-  size_t left_cells_ = 0;  // BindPair split point (0 = single relation)
+  /// BindProduct only: flat attribute -> (operand, operand-local
+  /// attribute). Empty for a single-relation bind.
+  std::vector<uint32_t> operand_of_;
+  std::vector<uint32_t> local_of_;
   bool fully_bound_ = false;
 };
 

@@ -95,37 +95,46 @@ ColumnStore ColumnStore::SpliceRows(
     const std::vector<SupportPair>& memberships) {
   ColumnStore out = EmptyLike(std::move(schema), std::move(name));
   out.ReserveRows(keep.size());
-  const size_t attrs = out.schema_ != nullptr ? out.schema_->size() : 0;
-  for (size_t a = 0; a < attrs; ++a) {
-    const size_t src_attr = attr_indices[a];
-    switch (src.kind(src_attr)) {
-      case ColumnKind::kValue: {
-        const std::vector<Value>& from = src.value_column(src_attr).values;
-        std::vector<Value>& to = out.value_column_mut(a).values;
-        to.reserve(keep.size());
-        for (uint32_t i : keep) to.push_back(from[i]);
-        break;
-      }
-      case ColumnKind::kEvidence: {
-        const EvidenceColumn& from = src.evidence_column(src_attr);
-        EvidenceColumn& to = out.evidence_column_mut(a);
-        to.offsets.reserve(keep.size() + 1);
-        for (uint32_t i : keep) to.AppendRowFrom(from, i);
-        break;
-      }
-      case ColumnKind::kBoxed: {
-        const std::vector<EvidenceSet>& from = src.boxed_column(src_attr).sets;
-        std::vector<EvidenceSet>& to = out.boxed_column_mut(a).sets;
-        to.reserve(keep.size());
-        for (uint32_t i : keep) to.push_back(from[i]);
-        break;
-      }
-    }
-  }
+  out.SpliceColumnsFrom(src, attr_indices, 0, keep);
   for (const SupportPair& membership : memberships) {
     out.AppendMembership(membership);
   }
   return out;
+}
+
+void ColumnStore::SpliceColumnsFrom(const ColumnStore& src,
+                                    const std::vector<size_t>& attr_indices,
+                                    size_t first_attr,
+                                    const std::vector<uint32_t>& rows) {
+  for (size_t i = 0; i < attr_indices.size(); ++i) {
+    const size_t a = first_attr + i;
+    const size_t src_attr = attr_indices[i];
+    switch (src.kind(src_attr)) {
+      case ColumnKind::kValue: {
+        const std::vector<Value>& from = src.value_column(src_attr).values;
+        std::vector<Value>& to = value_column_mut(a).values;
+        for (uint32_t r : rows) to.push_back(from[r]);
+        break;
+      }
+      case ColumnKind::kEvidence: {
+        const EvidenceColumn& from = src.evidence_column(src_attr);
+        EvidenceColumn& to = evidence_column_mut(a);
+        // Exact arena sizes: one pass over the span offsets.
+        size_t focals = to.words.size();
+        for (uint32_t r : rows) focals += from.offsets[r + 1] - from.offsets[r];
+        to.words.reserve(focals);
+        to.masses.reserve(focals);
+        for (uint32_t r : rows) to.AppendRowFrom(from, r);
+        break;
+      }
+      case ColumnKind::kBoxed: {
+        const std::vector<EvidenceSet>& from = src.boxed_column(src_attr).sets;
+        std::vector<EvidenceSet>& to = boxed_column_mut(a).sets;
+        for (uint32_t r : rows) to.push_back(from[r]);
+        break;
+      }
+    }
+  }
 }
 
 void ColumnStore::EncodeKeyOfRow(size_t row, std::string* out) const {

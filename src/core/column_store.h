@@ -139,11 +139,10 @@ class ColumnStore {
   /// match) takes the cells of `src` attribute `attr_indices[a]` at the
   /// rows listed in `keep`, in that order (ascending for the filters,
   /// rank order for ORDER BY); `memberships` is parallel to `keep` and
-  /// becomes the membership column. Value columns are copied
-  /// element-wise, packed focal spans are repacked with rebased offsets,
-  /// boxed sets are shared. The row-subset primitive of the columnar
-  /// operators (Select's keep list, the pushdown prefilter, Intersect's
-  /// merged rows — identity `attr_indices`) and of the fused pipeline
+  /// becomes the membership column (see SpliceColumnsFrom). The
+  /// row-subset primitive of the columnar operators (Select's keep list
+  /// and the pushdown prefilter — identity `attr_indices` — ORDER BY's
+  /// ranked rows, the v3 writer's partitions) and of the fused pipeline
   /// executor, which filters and projects in the same single splice.
   static ColumnStore SpliceRows(const ColumnStore& src, SchemaPtr schema,
                                 std::string name,
@@ -257,6 +256,16 @@ class ColumnStore {
     sn_.push_back(membership.sn);
     sp_.push_back(membership.sp);
   }
+  /// The one splice loop: appends to output attributes first_attr,
+  /// first_attr + 1, ... the cells of `src` attributes `attr_indices` at
+  /// `rows`, in that order. Value columns are copied element-wise,
+  /// packed focal spans are repacked with rebased offsets, boxed sets
+  /// are shared. SpliceRows is one call of it; the join executor calls
+  /// it once per operand, at that operand's offset in the product
+  /// schema. Callers size the output with ReserveRows first.
+  void SpliceColumnsFrom(const ColumnStore& src,
+                         const std::vector<size_t>& attr_indices,
+                         size_t first_attr, const std::vector<uint32_t>& rows);
   /// Pre-sizes every column and the memberships for `n` rows.
   void ReserveRows(size_t n);
   /// Pre-sizes the key arena and index for `n` more AppendRow calls.

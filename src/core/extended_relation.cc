@@ -203,8 +203,11 @@ bool ExtendedRelation::ContainsKey(const KeyVector& key) const {
 
 Status ExtendedRelation::ValidateInvariants() const {
   EVIDENT_RETURN_NOT_OK(store_->EnsureAllVerified());
-  for (const ExtendedTuple& t : rows()) {
-    EVIDENT_RETURN_NOT_OK(ValidateTuple(t, /*require_positive_sn=*/true));
+  // Each row is checked through a transient tuple, so validating never
+  // builds (or caches) the relation's row image.
+  for (size_t i = 0; i < store_->rows(); ++i) {
+    EVIDENT_RETURN_NOT_OK(ValidateTuple(store_->MaterializeRow(i),
+                                        /*require_positive_sn=*/true));
   }
   return Status::OK();
 }

@@ -147,6 +147,8 @@ class ExtendedRelation {
   /// invariant; used by property tests and after deserialization. A
   /// columnar relation first runs its column image's pending deferred
   /// checks, so a corrupt mapped image is reported, not just decoded.
+  /// Rows are checked one transient tuple at a time, in row order: the
+  /// row image is never built.
   Status ValidateInvariants() const;
 
   /// \brief Structural near-equality (same schema, same keys mapping to

@@ -7,8 +7,8 @@ namespace evident {
 namespace fault {
 
 /// \brief Deterministic fault-injection points, consulted by the storage
-/// layer's syscall wrappers and (in the test binary's global operator
-/// new override) by the allocator.
+/// layer's syscall wrappers, (in the test binary's global operator new
+/// override) by the allocator, and by the join executor's row-id guard.
 ///
 /// Zero-cost when disarmed: each hook is one thread_local flag check.
 /// State is thread_local on purpose — an armed test thread never makes
@@ -27,6 +27,7 @@ enum class Site {
   kOpen,        // open() fails with EIO
   kMmap,        // mmap() fails with ENOMEM
   kClose,       // close() fails with EIO
+  kRowIdRange,  // a join operand counts as past the 2^32-1 row-id limit
 };
 
 /// \brief Arms the calling thread's injector: the `nth` (1-based) hit of

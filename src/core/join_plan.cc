@@ -1,6 +1,7 @@
 #include "core/join_plan.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace evident {
 
@@ -19,6 +20,15 @@ void FlattenConjuncts(const PredicatePtr& predicate,
   out->push_back(predicate);
 }
 
+PredicatePtr JoinPredicate::ResidualPredicate() const {
+  if (residual.empty()) return nullptr;
+  if (residual.size() == 1) return residual.front().predicate;
+  std::vector<PredicatePtr> children;
+  children.reserve(residual.size());
+  for (const ResidualConjunct& c : residual) children.push_back(c.predicate);
+  return And(std::move(children));
+}
+
 namespace {
 
 /// True when the attribute at `index` of the product schema holds a
@@ -31,112 +41,91 @@ bool IsDefiniteAttribute(const RelationSchema& schema, size_t index) {
 
 }  // namespace
 
-Result<JoinPlan> AnalyzeJoinPredicate(const PredicatePtr& predicate,
-                                      const RelationSchema& product_schema,
-                                      size_t left_attr_count) {
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("null join predicate");
-  }
-  std::vector<PredicatePtr> conjuncts;
-  FlattenConjuncts(predicate, &conjuncts);
-
-  JoinPlan plan;
-  std::vector<PredicatePtr> residual;
-  for (const PredicatePtr& conjunct : conjuncts) {
-    if (dynamic_cast<const AndPredicate*>(conjunct.get()) != nullptr) {
-      return Status::InvalidArgument("empty conjunction");
-    }
-    if (const auto* is_pred =
-            dynamic_cast<const IsPredicate*>(conjunct.get())) {
-      // IS-conditions are single-sided filters, never join keys; checking
-      // the reference here keeps unresolvable names an error exactly as
-      // evaluation over the product would make them.
-      EVIDENT_ASSIGN_OR_RETURN(size_t index,
-                               product_schema.IndexOf(is_pred->attribute()));
-      // Over an uncertain attribute, evaluation resolves the named
-      // constants against the frame for *every* tuple; resolve them once
-      // here so a constant outside the frame fails the join whether or
-      // not any pair hash-matches (as it fails Select over the product).
-      const AttributeDef& attr = product_schema.attribute(index);
-      if (attr.is_uncertain()) {
-        for (const Value& v : is_pred->values()) {
-          EVIDENT_RETURN_NOT_OK(attr.domain->IndexOf(v).status());
-        }
-      }
-      residual.push_back(conjunct);
-      continue;
-    }
-    const auto* theta = dynamic_cast<const ThetaPredicate*>(conjunct.get());
-    if (theta == nullptr) {
-      residual.push_back(conjunct);
-      continue;
-    }
-    size_t lhs_index = 0, rhs_index = 0;
-    bool lhs_is_attr = theta->lhs().is_attribute();
-    bool rhs_is_attr = theta->rhs().is_attribute();
-    if (lhs_is_attr) {
-      EVIDENT_ASSIGN_OR_RETURN(lhs_index,
-                               product_schema.IndexOf(theta->lhs().attribute()));
-    }
-    if (rhs_is_attr) {
-      EVIDENT_ASSIGN_OR_RETURN(rhs_index,
-                               product_schema.IndexOf(theta->rhs().attribute()));
-    }
-    const bool equi =
-        theta->op() == ThetaOp::kEq && lhs_is_attr && rhs_is_attr &&
-        IsDefiniteAttribute(product_schema, lhs_index) &&
-        IsDefiniteAttribute(product_schema, rhs_index) &&
-        (lhs_index < left_attr_count) != (rhs_index < left_attr_count);
-    if (!equi) {
-      residual.push_back(conjunct);
-      continue;
-    }
-    const size_t left_side = std::min(lhs_index, rhs_index);
-    const size_t right_side = std::max(lhs_index, rhs_index);
-    plan.keys.push_back(EquiKey{left_side, right_side - left_attr_count});
-  }
-
-  if (residual.size() == 1) {
-    plan.residual = residual.front();
-  } else if (!residual.empty()) {
-    plan.residual = And(std::move(residual));
-  }
-  return plan;
-}
-
-std::vector<MultiJoinEdge> AnalyzeMultiJoinEdges(
+JoinPredicate AnalyzeJoinPredicate(
     const PredicatePtr& predicate, const RelationSchema& product_schema,
     const std::vector<size_t>& operand_attr_counts) {
-  std::vector<MultiJoinEdge> edges;
-  if (predicate == nullptr) return edges;
+  JoinPredicate out;
+  if (predicate == nullptr) return out;
   std::vector<PredicatePtr> conjuncts;
   FlattenConjuncts(predicate, &conjuncts);
   // Flat product position -> (operand, operand-local position).
   auto locate = [&](size_t flat) {
     size_t op = 0;
-    while (flat >= operand_attr_counts[op]) {
+    while (op + 1 < operand_attr_counts.size() &&
+           flat >= operand_attr_counts[op]) {
       flat -= operand_attr_counts[op];
       ++op;
     }
     return std::pair<size_t, size_t>{op, flat};
   };
-  for (const PredicatePtr& conjunct : conjuncts) {
-    const auto* theta = dynamic_cast<const ThetaPredicate*>(conjunct.get());
-    if (theta == nullptr || theta->op() != ThetaOp::kEq) continue;
-    if (!theta->lhs().is_attribute() || !theta->rhs().is_attribute()) continue;
-    auto lhs = product_schema.IndexOf(theta->lhs().attribute());
-    auto rhs = product_schema.IndexOf(theta->rhs().attribute());
-    if (!lhs.ok() || !rhs.ok()) continue;
-    if (!IsDefiniteAttribute(product_schema, *lhs) ||
-        !IsDefiniteAttribute(product_schema, *rhs)) {
-      continue;
+  // Resolves one attribute reference the way evaluation does, keeping
+  // the first failure.
+  auto resolve = [&](const std::string& name, size_t* index) {
+    Result<size_t> found = product_schema.IndexOf(name);
+    if (!found.ok()) {
+      if (out.status.ok()) out.status = found.status();
+      return false;
     }
-    const auto [lop, lidx] = locate(*lhs);
-    const auto [rop, ridx] = locate(*rhs);
-    if (lop == rop) continue;
-    edges.push_back(MultiJoinEdge{lop, lidx, rop, ridx});
+    *index = *found;
+    return true;
+  };
+
+  for (const PredicatePtr& conjunct : conjuncts) {
+    ResidualConjunct residual{conjunct, {}};
+    auto add_operand = [&](size_t flat) {
+      residual.operands.push_back(locate(flat).first);
+    };
+    if (dynamic_cast<const AndPredicate*>(conjunct.get()) != nullptr) {
+      if (out.status.ok()) {
+        out.status = Status::InvalidArgument("empty conjunction");
+      }
+    } else if (const auto* is =
+                   dynamic_cast<const IsPredicate*>(conjunct.get())) {
+      // Over an uncertain attribute, evaluation resolves the named
+      // constants against the frame for *every* tuple; resolve them once
+      // here so a constant outside the frame fails the join whether or
+      // not any combination matches (as it fails Select over the
+      // product).
+      size_t index = 0;
+      if (resolve(is->attribute(), &index)) {
+        add_operand(index);
+        const AttributeDef& attr = product_schema.attribute(index);
+        for (const Value& v : is->values()) {
+          if (!attr.is_uncertain() || !out.status.ok()) break;
+          out.status = attr.domain->IndexOf(v).status();
+        }
+      }
+    } else if (const auto* theta =
+                   dynamic_cast<const ThetaPredicate*>(conjunct.get())) {
+      size_t lhs = 0, rhs = 0;
+      const bool lhs_ok =
+          theta->lhs().is_attribute() && resolve(theta->lhs().attribute(), &lhs);
+      const bool rhs_ok =
+          theta->rhs().is_attribute() && resolve(theta->rhs().attribute(), &rhs);
+      if (lhs_ok) add_operand(lhs);
+      if (rhs_ok) add_operand(rhs);
+      if (theta->op() == ThetaOp::kEq && lhs_ok && rhs_ok &&
+          IsDefiniteAttribute(product_schema, lhs) &&
+          IsDefiniteAttribute(product_schema, rhs)) {
+        auto [lop, lidx] = locate(lhs);
+        auto [rop, ridx] = locate(rhs);
+        if (lop != rop) {
+          if (rop < lop) {
+            std::swap(lop, rop);
+            std::swap(lidx, ridx);
+          }
+          out.edges.push_back(JoinEdge{lop, lidx, rop, ridx});
+          continue;
+        }
+      }
+    }
+    std::sort(residual.operands.begin(), residual.operands.end());
+    residual.operands.erase(
+        std::unique(residual.operands.begin(), residual.operands.end()),
+        residual.operands.end());
+    out.residual.push_back(std::move(residual));
   }
-  return edges;
+  return out;
 }
 
 }  // namespace evident

@@ -11,81 +11,73 @@
 
 namespace evident {
 
-/// \brief One hash-join key: attribute positions in the *left* and
-/// *right* operand schemas (not the concatenated product schema) whose
-/// definite values must be equal for a tuple pair to match.
-struct EquiKey {
-  size_t left_index;
-  size_t right_index;
-};
-
-/// \brief The result of splitting a join predicate into a hash-key part
-/// and a residual part.
+/// \brief One definite equi edge of a join graph: a conjunct `A = B`
+/// where A resolves to a definite (key or definite-kind) attribute of
+/// operand `left_operand` (at operand-local position `left_index`) and B
+/// to a definite attribute of the distinct operand `right_operand`, with
+/// left_operand < right_operand.
 ///
-/// Semantics: a conjunct `A = B` where A resolves to a *definite* (key or
-/// definite-kind) attribute of one operand and B to a definite attribute
-/// of the other contributes support (1,1) to F_SS when the two cell
-/// values are equal and (0,0) otherwise — under both ThetaSemantics,
-/// since definite cells decompose to singleton focals. A (0,0) factor
-/// zeroes the revised membership, and extended selection always drops
-/// sn = 0 tuples (CWA_ER) regardless of the threshold Q, so non-matching
-/// pairs can never reach the result: equality on definite attributes
-/// partitions the product exactly, which is what makes hash-partitioning
-/// sound. Everything else — theta comparisons involving uncertain
-/// attributes or literals, IS-conditions, non-equality operators — stays
-/// in `residual`, evaluated per matched pair exactly as Select would.
-struct JoinPlan {
-  std::vector<EquiKey> keys;
-  /// Conjunction of the non-equi conjuncts; nullptr when the equi keys
-  /// cover the whole predicate (every matched pair then carries support
-  /// (1,1) from the predicate).
-  PredicatePtr residual;
-};
-
-/// \brief Depth-first left-to-right flattening of nested conjunctions
-/// into `out`, matching AndPredicate::Evaluate's order — shared by the
-/// join analyzer below and the query optimizer's pushdown pass (which
-/// routes single-side conjuncts below the join). An empty conjunction is
-/// kept as a leaf so consumers report the same error evaluation would.
-void FlattenConjuncts(const PredicatePtr& predicate,
-                      std::vector<PredicatePtr>* out);
-
-/// \brief Splits `predicate` (written against the concatenated product
-/// schema of the two operands) into hash-join equi-keys and a residual.
-///
-/// `product_schema` must be the schema MakeProductSchema builds for the
-/// operands and `left_attr_count` the left operand's attribute count (the
-/// first `left_attr_count` product attributes are the left's). Attribute
-/// references that do not resolve against the product schema are an
-/// error, mirroring what predicate evaluation over the materialized
-/// product would report. An empty `keys` vector means the predicate has
-/// no usable equi-conjunct and the caller must fall back to
-/// Select-over-Product.
-Result<JoinPlan> AnalyzeJoinPredicate(const PredicatePtr& predicate,
-                                      const RelationSchema& product_schema,
-                                      size_t left_attr_count);
-
-/// \brief One definite equi edge of an n-way join graph: a conjunct
-/// `A = B` where A resolves to a definite attribute of operand
-/// `left_operand` (at operand-local position `left_index`) and B to a
-/// definite attribute of the distinct operand `right_operand`. The same
-/// exactness argument as for EquiKey applies edge-wise, so the n-way
-/// enumeration may hash-partition on any subset of the edges.
-struct MultiJoinEdge {
+/// Semantics: equality of two definite cells contributes support (1,1)
+/// to F_SS when the values are equal and (0,0) otherwise — under both
+/// ThetaSemantics, since definite cells decompose to singleton focals. A
+/// (0,0) factor zeroes the revised membership, and extended selection
+/// always drops sn = 0 tuples (CWA_ER) regardless of the threshold Q, so
+/// combinations that fail an edge can never reach the result: the edges
+/// partition the product exactly, which is what makes hash-partitioning
+/// on any subset of them sound.
+struct JoinEdge {
   size_t left_operand;
   size_t left_index;
   size_t right_operand;
   size_t right_index;
 };
 
-/// \brief Extracts the definite equi edges of `predicate` (written
-/// against the flat n-way product schema whose operand attribute counts
-/// are `operand_attr_counts`). Conjuncts that are not definite
-/// attr-equals-attr across two distinct operands — including any whose
-/// references do not resolve — are simply skipped: the full predicate is
-/// always re-evaluated over the enumerated tuples, so the edge set only
-/// prunes, never decides, membership.
-std::vector<MultiJoinEdge> AnalyzeMultiJoinEdges(
+/// \brief A conjunct that is not an edge, with the operands its
+/// attribute references resolve to (ascending, distinct; empty for a
+/// reference-free conjunct).
+struct ResidualConjunct {
+  PredicatePtr predicate;
+  std::vector<size_t> operands;
+};
+
+/// \brief A join predicate split into hash edges and a residual.
+struct JoinPredicate {
+  /// The error evaluating the predicate over the materialized product
+  /// would report first — an attribute reference that does not resolve,
+  /// an IS constant outside an uncertain attribute's frame, an empty
+  /// conjunction — found at plan time so a join fails whether or not
+  /// any combination matches. OK otherwise.
+  Status status;
+  std::vector<JoinEdge> edges;
+  /// Every other conjunct (theta comparisons involving uncertain
+  /// attributes or literals, IS-conditions, non-equality operators,
+  /// same-operand equalities), in conjunct order.
+  std::vector<ResidualConjunct> residual;
+
+  /// The conjunction of the residual conjuncts; null when the edges
+  /// cover the whole predicate (every surviving combination then carries
+  /// support (1,1) from it).
+  PredicatePtr ResidualPredicate() const;
+};
+
+/// \brief Depth-first left-to-right flattening of nested conjunctions
+/// into `out`, matching AndPredicate::Evaluate's order — shared by the
+/// join analyzer below and the query optimizer's pushdown pass (which
+/// routes single-operand conjuncts below the join). An empty conjunction
+/// is kept as a leaf so consumers report the same error evaluation
+/// would.
+void FlattenConjuncts(const PredicatePtr& predicate,
+                      std::vector<PredicatePtr>* out);
+
+/// \brief Splits `predicate` (written against the flat product schema
+/// whose operands contribute `operand_attr_counts` attributes each, in
+/// operand order) into definite equi edges and residual conjuncts.
+///
+/// Conjuncts are resolved in evaluation order and the first failure is
+/// kept in `status`; analysis still goes on, so the edges of the
+/// resolvable conjuncts are always reported (the optimizer's estimates
+/// read them). A null predicate has no edges and no residual.
+JoinPredicate AnalyzeJoinPredicate(
     const PredicatePtr& predicate, const RelationSchema& product_schema,
     const std::vector<size_t>& operand_attr_counts);
 

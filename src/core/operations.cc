@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include "common/math_util.h"
 #include "core/bound_predicate.h"
 #include "core/column_store.h"
+#include "core/fault_injection.h"
 #include "core/join_plan.h"
 #include "core/parallel.h"
 #include "core/query_context.h"
@@ -37,23 +39,9 @@ std::string KeyToString(const KeyVector& key) {
 /// run inline than handed to a thread.
 constexpr size_t kParallelGrain = 256;
 
-/// Cap on up-front row reservations in operators whose output cardinality
-/// is a *bound*, not a count (Product, Join): |L|·|R| can overflow size_t
-/// or demand multi-GB buffers for inputs that are themselves modest.
-/// Reserve at most this many rows and let the output columns grow
-/// geometrically past it.
-constexpr size_t kMaxReserveRows = size_t{1} << 20;
-
-/// min(l·r, kMaxReserveRows) without evaluating the overflowing product.
-size_t CappedProductReserve(size_t l, size_t r) {
-  if (l == 0 || r == 0) return 0;
-  if (r > kMaxReserveRows / l) return kMaxReserveRows;
-  return l * r;
-}
-
-/// Serial governed loops (product tiling, multiway enumeration, the
-/// interpreted predicate walks) poll the query context every this many
-/// iterations — frequent enough that a 1 ms deadline lands mid-loop,
+/// Governed loops that can run long inside one morsel (join steps, the
+/// interpreted predicate walks, the union verdict pass) poll the query
+/// context every this many iterations — frequent enough that a 1 ms deadline lands mid-loop,
 /// rare enough to stay invisible in profiles.
 constexpr uint64_t kGovernorTick = 1024;
 
@@ -85,20 +73,6 @@ KeyVector KeyOfStoreRow(const ColumnStore& store, size_t row) {
     key.push_back(store.value_column(a).values[row]);
   }
   return key;
-}
-
-/// Splices the rows listed in `keep` (ascending) out of `store` into a
-/// fresh column image carrying `memberships` (parallel to `keep`) under
-/// the same schema: ColumnStore::SpliceRows with the identity attribute
-/// map. The shared row-subset primitive of the columnar operators
-/// (the filter pass's survivors and the join's filtered probe rows).
-ColumnStore SpliceKeptRows(const ColumnStore& store, std::string name,
-                           const std::vector<uint32_t>& keep,
-                           const std::vector<SupportPair>& memberships) {
-  std::vector<size_t> identity(store.schema()->size());
-  for (size_t a = 0; a < identity.size(); ++a) identity[a] = a;
-  return ColumnStore::SpliceRows(store, store.schema(), std::move(name),
-                                 identity, keep, memberships);
 }
 
 /// Maximal contiguous absolute row ranges [first, second).
@@ -198,8 +172,11 @@ Result<ExtendedRelation> AdoptFilteredRows(const ColumnStore& store,
                                            std::string name,
                                            const FilteredRows& kept) {
   EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(schema, kept.rows.size()));
+  std::vector<size_t> identity(schema.size());
+  std::iota(identity.begin(), identity.end(), size_t{0});
   return ExtendedRelation::AdoptColumns(
-      SpliceKeptRows(store, std::move(name), kept.rows, kept.memberships));
+      ColumnStore::SpliceRows(store, store.schema(), std::move(name), identity,
+                              kept.rows, kept.memberships));
 }
 
 }  // namespace
@@ -988,336 +965,409 @@ Result<SchemaPtr> MakeProductSchema(const ExtendedRelation& left,
 
 namespace {
 
-/// The focal-span arena reservation bound for the columnar splice paths:
-/// the same 2^20 cap CappedProductReserve applies to row reservations.
-/// Join/Product output arenas are sized from a *bound* (pairs x average
-/// span), and a pathological high-match-rate join can push that bound
-/// into the billions while the operands stay modest — reserve at most
-/// this many entries and let the arena grow geometrically past it.
-size_t CappedArenaReserve(size_t rows, size_t avg_span) {
-  if (rows == 0) return 0;
-  if (avg_span == 0) avg_span = 1;
-  if (avg_span > kMaxReserveRows / rows) return kMaxReserveRows;
-  return rows * avg_span;
-}
+/// One operand of the join executor, in FROM order: a relation's column
+/// image and, optionally, the ascending rows of it that take part — a
+/// prefilter's filter-pass survivors, memberships unchanged. Null rows
+/// mean every row.
+struct JoinOperand {
+  const ExtendedRelation* relation;
+  const std::vector<uint32_t>* rows;
 
-/// Splices the output column image of a concatenated-pair operator
-/// (Join, Product): output row i takes its left cells from `left_store`
-/// row pair_left[i] and its right cells from `right_store` row
-/// pair_right[i]; `memberships` supplies the revised membership per
-/// pair. Key/definite columns are copied value-by-value, packed
-/// uncertain columns have their (word, mass) focal spans repacked with
-/// rebased offsets (EvidenceColumn::AppendRowFrom), boxed sets are shared — no row objects
-/// exist at any point.
-ColumnStore SplicePairColumns(const SchemaPtr& schema, std::string name,
-                              const ColumnStore& left_store,
-                              const ColumnStore& right_store,
-                              const std::vector<uint32_t>& pair_left,
-                              const std::vector<uint32_t>& pair_right,
-                              const std::vector<SupportPair>& memberships) {
-  const size_t n = pair_left.size();
-  const size_t left_attrs = left_store.schema()->size();
-  ColumnStore out = ColumnStore::EmptyLike(schema, std::move(name));
-  out.ReserveRows(n);
-  for (size_t a = 0; a < schema->size(); ++a) {
-    const bool from_left = a < left_attrs;
-    const ColumnStore& src_store = from_left ? left_store : right_store;
-    const size_t src_attr = from_left ? a : a - left_attrs;
-    const std::vector<uint32_t>& rows = from_left ? pair_left : pair_right;
-    // The product schema qualifies colliding names but keeps kinds and
-    // domains, so the output's column kinds equal the source's.
-    switch (src_store.kind(src_attr)) {
-      case ColumnStore::ColumnKind::kValue: {
-        const std::vector<Value>& src =
-            src_store.value_column(src_attr).values;
-        std::vector<Value>& dst = out.value_column_mut(a).values;
-        dst.reserve(n);
-        for (uint32_t r : rows) dst.push_back(src[r]);
-        break;
-      }
-      case ColumnStore::ColumnKind::kEvidence: {
-        const ColumnStore::EvidenceColumn& src =
-            src_store.evidence_column(src_attr);
-        ColumnStore::EvidenceColumn& dst = out.evidence_column_mut(a);
-        const size_t avg =
-            src.words.size() / std::max<size_t>(src_store.rows(), 1);
-        dst.words.reserve(CappedArenaReserve(n, avg + 1));
-        dst.masses.reserve(CappedArenaReserve(n, avg + 1));
-        dst.offsets.reserve(n + 1);
-        for (uint32_t r : rows) dst.AppendRowFrom(src, r);
-        break;
-      }
-      case ColumnStore::ColumnKind::kBoxed: {
-        const std::vector<EvidenceSet>& src =
-            src_store.boxed_column(src_attr).sets;
-        std::vector<EvidenceSet>& dst = out.boxed_column_mut(a).sets;
-        dst.reserve(n);
-        for (uint32_t r : rows) dst.push_back(src[r]);
-        break;
-      }
-    }
+  size_t size() const {
+    return rows != nullptr ? rows->size() : relation->size();
   }
-  for (const SupportPair& m : memberships) out.AppendMembership(m);
-  return out;
-}
+  uint32_t row(size_t i) const {
+    return rows != nullptr ? (*rows)[i] : static_cast<uint32_t>(i);
+  }
+};
 
-/// Hash of the definite cells at `indices` of store row `row` (Value::Hash
-/// makes 1 and 1.0 agree, matching operator==).
-uint64_t StoreKeyHash(const ColumnStore& store, size_t row,
-                      const std::vector<size_t>& indices) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t i : indices) {
-    h ^= static_cast<uint64_t>(store.value_column(i).values[row].Hash()) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
-                    const std::vector<size_t>& a_indices,
-                    const ColumnStore& b, size_t b_row,
-                    const std::vector<size_t>& b_indices) {
-  for (size_t k = 0; k < a_indices.size(); ++k) {
-    if (!(a.value_column(a_indices[k]).values[a_row] ==
-          b.value_column(b_indices[k]).values[b_row])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The hash equi-join executor. Three phases over the operands' column
-/// stores:
-///
-///  1. Build — an open-addressing table on `build`'s equi-key cells
-///     (slots hold the first row of each distinct key; duplicate-key
-///     rows chain in ascending row order), keyed by hashes taken
-///     straight off the contiguous key/definite value columns.
-///  2. Probe — probe rows over morsels; each matched (left, right) pair
-///     evaluates the residual, computes the revised membership, and
-///     survives CWA_ER + threshold filtering before anything is
-///     allocated for it. A bound residual runs over the packed spans
-///     (EvaluatePairColumns); an `interpreted` residual (one that does
-///     not bind) is evaluated over a transient concatenated tuple, and
-///     the first failing morsel in morsel order — which holds the first
-///     failing probe row — reports its error.
-///  3. Splice — the surviving pairs' column slices are copied by span
-///     into a fresh column image (SplicePairColumns) and adopted as the
-///     result relation.
-///
-/// Neither operand's row image nor result rows are ever built, and the
-/// pair emission order (probe rows ascending, build chains ascending,
-/// morsels concatenated in order) is fixed, so the result is
-/// bit-identical for any thread count.
-///
-/// `probe_rows` (may be null) restricts the probe side to the listed
-/// rows, ascending — a prefilter's filter-pass survivors. Identical to
-/// probing the relation those rows would splice into: the probe order,
-/// the morsel boundaries over it and the memberships are the same.
-Result<ExtendedRelation> HashEquiJoin(
-    const ExtendedRelation& left, const ExtendedRelation& right,
-    const JoinPlan& plan, const SchemaPtr& schema,
-    const MembershipThreshold& threshold, const BoundPredicate* residual,
-    const PredicatePtr& interpreted, const std::vector<uint32_t>* probe_rows,
-    bool build_left, std::string name) {
-  const ColumnStore& lstore = left.columns();
-  const ColumnStore& rstore = right.columns();
-  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  const ColumnStore& build = build_left ? lstore : rstore;
-  const ColumnStore& probe = build_left ? rstore : lstore;
-  // The build pass hashes every build row, so the build image must be
-  // fully verified. Listed probe rows come from a filter pass, which
-  // verified exactly the partitions they lie in.
-  EVIDENT_RETURN_NOT_OK(build.EnsureAllVerified());
-  if (probe_rows == nullptr) {
-    EVIDENT_RETURN_NOT_OK(probe.EnsureAllVerified());
-  }
-  std::vector<size_t> build_indices, probe_indices;
-  build_indices.reserve(plan.keys.size());
-  probe_indices.reserve(plan.keys.size());
-  for (const EquiKey& key : plan.keys) {
-    build_indices.push_back(build_left ? key.left_index : key.right_index);
-    probe_indices.push_back(build_left ? key.right_index : key.left_index);
-  }
-
-  const size_t build_size = build.rows();
-  size_t capacity = 16;
-  while (capacity < 2 * build_size) capacity <<= 1;
-  const uint64_t mask = capacity - 1;
-  std::vector<uint32_t> slot_row(capacity, kEmpty);  // first row of the key
-  std::vector<uint32_t> chain(build_size, kEmpty);   // same-key successors
-  std::vector<uint64_t> row_hash(build_size);
-  for (size_t i = 0; i < build_size; ++i) {
-    row_hash[i] = StoreKeyHash(build, i, build_indices);
-  }
-  // Insert rows in reverse: each insertion prepends to its key's chain,
-  // so chains end up in ascending row order for deterministic probing.
-  for (size_t i = build_size; i-- > 0;) {
-    size_t s = row_hash[i] & mask;
-    while (slot_row[s] != kEmpty &&
-           !(row_hash[slot_row[s]] == row_hash[i] &&
-             StoreKeysEqual(build, slot_row[s], build_indices, build, i,
-                            build_indices))) {
-      s = (s + 1) & mask;
-    }
-    if (slot_row[s] != kEmpty) chain[i] = slot_row[s];
-    slot_row[s] = static_cast<uint32_t>(i);
-  }
-
-  struct MorselPairs {
-    std::vector<uint32_t> pair_left, pair_right;
-    std::vector<SupportPair> memberships;
-  };
-  const size_t probe_count =
-      probe_rows != nullptr ? probe_rows->size() : probe.rows();
-  const size_t morsel_count = ParallelMorselCount(probe_count, kParallelGrain);
-  std::vector<MorselPairs> morsels(morsel_count);
-  std::vector<Status> morsel_status(morsel_count);
-  ParallelForMorsels(
-      probe_count, kParallelGrain,
-      [&](size_t morsel, size_t begin, size_t end) {
-        MorselPairs& out = morsels[morsel];
-        for (size_t i = begin; i < end; ++i) {
-          const size_t p = probe_rows != nullptr ? (*probe_rows)[i] : i;
-          const uint64_t h = StoreKeyHash(probe, p, probe_indices);
-          size_t s = h & mask;
-          uint32_t head = kEmpty;
-          while (slot_row[s] != kEmpty) {
-            const uint32_t candidate = slot_row[s];
-            if (row_hash[candidate] == h &&
-                StoreKeysEqual(build, candidate, build_indices, probe, p,
-                               probe_indices)) {
-              head = candidate;
-              break;
-            }
-            s = (s + 1) & mask;
-          }
-          for (uint32_t b = head; b != kEmpty; b = chain[b]) {
-            const uint32_t l =
-                build_left ? b : static_cast<uint32_t>(p);
-            const uint32_t r =
-                build_left ? static_cast<uint32_t>(p) : b;
-            // The equi-conjuncts contribute exactly (1,1) on a match, so
-            // the full predicate's support reduces to the residual's.
-            SupportPair support = SupportPair::Certain();
-            if (residual != nullptr) {
-              support = residual->EvaluatePairColumns(lstore, l, rstore, r);
-            } else if (interpreted != nullptr) {
-              ExtendedTuple pair = lstore.MaterializeRow(l);
-              ExtendedTuple right_row = rstore.MaterializeRow(r);
-              pair.cells.insert(pair.cells.end(),
-                                std::make_move_iterator(right_row.cells.begin()),
-                                std::make_move_iterator(right_row.cells.end()));
-              Result<SupportPair> evaluated =
-                  interpreted->Evaluate(pair, *schema);
-              if (!evaluated.ok()) {
-                morsel_status[morsel] = evaluated.status();
-                return;
-              }
-              support = *evaluated;
-            }
-            const SupportPair revised = lstore.membership(l)
-                                            .Multiply(rstore.membership(r))
-                                            .Multiply(support);
-            if (!revised.HasPositiveSupport()) continue;  // CWA_ER.
-            if (!threshold.Accepts(revised)) continue;
-            out.pair_left.push_back(l);
-            out.pair_right.push_back(r);
-            out.memberships.push_back(revised);
-          }
-        }
-        // Incremental row-cap charge at the emission site: per-morsel
-        // pair counts are thread-count invariant, so the cap trips
-        // (count-free message) identically; errors are sticky and the
-        // post-pass check surfaces them.
-        if (QueryContext* const ctx = CurrentQueryContext()) {
-          (void)ctx->ChargeRows(out.pair_left.size());
-        }
-      });
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
-  for (const Status& status : morsel_status) EVIDENT_RETURN_NOT_OK(status);
-
-  size_t total = 0;
-  for (const MorselPairs& morsel : morsels) total += morsel.pair_left.size();
-  if (QueryContext* const ctx = CurrentQueryContext()) {
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(*schema, total));
-  }
-  std::vector<uint32_t> pair_left, pair_right;
-  std::vector<SupportPair> memberships;
-  pair_left.reserve(total);
-  pair_right.reserve(total);
-  memberships.reserve(total);
-  for (const MorselPairs& morsel : morsels) {
-    pair_left.insert(pair_left.end(), morsel.pair_left.begin(),
-                     morsel.pair_left.end());
-    pair_right.insert(pair_right.end(), morsel.pair_right.begin(),
-                      morsel.pair_right.end());
-    memberships.insert(memberships.end(), morsel.memberships.begin(),
-                       morsel.memberships.end());
-  }
-  return ExtendedRelation::AdoptColumns(
-      SplicePairColumns(schema, std::move(name), lstore, rstore, pair_left,
-                        pair_right, memberships));
-}
-
-/// The splice executors address operand rows with uint32 ids; an operand
-/// at or beyond that bound — unreachable for in-memory relations today —
-/// fails cleanly instead of silently aliasing rows.
+/// The executor addresses operand rows with uint32 ids and uses 2^32-1 as
+/// its empty-slot sentinel; an operand at or beyond that bound —
+/// unreachable for in-memory relations today — fails cleanly instead of
+/// silently aliasing rows.
 Status CheckRowIdRange(const ExtendedRelation& rel) {
-  if (rel.size() < static_cast<size_t>(std::numeric_limits<uint32_t>::max())) {
+  const bool fits =
+      rel.size() < static_cast<size_t>(std::numeric_limits<uint32_t>::max());
+  if (fits && !fault::ShouldFail(fault::Site::kRowIdRange)) {
     return Status::OK();
   }
   return Status::OutOfRange("relation '" + rel.name() +
                             "' exceeds the executor's 2^32-1 row limit");
 }
 
-/// Cartesian product over an already-built product schema, shared by
-/// Product and the join's product + select routes: left columns repeat
-/// each row |R| times, right columns tile |L| times, memberships are the
-/// F_TM products — in left-major order, spliced straight into the
-/// output's column image.
-Result<ExtendedRelation> ProductWithSchema(const ExtendedRelation& left,
-                                           const ExtendedRelation& right,
-                                           const SchemaPtr& schema) {
-  EVIDENT_RETURN_NOT_OK(CheckRowIdRange(left));
-  EVIDENT_RETURN_NOT_OK(CheckRowIdRange(right));
-  const ColumnStore& lstore = left.columns();
-  const ColumnStore& rstore = right.columns();
-  const size_t ln = lstore.rows();
-  const size_t rn = rstore.rows();
-  const size_t reserve = CappedProductReserve(ln, rn);
-  std::vector<uint32_t> pair_left, pair_right;
-  std::vector<SupportPair> memberships;
-  pair_left.reserve(reserve);
-  pair_right.reserve(reserve);
-  memberships.reserve(reserve);
-  // The governed tiling loop charges the row cap in kGovernorTick-sized
-  // batches and polls the deadline with them: |L|·|R| can dwarf the
-  // operand sizes, so a runaway product must trip mid-loop, not after
-  // materializing everything.
-  QueryContext* const ctx = CurrentQueryContext();
-  uint64_t pending = 0;
-  for (size_t i = 0; i < ln; ++i) {
-    const SupportPair lm = lstore.membership(i);
-    for (size_t j = 0; j < rn; ++j) {
-      if (ctx != nullptr && ++pending == kGovernorTick) {
-        EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(pending));
-        pending = 0;
-        EVIDENT_RETURN_NOT_OK(ctx->PollTick());
+/// Mixes one definite cell into a key hash (Value::Hash makes 1 and 1.0
+/// agree, matching operator==).
+uint64_t MixKeyHash(uint64_t h, const Value& v) {
+  return h ^ (static_cast<uint64_t>(v.Hash()) + 0x9e3779b97f4a7c15ULL +
+              (h << 6) + (h >> 2));
+}
+constexpr uint64_t kKeyHashSeed = 0x9e3779b97f4a7c15ULL;
+
+/// The executor's one hash table: open addressing over the listed rows
+/// of an operand, keyed by its definite cells at `attrs`. A slot holds
+/// the first listed position of a distinct key; later positions with
+/// that key chain from it in ascending order, so a probe visits its
+/// matches in ascending row order.
+class KeyTable {
+ public:
+  KeyTable(const JoinOperand& op, std::vector<size_t> attrs)
+      : op_(op), store_(op.relation->columns()), attrs_(std::move(attrs)) {
+    const size_t n = op.size();
+    size_t capacity = 16;
+    while (capacity < 2 * n) capacity <<= 1;
+    mask_ = capacity - 1;
+    slots_.assign(capacity, kEmpty);
+    chain_.assign(n, kEmpty);
+    hashes_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t h = kKeyHashSeed;
+      for (size_t a : attrs_) h = MixKeyHash(h, value(a, i));
+      hashes_[i] = h;
+    }
+    // Insert in reverse: each insertion prepends to its key's chain.
+    for (size_t i = n; i-- > 0;) {
+      size_t s = hashes_[i] & mask_;
+      while (slots_[s] != kEmpty &&
+             !(hashes_[slots_[s]] == hashes_[i] && SameKey(slots_[s], i))) {
+        s = (s + 1) & mask_;
       }
-      pair_left.push_back(static_cast<uint32_t>(i));
-      pair_right.push_back(static_cast<uint32_t>(j));
-      memberships.push_back(lm.Multiply(rstore.membership(j)));  // F_TM
+      if (slots_[s] != kEmpty) chain_[i] = slots_[s];
+      slots_[s] = static_cast<uint32_t>(i);
     }
   }
-  if (ctx != nullptr) {
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(pending));
-    EVIDENT_RETURN_NOT_OK(
-        ctx->ChargeMemory(*schema, static_cast<uint64_t>(ln) * rn));
+
+  /// Calls `fn(row)` for each listed row whose key equals the probe key
+  /// (`probe(k)` = the probe's cell for attrs[k]), ascending, while `fn`
+  /// returns true; false when `fn` stopped it.
+  template <typename ProbeKey, typename Fn>
+  bool ForEachMatch(ProbeKey&& probe, Fn&& fn) const {
+    uint64_t h = kKeyHashSeed;
+    for (size_t k = 0; k < attrs_.size(); ++k) h = MixKeyHash(h, probe(k));
+    for (size_t s = h & mask_; slots_[s] != kEmpty; s = (s + 1) & mask_) {
+      const uint32_t head = slots_[s];
+      if (hashes_[head] != h) continue;
+      bool equal = true;
+      for (size_t k = 0; k < attrs_.size() && equal; ++k) {
+        equal = value(attrs_[k], head) == probe(k);
+      }
+      if (!equal) continue;
+      for (uint32_t i = head; i != kEmpty; i = chain_[i]) {
+        if (!fn(op_.row(i))) return false;
+      }
+      return true;
+    }
+    return true;
   }
-  return ExtendedRelation::AdoptColumns(SplicePairColumns(
-      schema, left.name() + " x " + right.name(), lstore, rstore, pair_left,
-      pair_right, memberships));
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  const Value& value(size_t attr, size_t i) const {
+    return store_.value_column(attr).values[op_.row(i)];
+  }
+  bool SameKey(size_t i, size_t j) const {
+    for (size_t a : attrs_) {
+      if (!(value(a, i) == value(a, j))) return false;
+    }
+    return true;
+  }
+
+  const JoinOperand& op_;
+  const ColumnStore& store_;
+  std::vector<size_t> attrs_;
+  uint64_t mask_ = 0;
+  std::vector<uint32_t> slots_;
+  std::vector<uint32_t> chain_;
+  std::vector<uint64_t> hashes_;
+};
+
+/// A morsel worker's governor cadence inside a join step: polls the
+/// query context every kGovernorTick visited combinations and charges
+/// the combinations the last step keeps against the row cap in batches
+/// of kGovernorTick — so a runaway join or product trips mid-loop. Visit,
+/// Keep and Flush return false once the query must stop; the error is
+/// sticky and the pass's caller surfaces it.
+struct StepTicker {
+  QueryContext* const ctx;
+  uint64_t visited = 0;
+  uint64_t kept = 0;
+
+  bool Visit() { return ctx == nullptr || ++visited < kGovernorTick || Flush(); }
+  bool Keep() { return ctx == nullptr || ++kept < kGovernorTick || Flush(); }
+  bool Flush() {
+    if (ctx == nullptr) return true;
+    visited = 0;
+    const uint64_t rows = std::exchange(kept, 0);
+    return (rows == 0 || ctx->ChargeRows(rows).ok()) && ctx->PollTick().ok();
+  }
+};
+
+/// The join executor: σ̃^Q_P over the product of `ops` (FROM order), or
+/// the product itself when `predicate` is null.
+///
+///  1. Analysis — AnalyzeJoinPredicate splits the predicate into
+///     definite equi edges and residual conjuncts and reports its first
+///     error before anything runs.
+///  2. Steps — the match set starts as the listed rows of ops[order[0]];
+///     step k brings in ops[order[k]]: a KeyTable on its listed rows over
+///     the edges into the placed operands (a cross step when none
+///     connect), probed by every match tuple in fixed-boundary morsels,
+///     emitting in morsel order. A combination that fails an edge carries
+///     a (0,0) factor, so it is never formed. When every residual
+///     conjunct binds, an intermediate step also drops combinations with
+///     sn == 0 on each conjunct whose operands are all placed (the
+///     prefilter argument: CWA_ER discards them anyway). Every step polls
+///     the governor; only the combinations the last step keeps are
+///     charged to the row cap (StepTicker).
+///  3. Verdict — the last step finishes every combination it forms:
+///     memberships folded in FROM order via F_TM, times the residual's
+///     support, then CWA_ER and the threshold. The edges contribute
+///     exactly (1,1) to every formed combination, so the residual's
+///     support is the whole predicate's, bit for bit. A bound residual
+///     reads the operands' column spans (EvaluateCombination); one that
+///     does not bind is interpreted over a transient concatenated tuple.
+///     Analysis has already reported every error that evaluation can
+///     raise, so the verdict's own error path (first failing morsel in
+///     morsel order) is defensive.
+///  4. Splice — the kept combinations are sorted FROM-major (no sort
+///     when `order` is the identity) and spliced once, one
+///     SpliceColumnsFrom per operand.
+///
+/// The result is therefore the definition's FROM-major product order
+/// with definitional memberships for any `order`, thread count and
+/// operand row lists.
+Result<ExtendedRelation> RunJoin(const std::vector<JoinOperand>& ops,
+                                 const SchemaPtr& schema,
+                                 const PredicatePtr& predicate,
+                                 const MembershipThreshold& threshold,
+                                 const std::vector<size_t>& order,
+                                 std::string name) {
+  const size_t n = ops.size();
+  for (const JoinOperand& op : ops) {
+    // The product is empty; selection over it never evaluates the
+    // predicate, and neither do we.
+    if (op.size() == 0) return ExtendedRelation(std::move(name), schema);
+  }
+  std::vector<const ColumnStore*> stores(n);
+  std::vector<size_t> attr_counts(n);
+  for (size_t i = 0; i < n; ++i) {
+    EVIDENT_RETURN_NOT_OK(CheckRowIdRange(*ops[i].relation));
+    stores[i] = &ops[i].relation->columns();
+    attr_counts[i] = ops[i].relation->schema()->size();
+    // Listed rows come from a filter pass, which verified exactly the
+    // partitions they lie in; every other operand is read whole.
+    if (ops[i].rows == nullptr) {
+      EVIDENT_RETURN_NOT_OK(stores[i]->EnsureAllVerified());
+    }
+  }
+  const JoinPredicate analysis =
+      AnalyzeJoinPredicate(predicate, *schema, attr_counts);
+  EVIDENT_RETURN_NOT_OK(analysis.status);
+  std::vector<BoundPredicate> bound;
+  bool all_bound = true;
+  for (const ResidualConjunct& c : analysis.residual) {
+    bound.push_back(BoundPredicate::BindProduct(c.predicate, schema,
+                                                attr_counts));
+    all_bound = all_bound && bound.back().fully_bound();
+  }
+  const PredicatePtr interpreted =
+      all_bound ? nullptr : analysis.ResidualPredicate();
+
+  std::vector<size_t> step_of(n);
+  for (size_t k = 0; k < n; ++k) step_of[order[k]] = k;
+  // filters[k]: the residual conjuncts intermediate step k checks —
+  // those whose last operand it places (step 1 takes step 0's too).
+  std::vector<std::vector<size_t>> filters(n);
+  for (size_t c = 0; all_bound && c < analysis.residual.size(); ++c) {
+    size_t step = 1;
+    for (size_t op : analysis.residual[c].operands) {
+      step = std::max(step, step_of[op]);
+    }
+    if (step + 1 < n) filters[step].push_back(c);
+  }
+  // The verdict on a finished combination: its membership folded in FROM
+  // order via F_TM, times the residual's support; false when CWA_ER or
+  // the threshold drops it. A pure product keeps every combination.
+  auto finish = [&](const uint32_t* tuple, SupportPair* membership,
+                    Status* status) {
+    *membership = stores[0]->membership(tuple[0]);
+    for (size_t op = 1; op < n; ++op) {
+      *membership = membership->Multiply(stores[op]->membership(tuple[op]));
+    }
+    if (predicate == nullptr) return true;
+    SupportPair support = SupportPair::Certain();
+    if (interpreted != nullptr) {
+      ExtendedTuple row = stores[0]->MaterializeRow(tuple[0]);
+      for (size_t op = 1; op < n; ++op) {
+        ExtendedTuple part = stores[op]->MaterializeRow(tuple[op]);
+        row.cells.insert(row.cells.end(),
+                         std::make_move_iterator(part.cells.begin()),
+                         std::make_move_iterator(part.cells.end()));
+      }
+      Result<SupportPair> evaluated = interpreted->Evaluate(row, *schema);
+      if (!evaluated.ok()) {
+        *status = evaluated.status();
+        return false;
+      }
+      support = *evaluated;
+    } else {
+      for (const BoundPredicate& b : bound) {
+        support = support.Multiply(b.EvaluateCombination(stores.data(), tuple));
+      }
+    }
+    *membership = membership->Multiply(support);  // F_TM
+    return membership->HasPositiveSupport() &&    // CWA_ER
+           threshold.Accepts(*membership);
+  };
+
+  // The match set, one row-id column per placed operand (FROM slot),
+  // its tuples sorted by the placed slots in `order`. Step 1 reads the
+  // first operand's listed rows in place; after the last step the match
+  // set holds the kept combinations, with their memberships alongside.
+  QueryContext* const ctx = CurrentQueryContext();
+  const JoinOperand& first = ops[order[0]];
+  std::vector<std::vector<uint32_t>> match(n);
+  std::vector<SupportPair> memberships;
+  for (size_t k = 1; k < n; ++k) {
+    const size_t incoming = order[k];
+    const bool last = k + 1 == n;
+    const std::vector<size_t> placed(order.begin(), order.begin() + k + 1);
+    // Edges from the incoming operand into the placed ones: its side is
+    // the table key, the placed side is read off each match tuple.
+    std::vector<size_t> key_attrs;
+    struct ProbeRef {
+      size_t op;
+      const std::vector<Value>* column;
+    };
+    std::vector<ProbeRef> probe_refs;
+    for (const JoinEdge& e : analysis.edges) {
+      if (e.left_operand == incoming && step_of[e.right_operand] < k) {
+        key_attrs.push_back(e.left_index);
+        probe_refs.push_back(
+            {e.right_operand,
+             &stores[e.right_operand]->value_column(e.right_index).values});
+      } else if (e.right_operand == incoming && step_of[e.left_operand] < k) {
+        key_attrs.push_back(e.right_index);
+        probe_refs.push_back(
+            {e.left_operand,
+             &stores[e.left_operand]->value_column(e.left_index).values});
+      }
+    }
+    std::optional<KeyTable> table;
+    if (!key_attrs.empty()) table.emplace(ops[incoming], key_attrs);
+    struct StepOut {
+      std::vector<std::vector<uint32_t>> match;
+      std::vector<SupportPair> memberships;  // last step only
+      Status status;
+    };
+    const size_t count = k == 1 ? first.size() : match[order[0]].size();
+    std::vector<StepOut> morsels(ParallelMorselCount(count, kParallelGrain));
+    ParallelForMorsels(count, kParallelGrain, [&](size_t m, size_t begin,
+                                                  size_t end) {
+      StepOut& out = morsels[m];
+      out.match.resize(n);
+      std::vector<uint32_t> tuple(n);
+      StepTicker ticker{ctx};
+      auto emit = [&](uint32_t row) {
+        if (!ticker.Visit()) return false;
+        tuple[incoming] = row;
+        for (size_t c : filters[k]) {
+          if (!bound[c].EvaluateCombination(stores.data(), tuple.data())
+                   .HasPositiveSupport()) {
+            return true;
+          }
+        }
+        if (last) {
+          SupportPair membership;
+          if (!finish(tuple.data(), &membership, &out.status)) {
+            return out.status.ok();
+          }
+          out.memberships.push_back(membership);
+        }
+        for (size_t s : placed) out.match[s].push_back(tuple[s]);
+        return !last || ticker.Keep();
+      };
+      for (size_t t = begin; t < end; ++t) {
+        if (k == 1) {
+          tuple[order[0]] = first.row(t);
+        } else {
+          for (size_t i = 0; i < k; ++i) tuple[order[i]] = match[order[i]][t];
+        }
+        bool go_on = true;
+        if (table.has_value()) {
+          go_on = table->ForEachMatch(
+              [&](size_t key) -> const Value& {
+                const ProbeRef& ref = probe_refs[key];
+                return (*ref.column)[tuple[ref.op]];
+              },
+              emit);
+        } else {
+          for (size_t i = 0; i < ops[incoming].size() && go_on; ++i) {
+            go_on = emit(ops[incoming].row(i));
+          }
+        }
+        if (!go_on) return;
+      }
+      (void)ticker.Flush();
+    });
+    EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+    for (const StepOut& m : morsels) EVIDENT_RETURN_NOT_OK(m.status);
+    size_t total = 0;
+    for (const StepOut& m : morsels) total += m.match[incoming].size();
+    for (size_t s : placed) {
+      match[s].clear();
+      match[s].reserve(total);
+      for (const StepOut& m : morsels) {
+        match[s].insert(match[s].end(), m.match[s].begin(), m.match[s].end());
+      }
+    }
+    if (last) {
+      memberships.reserve(total);
+      for (const StepOut& m : morsels) {
+        memberships.insert(memberships.end(), m.memberships.begin(),
+                           m.memberships.end());
+      }
+    }
+  }
+
+  const size_t total = memberships.size();
+  if (ctx != nullptr) EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(*schema, total));
+  bool identity = true;
+  for (size_t k = 0; k < n; ++k) identity = identity && order[k] == k;
+  if (!identity) {
+    // Combinations are distinct, so FROM-major order is a total order.
+    std::vector<uint32_t> perm(total);
+    std::iota(perm.begin(), perm.end(), uint32_t{0});
+    std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      for (const std::vector<uint32_t>& rows : match) {
+        if (rows[a] != rows[b]) return rows[a] < rows[b];
+      }
+      return false;
+    });
+    std::vector<uint32_t> sorted(total);
+    for (std::vector<uint32_t>& rows : match) {
+      for (size_t i = 0; i < total; ++i) sorted[i] = rows[perm[i]];
+      rows.swap(sorted);
+    }
+    std::vector<SupportPair> sorted_memberships(total);
+    for (size_t i = 0; i < total; ++i) {
+      sorted_memberships[i] = memberships[perm[i]];
+    }
+    memberships.swap(sorted_memberships);
+  }
+  ColumnStore out = ColumnStore::EmptyLike(schema, std::move(name));
+  out.ReserveRows(total);
+  size_t first_attr = 0;
+  for (size_t op = 0; op < n; ++op) {
+    std::vector<size_t> attrs(attr_counts[op]);
+    std::iota(attrs.begin(), attrs.end(), size_t{0});
+    out.SpliceColumnsFrom(*stores[op], attrs, first_attr, match[op]);
+    first_attr += attr_counts[op];
+  }
+  for (const SupportPair& membership : memberships) {
+    out.AppendMembership(membership);
+  }
+  return ExtendedRelation::AdoptColumns(std::move(out));
 }
 
 }  // namespace
@@ -1325,7 +1375,9 @@ Result<ExtendedRelation> ProductWithSchema(const ExtendedRelation& left,
 Result<ExtendedRelation> Product(const ExtendedRelation& left,
                                  const ExtendedRelation& right) {
   EVIDENT_ASSIGN_OR_RETURN(SchemaPtr schema, MakeProductSchema(left, right));
-  return ProductWithSchema(left, right, schema);
+  return RunJoin({{&left, nullptr}, {&right, nullptr}}, schema, nullptr,
+                 MembershipThreshold(), {0, 1},
+                 left.name() + " x " + right.name());
 }
 
 Result<ExtendedRelation> Join(const ExtendedRelation& left,
@@ -1341,69 +1393,21 @@ Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
     SchemaPtr schema, JoinBuildSide build_side,
-    const std::vector<uint32_t>* probe_rows) {
+    const std::vector<uint32_t>* left_rows,
+    const std::vector<uint32_t>* right_rows) {
   if (predicate == nullptr) {
     return Status::InvalidArgument("null selection predicate");
   }
-  if (probe_rows != nullptr && build_side == JoinBuildSide::kAuto) {
-    return Status::InvalidArgument(
-        "probe rows require an explicit build side");
-  }
-  const bool probe_is_left = build_side == JoinBuildSide::kRight;
-  ExtendedRelation out("select(" + left.name() + " x " + right.name() + ")",
-                       schema);
-  if (left.empty() || right.empty() ||
-      (probe_rows != nullptr && probe_rows->empty())) {
-    // The product is empty; selection over it never evaluates the
-    // predicate, and neither do we.
-    return out;
-  }
-  EVIDENT_ASSIGN_OR_RETURN(
-      JoinPlan plan,
-      AnalyzeJoinPredicate(predicate, *schema, left.schema()->size()));
+  const JoinOperand l{&left, left_rows};
+  const JoinOperand r{&right, right_rows};
+  // The n = 2 join order is [probe, build].
   const bool build_left = build_side == JoinBuildSide::kAuto
-                              ? left.size() < right.size()
+                              ? l.size() < r.size()
                               : build_side == JoinBuildSide::kLeft;
-  // The hash table stores row indices (and its empty-slot sentinel) in
-  // uint32_t; a build operand at or beyond that bound — unreachable for
-  // in-memory relations today — takes the product + select route, whose
-  // row-id check fails it cleanly rather than silently aliasing rows.
-  const bool table_fits =
-      (build_left ? left.size() : right.size()) <
-      static_cast<size_t>(std::numeric_limits<uint32_t>::max());
-  if (plan.keys.empty() || !table_fits) {
-    // No definite equi-conjunct to partition on: the paper's definition,
-    // σ̃ over the materialized product — of the listed probe rows only,
-    // when the probe side arrives as a filter pass's survivors.
-    if (probe_rows != nullptr) {
-      const ExtendedRelation& probe = probe_is_left ? left : right;
-      const ColumnStore& store = probe.columns();
-      std::vector<SupportPair> memberships;
-      memberships.reserve(probe_rows->size());
-      for (uint32_t r : *probe_rows) memberships.push_back(store.membership(r));
-      const ExtendedRelation kept = ExtendedRelation::AdoptColumns(
-          SpliceKeptRows(store, probe.name(), *probe_rows, memberships));
-      return JoinWithProductSchema(probe_is_left ? kept : left,
-                                   probe_is_left ? right : kept, predicate,
-                                   threshold, std::move(schema), build_side);
-    }
-    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation product,
-                             ProductWithSchema(left, right, schema));
-    return Select(product, predicate, threshold);
-  }
-  // A residual that does not bind is interpreted per matched pair.
-  BoundPredicate bound_residual;
-  bool residual_bound = plan.residual == nullptr;
-  if (plan.residual != nullptr) {
-    bound_residual = BoundPredicate::BindPair(plan.residual, schema,
-                                              left.schema()->size());
-    residual_bound = bound_residual.fully_bound();
-  }
-  return HashEquiJoin(
-      left, right, plan, schema, threshold,
-      plan.residual != nullptr && residual_bound ? &bound_residual : nullptr,
-      residual_bound ? nullptr : plan.residual, probe_rows, build_left,
-      out.name());
+  return RunJoin({l, r}, schema, predicate, threshold,
+                 build_left ? std::vector<size_t>{1, 0}
+                            : std::vector<size_t>{0, 1},
+                 "select(" + left.name() + " x " + right.name() + ")");
 }
 
 Result<SchemaPtr> MakeMultiwayProductSchema(
@@ -1447,269 +1451,36 @@ Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<const ExtendedRelation*>& operands,
     const SchemaPtr& product_schema, const PredicatePtr& predicate,
     const MembershipThreshold& threshold,
-    const std::vector<size_t>& join_order) {
+    const std::vector<size_t>& join_order,
+    const std::vector<const std::vector<uint32_t>*>& operand_rows) {
   const size_t n_ops = operands.size();
   if (n_ops < 2) {
     return Status::InvalidArgument(
         "multiway join needs at least two operands");
   }
-  std::vector<size_t> order = join_order;
-  if (order.empty()) {
-    order.resize(n_ops);
-    for (size_t i = 0; i < n_ops; ++i) order[i] = i;
+  if (!operand_rows.empty() && operand_rows.size() != n_ops) {
+    return Status::InvalidArgument(
+        "operand row lists do not match the operands");
   }
-  {
-    std::vector<bool> seen(n_ops, false);
-    bool valid = order.size() == n_ops;
-    for (size_t i : order) {
-      if (!valid || i >= n_ops || seen[i]) {
-        valid = false;
-        break;
-      }
-      seen[i] = true;
-    }
-    if (!valid) {
-      return Status::InvalidArgument(
-          "join order is not a permutation of the operands");
-    }
+  std::vector<size_t> identity(n_ops);
+  std::iota(identity.begin(), identity.end(), size_t{0});
+  const std::vector<size_t>& order = join_order.empty() ? identity : join_order;
+  if (order.size() != n_ops ||
+      !std::is_permutation(order.begin(), order.end(), identity.begin())) {
+    return Status::InvalidArgument(
+        "join order is not a permutation of the operands");
   }
-
-  std::string product_name = operands[0]->name();
-  for (size_t i = 1; i < n_ops; ++i) {
-    product_name += " x " + operands[i]->name();
-  }
-  for (const ExtendedRelation* op : operands) {
-    if (op->empty()) {
-      // The product is empty; selection over it never evaluates the
-      // predicate, and neither do we.
-      return ExtendedRelation(predicate != nullptr
-                                  ? "select(" + product_name + ")"
-                                  : product_name,
-                              product_schema);
-    }
-  }
-
-  for (const ExtendedRelation* op : operands) {
-    EVIDENT_RETURN_NOT_OK(CheckRowIdRange(*op));
-  }
-  // A predicate that does not bind completely prunes nothing: the full
-  // cross product is enumerated in FROM order, then selected — exactly
-  // the definition.
-  const bool prune =
-      predicate != nullptr &&
-      BoundPredicate::Bind(predicate, product_schema).fully_bound();
-  if (!prune) {
-    for (size_t i = 0; i < n_ops; ++i) order[i] = i;
-  }
-
-  std::vector<const ColumnStore*> stores;
-  std::vector<size_t> attr_counts;
-  stores.reserve(n_ops);
-  attr_counts.reserve(n_ops);
-  for (const ExtendedRelation* op : operands) {
-    stores.push_back(&op->columns());
-    attr_counts.push_back(op->schema()->size());
-  }
-  const std::vector<MultiJoinEdge> edges =
-      prune ? AnalyzeMultiJoinEdges(predicate, *product_schema, attr_counts)
-            : std::vector<MultiJoinEdge>{};
-
-  // The match set: cols[k][t] is the row of operand order[k] in the t-th
-  // surviving combination. Tuples stay sorted join_order-major because
-  // every step visits them (and, within an equi step, each ascending
-  // hash chain) in ascending order.
-  constexpr uint32_t kEmptySlot = std::numeric_limits<uint32_t>::max();
-  std::vector<std::vector<uint32_t>> cols(1);
-  std::vector<size_t> pos_of_op(n_ops, 0);
-  std::vector<bool> placed(n_ops, false);
-  {
-    const size_t first = order[0];
-    cols[0].resize(stores[first]->rows());
-    for (size_t r = 0; r < cols[0].size(); ++r) {
-      cols[0][r] = static_cast<uint32_t>(r);
-    }
-    pos_of_op[first] = 0;
-    placed[first] = true;
-  }
-
-  // Enumeration is serial and can visit far more combinations than it
-  // keeps; poll the governed deadline every ~kGovernorTick visited
-  // tuples. The intermediate match set is deliberately uncharged (its
-  // size depends on the join order; only the final output is charged),
-  // so only the polls bound a hostile shape.
-  QueryContext* const query_ctx = CurrentQueryContext();
-  uint64_t tick = 0;
-
-  for (size_t k = 1; k < n_ops; ++k) {
-    const size_t opj = order[k];
-    const ColumnStore& bstore = *stores[opj];
-    const size_t count = cols[0].size();
-    // Edges connecting the incoming operand to the placed set: the
-    // incoming side becomes the hash-build key, the placed side the
-    // probe key (read through the match set's columns).
-    std::vector<size_t> build_attrs;
-    struct ProbeRef {
-      const ColumnStore* store;
-      size_t attr;
-      size_t col;
-    };
-    std::vector<ProbeRef> probe_refs;
-    for (const MultiJoinEdge& e : edges) {
-      size_t local, other, other_attr;
-      if (e.left_operand == opj && placed[e.right_operand]) {
-        local = e.left_index;
-        other = e.right_operand;
-        other_attr = e.right_index;
-      } else if (e.right_operand == opj && placed[e.left_operand]) {
-        local = e.right_index;
-        other = e.left_operand;
-        other_attr = e.left_index;
-      } else {
-        continue;
-      }
-      build_attrs.push_back(local);
-      probe_refs.push_back(ProbeRef{stores[other], other_attr,
-                                    pos_of_op[other]});
-    }
-
-    std::vector<std::vector<uint32_t>> next(k + 1);
-    const size_t bn = bstore.rows();
-    if (build_attrs.empty()) {
-      // No connecting edge: cross step.
-      const size_t reserve = CappedProductReserve(count, bn);
-      for (auto& col : next) col.reserve(reserve);
-      for (size_t t = 0; t < count; ++t) {
-        for (size_t r = 0; r < bn; ++r) {
-          if (query_ctx != nullptr && ++tick % kGovernorTick == 0) {
-            EVIDENT_RETURN_NOT_OK(query_ctx->PollTick());
-          }
-          for (size_t kk = 0; kk < k; ++kk) next[kk].push_back(cols[kk][t]);
-          next[k].push_back(static_cast<uint32_t>(r));
-        }
-      }
-    } else {
-      // Hash the incoming operand on its edge attributes (chains kept
-      // ascending by reverse insertion), probe with each match tuple.
-      size_t capacity = 1;
-      while (capacity < bn * 2) capacity <<= 1;
-      const uint64_t mask = capacity - 1;
-      std::vector<uint32_t> heads(capacity, kEmptySlot);
-      std::vector<uint32_t> chain(bn, kEmptySlot);
-      for (size_t r = bn; r-- > 0;) {
-        const uint64_t h = StoreKeyHash(bstore, r, build_attrs);
-        const size_t bucket = static_cast<size_t>(h & mask);
-        chain[r] = heads[bucket];
-        heads[bucket] = static_cast<uint32_t>(r);
-      }
-      for (size_t t = 0; t < count; ++t) {
-        if (query_ctx != nullptr && ++tick % kGovernorTick == 0) {
-          EVIDENT_RETURN_NOT_OK(query_ctx->PollTick());
-        }
-        // Probe hash mixed in build_attrs order, exactly like
-        // StoreKeyHash, so equal keys land in the same bucket.
-        uint64_t h = 0x9e3779b97f4a7c15ULL;
-        for (const ProbeRef& ref : probe_refs) {
-          h ^= static_cast<uint64_t>(
-                   ref.store->value_column(ref.attr)
-                       .values[cols[ref.col][t]]
-                       .Hash()) +
-               0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        }
-        for (uint32_t r = heads[static_cast<size_t>(h & mask)];
-             r != kEmptySlot; r = chain[r]) {
-          bool match = true;
-          for (size_t kk = 0; kk < build_attrs.size(); ++kk) {
-            const ProbeRef& ref = probe_refs[kk];
-            if (!(bstore.value_column(build_attrs[kk]).values[r] ==
-                  ref.store->value_column(ref.attr)
-                      .values[cols[ref.col][t]])) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          for (size_t kk = 0; kk < k; ++kk) next[kk].push_back(cols[kk][t]);
-          next[k].push_back(r);
-        }
-      }
-    }
-    cols = std::move(next);
-    pos_of_op[opj] = k;
-    placed[opj] = true;
-  }
-
-  // Restore left-major (FROM) order: the definition's row order, which
-  // any join_order must reproduce.
-  const size_t count = cols[0].size();
-  std::vector<const std::vector<uint32_t>*> by_from(n_ops);
-  for (size_t i = 0; i < n_ops; ++i) by_from[i] = &cols[pos_of_op[i]];
-  std::vector<size_t> perm(count);
-  for (size_t t = 0; t < count; ++t) perm[t] = t;
-  std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    for (size_t i = 0; i < n_ops; ++i) {
-      const uint32_t va = (*by_from[i])[a];
-      const uint32_t vb = (*by_from[i])[b];
-      if (va != vb) return va < vb;
-    }
-    return false;
-  });
-
-  ColumnStore out = ColumnStore::EmptyLike(product_schema, product_name);
-  out.ReserveRows(count);
-  size_t flat = 0;
+  std::vector<JoinOperand> ops;
+  ops.reserve(n_ops);
+  std::string name = operands[0]->name();
   for (size_t i = 0; i < n_ops; ++i) {
-    const ColumnStore& src_store = *stores[i];
-    const std::vector<uint32_t>& rows_of = *by_from[i];
-    for (size_t a = 0; a < attr_counts[i]; ++a, ++flat) {
-      switch (src_store.kind(a)) {
-        case ColumnStore::ColumnKind::kValue: {
-          const std::vector<Value>& src = src_store.value_column(a).values;
-          std::vector<Value>& dst = out.value_column_mut(flat).values;
-          dst.reserve(count);
-          for (size_t t : perm) dst.push_back(src[rows_of[t]]);
-          break;
-        }
-        case ColumnStore::ColumnKind::kEvidence: {
-          const ColumnStore::EvidenceColumn& src =
-              src_store.evidence_column(a);
-          ColumnStore::EvidenceColumn& dst = out.evidence_column_mut(flat);
-          const size_t avg =
-              src.words.size() / std::max<size_t>(src_store.rows(), 1);
-          dst.words.reserve(CappedArenaReserve(count, avg + 1));
-          dst.masses.reserve(CappedArenaReserve(count, avg + 1));
-          dst.offsets.reserve(count + 1);
-          for (size_t t : perm) dst.AppendRowFrom(src, rows_of[t]);
-          break;
-        }
-        case ColumnStore::ColumnKind::kBoxed: {
-          const std::vector<EvidenceSet>& src = src_store.boxed_column(a).sets;
-          std::vector<EvidenceSet>& dst = out.boxed_column_mut(flat).sets;
-          dst.reserve(count);
-          for (size_t t : perm) dst.push_back(src[rows_of[t]]);
-          break;
-        }
-      }
-    }
+    ops.push_back({operands[i], operand_rows.empty() ? nullptr
+                                                     : operand_rows[i]});
+    if (i > 0) name += " x " + operands[i]->name();
   }
-  for (size_t t : perm) {
-    if (query_ctx != nullptr && ++tick % kGovernorTick == 0) {
-      EVIDENT_RETURN_NOT_OK(query_ctx->PollTick());
-    }
-    SupportPair m = stores[0]->membership((*by_from[0])[t]);
-    for (size_t i = 1; i < n_ops; ++i) {
-      m = m.Multiply(stores[i]->membership((*by_from[i])[t]));  // F_TM
-    }
-    out.AppendMembership(m);
-  }
-  ExtendedRelation product = ExtendedRelation::AdoptColumns(std::move(out));
-  if (predicate == nullptr) {
-    // Pure product: no edges bind, so the full cross is the operator
-    // output; with a predicate the Select below charges the final
-    // output instead.
-    EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*product_schema, count));
-    return product;
-  }
-  return Select(product, predicate, threshold);
+  if (predicate != nullptr) name = "select(" + name + ")";
+  return RunJoin(ops, product_schema, predicate, threshold, order,
+                 std::move(name));
 }
 
 Result<ExtendedRelation> RenameAttribute(const ExtendedRelation& input,

@@ -48,7 +48,7 @@ struct FilteredRows {
 };
 
 /// \brief The one column filter pass behind Select, FilterPositiveSupport,
-/// fused scan pipelines and the fused join probe: applies `stages` in
+/// fused scan pipelines and fused join operands: applies `stages` in
 /// order to every row of `store` and returns the survivors.
 ///
 /// A partition that any non-trivial stage refutes by its zone map is
@@ -190,54 +190,52 @@ Result<SchemaPtr> ResolveProjectionSchema(
 
 /// \brief The concatenated schema of R ×̃ S: left's attributes then
 /// right's, with colliding names qualified as "<relation>.<attribute>".
-/// Shared by Product, the hash join and the query engine's join
-/// dispatch (which binds the join predicate against this schema without
-/// materializing the product).
+/// Shared by Product, Join and the query engine's join dispatch (which
+/// binds the join predicate against this schema without materializing
+/// the product).
 Result<SchemaPtr> MakeProductSchema(const ExtendedRelation& left,
                                     const ExtendedRelation& right);
 
 /// \brief Extended cartesian product R ×̃ S (§3.4): concatenates tuple
 /// pairs and multiplies memberships via F_TM. Attribute name collisions
 /// are qualified as "<relation>.<attribute>"; the result's key is the
-/// union of both keys. The output's column image is spliced directly
-/// from the operands' images (no row objects are built).
+/// union of both keys. It is the join executor's n = 2 case without a
+/// predicate: rows in left-major order, spliced straight from the
+/// operands' column images (no row objects are built). A governed
+/// product charges its rows against the row cap as it forms them, so a
+/// runaway product trips mid-loop.
 Result<ExtendedRelation> Product(const ExtendedRelation& left,
                                  const ExtendedRelation& right);
 
 /// \brief Extended join R ⋈̃^Q_P S (§3.5), defined as σ̃^Q_P (R ×̃ S).
 ///
-/// Execution does not materialize the product when it can avoid it: the
-/// predicate is split into definite equi-conjuncts (L.a = R.b) and a
-/// residual (see AnalyzeJoinPredicate). With at least one equi-conjunct
-/// the join hash-partitions — an open-addressing table is built on the
-/// smaller operand keyed by the equi-key cell values, the larger operand
-/// probes it (tuple ranges sharded across threads), and only matching
-/// pairs are filtered by the residual + threshold.
-/// Equality of definite cells contributes exactly (1,1)/(0,0) support,
-/// and sn = 0 pairs are always dropped under CWA_ER, so the result is
-/// identical (bit-for-bit on masses and memberships) to the definition;
-/// predicates without equi-conjuncts fall back to Select-over-Product.
-/// The join probes the operands' column stores and splices the matched
-/// pairs' column slices straight into the output's column image —
-/// neither operand rows nor result rows are materialized. A residual
-/// that does not bind is interpreted per matched pair over a transient
-/// concatenated tuple.
-/// Relations are sets: the result's *row order* is implementation-
-/// defined (the hash path emits rows grouped by probe-side tuple, and
-/// the probe side is whichever operand is larger), deterministic for
-/// fixed operands and any thread count, but not necessarily the
-/// left-major order of the materialized product.
+/// The n = 2 case of the join executor (see MultiwayJoinProduct), which
+/// never materializes the product: the predicate is split into definite
+/// equi edges (L.a = R.b) and a residual (AnalyzeJoinPredicate). The
+/// build operand is hashed on its edge cells and the probe operand's
+/// rows probe it in morsels, across threads; without an edge every pair
+/// is visited. Equality of definite cells contributes exactly (1,1)/(0,0)
+/// support, and sn = 0 pairs are always dropped under CWA_ER, so only
+/// matching pairs are ever formed; they get the residual's support (over
+/// the operands' column spans when it binds, over a transient
+/// concatenated tuple when it does not), the revised membership, CWA_ER
+/// and the threshold, and the survivors' column slices are spliced into
+/// the output image. A governed join charges the pairs it keeps
+/// against the row cap as it forms them. The result is bit-identical
+/// to the definition, *including its row order*: left-major, as the
+/// materialized product would list the pairs, for either build side
+/// and any thread count.
 Result<ExtendedRelation> Join(const ExtendedRelation& left,
                               const ExtendedRelation& right,
                               const PredicatePtr& predicate,
                               const MembershipThreshold& threshold =
                                   MembershipThreshold());
 
-/// \brief Which operand the hash equi-join builds its table on. kAuto
-/// picks the smaller operand at execution time; the query optimizer
-/// overrides it from plan-time cardinality estimates. The choice only
-/// affects performance and the (implementation-defined) row order of the
-/// result, never its contents.
+/// \brief Which operand the join builds its hash table on. kAuto picks
+/// the smaller operand (by rows taking part) at execution time; the
+/// query optimizer overrides it from plan-time cardinality estimates.
+/// The choice only affects performance, never the result or its row
+/// order.
 enum class JoinBuildSide { kAuto, kLeft, kRight };
 
 /// \brief Join for callers that already built the operands' product
@@ -246,18 +244,17 @@ enum class JoinBuildSide { kAuto, kLeft, kRight };
 /// Saves rebuilding the schema once per call — Join(l, r, p, q) is
 /// exactly this with a fresh schema.
 ///
-/// `probe_rows` (may be null) restricts the probe-side operand — the
-/// side opposite `build_side`, which must then not be kAuto — to the
-/// listed rows, ascending: a prefilter's filter-pass survivors over that
-/// relation (memberships unchanged). The result is bit-identical to
-/// joining against the relation those rows would splice into; the probe
-/// loop just reads them in place, which saves the splice. A join without
-/// an equi-conjunct splices them first.
+/// `left_rows` / `right_rows` (each may be null) restrict that operand to
+/// the listed rows, ascending: a prefilter's filter-pass survivors over
+/// the relation (memberships unchanged). The result is bit-identical to
+/// joining against the relation those rows would splice into; the
+/// executor just reads them in place, which saves the splice.
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
     SchemaPtr product_schema, JoinBuildSide build_side = JoinBuildSide::kAuto,
-    const std::vector<uint32_t>* probe_rows = nullptr);
+    const std::vector<uint32_t>* left_rows = nullptr,
+    const std::vector<uint32_t>* right_rows = nullptr);
 
 /// \brief The flat concatenated schema of an n-way product
 /// R1 ×̃ ... ×̃ Rn: every operand's attributes in operand order, with any
@@ -275,24 +272,34 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
 /// The result is definitionally the left-major (FROM-order) product
 /// with memberships folded left-to-right via F_TM, then one extended
 /// selection with the full predicate — and is bit-identical to that
-/// definition for *any* `join_order` (a permutation of 0..n-1; the
-/// identity when empty). With a fully-bindable predicate, the executor
-/// enumerates the combinations surviving the
-/// predicate's definite equi edges (AnalyzeMultiJoinEdges) by pairwise
-/// hash joins in `join_order` — building a table on each incoming
-/// operand and probing with the current match set, cross-stepping when
-/// no edge connects — then restores left-major order, splices the
-/// output column image, and runs ordinary Select with the full
-/// predicate. Since dropped combinations carry an exact (0,0) equi
-/// factor (always removed under CWA_ER) and kept ones re-evaluate the
-/// complete predicate, the order only decides intermediate sizes, never
-/// the result. A predicate that does not bind prunes nothing: the full
-/// cross product is enumerated in FROM order and selected.
+/// definition, row order included, for *any* `join_order` (a permutation
+/// of 0..n-1; the identity when empty) and any thread count. This is the
+/// one join executor (Join and Product are its n = 2 case): it brings
+/// the operands in one at a time in `join_order`, hashing each incoming
+/// operand on the predicate's definite equi edges into the operands
+/// already placed and probing it with the current match set in
+/// morsels, across threads (a cross step when no edge connects). When
+/// the whole predicate binds, a residual conjunct whose operands are all
+/// placed drops combinations with sn == 0 at the step that places its
+/// last operand. The last step gives every combination it forms the
+/// full predicate's support, the folded membership, CWA_ER and the
+/// threshold; the kept ones are put in FROM-major order and spliced
+/// once. Dropped combinations carry an exact zero factor (always removed
+/// under CWA_ER), so the order only decides intermediate sizes, never
+/// the result; the intermediate match sets are not charged to the
+/// governor, the output is — against the row cap as the last step
+/// keeps it, so a runaway join trips mid-loop. A predicate that does not bind still prunes
+/// by its edges, and its residual is interpreted per formed combination.
+///
+/// `operand_rows` (empty, or one entry per operand, each may be null)
+/// restricts operands to listed rows, as JoinWithProductSchema's
+/// `left_rows` / `right_rows` do.
 Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<const ExtendedRelation*>& operands,
     const SchemaPtr& product_schema, const PredicatePtr& predicate,
     const MembershipThreshold& threshold,
-    const std::vector<size_t>& join_order = {});
+    const std::vector<size_t>& join_order = {},
+    const std::vector<const std::vector<uint32_t>*>& operand_rows = {});
 
 /// \brief Renames one attribute; useful before Product/Union when names
 /// collide or differ across sources. This is a schema-only change: the

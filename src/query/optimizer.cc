@@ -538,7 +538,7 @@ double ThresholdSelectivity(const PlanNode* node,
 /// The System-R divisor of one equi edge: the larger of the two join
 /// attributes' distinct counts, 1 when neither is known (the edge then
 /// contributes no reduction — the safe overestimate).
-double EdgeDivisor(const PlanNode& node, const MultiJoinEdge& edge,
+double EdgeDivisor(const PlanNode& node, const JoinEdge& edge,
                    const std::vector<size_t>& counts,
                    const PlanNode* left_op, const PlanNode* right_op) {
   auto flat = [&](size_t op, size_t idx) {
@@ -640,8 +640,9 @@ size_t AnnotateEstimates(PlanNode* node) {
         const std::vector<size_t> counts = {
             node->left_attr_count,
             node->schema->size() - node->left_attr_count};
-        for (const MultiJoinEdge& edge : AnalyzeMultiJoinEdges(
-                 node->predicate, *node->schema, counts)) {
+        for (const JoinEdge& edge :
+             AnalyzeJoinPredicate(node->predicate, *node->schema, counts)
+                 .edges) {
           const PlanNode* lop =
               edge.left_operand == 0 ? node->left.get() : node->right.get();
           const PlanNode* rop =
@@ -656,9 +657,10 @@ size_t AnnotateEstimates(PlanNode* node) {
       double est = 1.0;
       for (size_t rows : operand_rows) est *= static_cast<double>(rows);
       if (node->predicate != nullptr && node->schema != nullptr) {
-        for (const MultiJoinEdge& edge :
-             AnalyzeMultiJoinEdges(node->predicate, *node->schema,
-                                   node->operand_attr_counts)) {
+        for (const JoinEdge& edge :
+             AnalyzeJoinPredicate(node->predicate, *node->schema,
+                                  node->operand_attr_counts)
+                 .edges) {
           est /= EdgeDivisor(*node, edge, node->operand_attr_counts,
                              node->operands[edge.left_operand].get(),
                              node->operands[edge.right_operand].get());
@@ -683,8 +685,10 @@ size_t AnnotateEstimates(PlanNode* node) {
 void ChooseMultiJoinOrder(PlanNode* join) {
   const size_t n = join->operands.size();
   if (n < 3 || join->schema == nullptr) return;
-  const std::vector<MultiJoinEdge> edges = AnalyzeMultiJoinEdges(
-      join->predicate, *join->schema, join->operand_attr_counts);
+  const std::vector<JoinEdge> edges =
+      AnalyzeJoinPredicate(join->predicate, *join->schema,
+                           join->operand_attr_counts)
+          .edges;
 
   std::vector<bool> placed(n, false);
   std::vector<size_t> order;
@@ -708,7 +712,7 @@ void ChooseMultiJoinOrder(PlanNode* join) {
       if (placed[i]) continue;
       double divisor = 1.0;
       bool connected = false;
-      for (const MultiJoinEdge& edge : edges) {
+      for (const JoinEdge& edge : edges) {
         const bool touches_i =
             edge.left_operand == i || edge.right_operand == i;
         const bool touches_placed = placed[edge.left_operand] ||

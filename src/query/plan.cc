@@ -262,7 +262,7 @@ namespace {
 /// A mapped column image defers its per-partition semantic checks until
 /// first read; any operator consuming a scan's rows must drive them
 /// first. The filter pass (FilterColumns: select, prefilter, fused
-/// pipelines and the fused join probe) verifies only the partitions it
+/// pipelines and row-list join operands) verifies only the partitions it
 /// keeps; every other consumer gets the full sweep here.
 Status EnsureScanVerified(const ExtendedRelation& rel) {
   return rel.columns().EnsureAllVerified();
@@ -295,28 +295,23 @@ Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
       kept.rows, kept.memberships));
 }
 
-/// The join child that can be handed to the join as probe rows of its
-/// catalog relation instead of being spliced: the probe side (opposite
-/// an explicit build side — kAuto's run-time size comparison would see
-/// the unfiltered cardinality) when it is a kFused node with prefilter
-/// stages only, the identity projection and the scan's name, i.e. the
-/// same schema, memberships and name as the catalog relation and a
-/// subset of its rows. Null otherwise.
-const PlanNode* ProbeRowsChild(const PlanNode& join) {
-  if (join.build_side == JoinBuildSide::kAuto) return nullptr;
-  const PlanNode& child =
-      join.build_side == JoinBuildSide::kRight ? *join.left : *join.right;
-  if (child.op != PlanNode::Op::kFused) return nullptr;
-  if (child.relation != child.rel->name()) return nullptr;
+/// True when a join operand can be handed to the join executor as row
+/// ids of its catalog relation instead of being spliced: a kFused node
+/// with prefilter stages only, the identity projection and the scan's
+/// name, i.e. the same schema, memberships and name as the catalog
+/// relation and a subset of its rows.
+bool IsRowListOperand(const PlanNode& child) {
+  if (child.op != PlanNode::Op::kFused) return false;
+  if (child.relation != child.rel->name()) return false;
   for (const FilterStage& stage : child.fused_stages) {
-    if (stage.is_select) return nullptr;
+    if (stage.is_select) return false;
   }
   const std::vector<size_t>& projection = child.fused_projection;
-  if (projection.size() != child.rel->schema()->size()) return nullptr;
+  if (projection.size() != child.rel->schema()->size()) return false;
   for (size_t a = 0; a < projection.size(); ++a) {
-    if (projection[a] != a) return nullptr;
+    if (projection[a] != a) return false;
   }
-  return &child;
+  return true;
 }
 
 /// Executes the tree bottom-up. Scan nodes hand out the catalog relation
@@ -333,6 +328,22 @@ class PlanExecutor {
     EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation result, ExecOwned(node));
     results_.push_back(std::move(result));
     return &results_.back();
+  }
+
+  /// Executes a join operand. A row-list operand (IsRowListOperand)
+  /// runs its filter pass in its own slot — charging its output there,
+  /// before the join runs — and hands the survivors over in `*rows`
+  /// (`*listed` then points at them), so the join reads the catalog
+  /// relation in place; any other operand executes as usual and takes
+  /// part whole.
+  Result<const ExtendedRelation*> ExecJoinOperand(
+      const PlanNode& child, std::vector<uint32_t>* rows,
+      const std::vector<uint32_t>** listed) {
+    if (!IsRowListOperand(child)) return Exec(child);
+    EVIDENT_ASSIGN_OR_RETURN(FilteredRows kept, FilterFusedScan(child));
+    *rows = std::move(kept.rows);
+    *listed = rows;
+    return child.rel;
   }
 
   Result<ExtendedRelation> ExecOwned(const PlanNode& node) {
@@ -367,23 +378,15 @@ class PlanExecutor {
         return projected;
       }
       case PlanNode::Op::kJoin: {
-        // Children execute left before right. A probe child that can be
-        // taken as probe rows (ProbeRowsChild) runs its filter pass in its
-        // own slot and hands the surviving row ids to the join, which
-        // reads them in place in the catalog relation's column image.
-        const PlanNode* probe_child = ProbeRowsChild(node);
-        std::vector<uint32_t> probe_rows;
+        // Children execute left before right.
+        std::vector<uint32_t> rows[2];
+        const std::vector<uint32_t>* listed[2] = {nullptr, nullptr};
         const PlanNode* children[2] = {node.left.get(), node.right.get()};
         const ExtendedRelation* operands[2] = {nullptr, nullptr};
         for (size_t side = 0; side < 2; ++side) {
-          if (children[side] == probe_child) {
-            EVIDENT_ASSIGN_OR_RETURN(FilteredRows kept,
-                                     FilterFusedScan(*probe_child));
-            probe_rows = std::move(kept.rows);
-            operands[side] = probe_child->rel;
-          } else {
-            EVIDENT_ASSIGN_OR_RETURN(operands[side], Exec(*children[side]));
-          }
+          EVIDENT_ASSIGN_OR_RETURN(
+              operands[side],
+              ExecJoinOperand(*children[side], &rows[side], &listed[side]));
         }
         // The product schema is rebuilt from the executed operands: the
         // optimizer may have pruned their columns, and name preservation
@@ -394,8 +397,8 @@ class PlanExecutor {
             MakeProductSchema(*operands[0], *operands[1]));
         return JoinWithProductSchema(
             *operands[0], *operands[1], node.predicate, node.threshold,
-            std::move(product_schema), node.build_side,
-            probe_child != nullptr ? &probe_rows : nullptr);
+            std::move(product_schema), node.build_side, listed[0],
+            listed[1]);
       }
       case PlanNode::Op::kProduct: {
         EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* l, Exec(*node.left));
@@ -429,17 +432,20 @@ class PlanExecutor {
       case PlanNode::Op::kFused:
         return ExecuteFusedPipeline(node);
       case PlanNode::Op::kMultiJoin: {
-        std::vector<const ExtendedRelation*> rels;
-        rels.reserve(node.operands.size());
-        for (const auto& operand : node.operands) {
-          EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* r, Exec(*operand));
-          rels.push_back(r);
+        const size_t n = node.operands.size();
+        std::vector<std::vector<uint32_t>> rows(n);
+        std::vector<const std::vector<uint32_t>*> listed(n, nullptr);
+        std::vector<const ExtendedRelation*> rels(n, nullptr);
+        for (size_t i = 0; i < n; ++i) {
+          EVIDENT_ASSIGN_OR_RETURN(
+              rels[i], ExecJoinOperand(*node.operands[i], &rows[i],
+                                       &listed[i]));
         }
         // Operand rewrites (prefilters, possibly fused) preserve
         // schemas and relation names, so the plan-time product schema
         // the predicate was bound against stays authoritative.
         return MultiwayJoinProduct(rels, node.schema, node.predicate,
-                                   node.threshold, node.join_order);
+                                   node.threshold, node.join_order, listed);
       }
     }
     return Status::Internal("unreachable plan node op");

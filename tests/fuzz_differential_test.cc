@@ -649,10 +649,28 @@ void ExpectOutcomesMatch(const std::vector<Result<ExtendedRelation>>& ref,
   }
 }
 
-// Defined with the EQL harness below; the v3 open-mode axes need it too.
+/// Exact keyed comparison: same schema, same cardinality, and for every
+/// reference row an equal-keyed row with bitwise-equal cells and
+/// membership (a partitioned image may list the rows in another order).
 void ExpectRelationsMatchByKey(const ExtendedRelation& ref,
                                const ExtendedRelation& got,
-                               const std::string& what);
+                               const std::string& what) {
+  ASSERT_TRUE(ref.schema()->Equals(*got.schema())) << what;
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (size_t i = 0; i < ref.size(); ++i) {
+    const ExtendedTuple& x = ref.row(i);
+    auto found = got.FindByKey(ref.KeyOf(x));
+    ASSERT_TRUE(found.ok()) << what << " row " << i;
+    const ExtendedTuple& y = got.row(*found);
+    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
+    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
+    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
+    for (size_t cix = 0; cix < x.cells.size(); ++cix) {
+      ASSERT_TRUE(CellApproxEquals(x.cells[cix], y.cells[cix], 0.0))
+          << what << " row " << i << " cell " << cix;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // The harness.
@@ -972,33 +990,9 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
 // {optimized, unoptimized} x {fused, unfused} x {SIMD, scalar} x
 // {threads 1, 7}, and against the reference evaluator walking the
 // unoptimized plan. Pushdown must not change the result set by a single
-// bit nor reorder which error fires first; the optimizer may flip a
-// join's hash build side, which only permutes the
-// (implementation-defined) row order, so join-shaped statements compare
-// as keyed sets and every other shape compares with strict row order.
-
-/// Exact keyed comparison: same schema, same cardinality, and for every
-/// reference row an equal-keyed row with bitwise-equal cells and
-/// membership.
-void ExpectRelationsMatchByKey(const ExtendedRelation& ref,
-                               const ExtendedRelation& got,
-                               const std::string& what) {
-  ASSERT_TRUE(ref.schema()->Equals(*got.schema())) << what;
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const ExtendedTuple& x = ref.row(i);
-    auto found = got.FindByKey(ref.KeyOf(x));
-    ASSERT_TRUE(found.ok()) << what << " row " << i;
-    const ExtendedTuple& y = got.row(*found);
-    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t cix = 0; cix < x.cells.size(); ++cix) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[cix], y.cells[cix], 0.0))
-          << what << " row " << i << " cell " << cix;
-    }
-  }
-}
+// bit nor reorder which error fires first. A join's output is in
+// FROM-major order whatever hash build side or join order the optimizer
+// picks, so every shape, joins included, compares with strict row order.
 
 /// Attribute layout of one EQL-visible relation: a single int/string
 /// key, definite int attributes, uncertain attributes over small
@@ -1097,21 +1091,17 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
     bool simd;
     size_t threads;
     const char* name;
-    /// Mode index whose result must match with strict row order (same
-    /// plan, different kernel/threading/fusion); -1 compares keyed vs
-    /// mode 0.
-    int strict_against;
   };
+  // Every mode must match mode 0 row for row, bit for bit. The unfused
+  // modes run reference::ExecuteUnfused (the engine's plan without
+  // LowerToFusedPipelines).
   static constexpr EqlMode kEqlModes[] = {
-      {false, false, true, 1, "unopt", -1},
-      {false, false, false, 7, "unopt/scalar/t7", 0},
-      // The unfused modes run reference::ExecuteUnfused (the engine's plan
-      // without LowerToFusedPipelines); the fused modes below must match
-      // the unfused plan row-for-row, bit-for-bit.
-      {true, false, true, 1, "opt/nofuse", -1},
-      {true, true, true, 1, "opt/fused", 2},
-      {true, true, true, 7, "opt/fused/t7", 3},
-      {true, true, false, 1, "opt/fused/scalar", 3},
+      {false, false, true, 1, "unopt"},
+      {false, false, false, 7, "unopt/scalar/t7"},
+      {true, false, true, 1, "opt/nofuse"},
+      {true, true, true, 1, "opt/fused"},
+      {true, true, true, 7, "opt/fused/t7"},
+      {true, true, false, 1, "opt/fused/scalar"},
   };
 
   const size_t cases = std::max<size_t>(FuzzCases() / 2, 50);
@@ -1290,18 +1280,8 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
             << where;
         continue;
       }
-      const int strict = kEqlModes[m].strict_against;
-      if (strict >= 0) {
-        ExpectRelationsMatch(*outcomes[strict], *outcomes[m], /*eps=*/0.0,
-                             where + " (strict)");
-      }
-      if (join_like) {
-        ExpectRelationsMatchByKey(*outcomes[0], *outcomes[m],
-                                  where + " (keyed)");
-      } else {
-        ExpectRelationsMatch(*outcomes[0], *outcomes[m], /*eps=*/0.0,
-                             where + " (order)");
-      }
+      ExpectRelationsMatch(*outcomes[0], *outcomes[m], /*eps=*/0.0,
+                           where + " (order)");
       if (::testing::Test::HasFatalFailure()) return;
     }
 

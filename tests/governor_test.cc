@@ -303,6 +303,46 @@ TEST(GovernorTest, FusedProbeChargesEvenWhenTheBuildSideIsEmpty) {
   }
 }
 
+TEST(GovernorTest, RunawayNonEquiJoinTripsTheRowCapMidLoop) {
+  ModeGuard guard;
+  // A ⋈_{a < b} B over 2048 x 2048 rows keeps about two million
+  // combinations. The join charges the rows it keeps in batches of 1024
+  // (the executor's governor tick) as it forms them, so a small cap
+  // stops it with at most one batch per worker charged past the cap.
+  auto make = [](const std::string& name, const std::string& attr) {
+    SchemaPtr schema =
+        RelationSchema::Make({AttributeDef::Key(attr)}).value();
+    ExtendedRelation rel(name, schema);
+    for (int64_t i = 0; i < 2048; ++i) {
+      ExtendedTuple t;
+      t.cells = {Value(i)};
+      t.membership = SupportPair::Certain();
+      EXPECT_TRUE(rel.InsertTrusted(std::move(t)).ok());
+    }
+    return rel;
+  };
+  const ExtendedRelation a = make("A", "a");
+  const ExtendedRelation b = make("B", "b");
+  const PredicatePtr pred = Theta(ThetaOperand::Attr("a"), ThetaOp::kLt,
+                                  ThetaOperand::Attr("b"));
+  constexpr uint64_t kCap = 10000;
+  constexpr uint64_t kTick = 1024;
+  for (const Mode& mode : AllModes()) {
+    SetBatchSimdEnabled(mode.simd);
+    SetParallelMaxThreads(mode.threads);
+    QueryContext ctx;
+    ctx.set_row_cap(kCap);
+    ScopedQueryContext scope(&ctx);
+    ctx.BeginQuery();
+    auto got = Join(a, b, pred);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().message(),
+              "row cap exceeded: query materialized more than 10000 rows");
+    EXPECT_GT(ctx.rows_charged(), kCap);
+    EXPECT_LE(ctx.rows_charged(), kCap + kTick * mode.threads);
+  }
+}
+
 /// Two union-compatible sources: S0 holds keys [0, 96), S1 keys
 /// [48, 144), so 48 entities are shared, with identical evidence on both
 /// sides (no conflict to resolve).

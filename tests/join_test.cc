@@ -1,13 +1,14 @@
-// The hash-partitioned equi-join and the parallel tuple-range executor:
-// differential tests against the reference evaluator's
-// Select-over-Product definition (tests/reference), plan-analysis unit
-// tests, and threaded-vs-serial determinism for Join / Union /
-// MergeTuples.
+// The join executor (Join, Product and the n-way join) and the parallel
+// tuple-range executor: differential tests against the reference
+// evaluator's Select-over-Product definition (tests/reference),
+// plan-analysis unit tests, the row-id guard, and threaded-vs-serial
+// determinism for Join / the n-way join / Union / MergeTuples.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.h"
+#include "core/fault_injection.h"
 #include "core/join_plan.h"
 #include "core/operations.h"
 #include "core/parallel.h"
@@ -110,6 +111,11 @@ std::pair<ExtendedRelation, ExtendedRelation> MakeSkewedPair() {
 // ---------------------------------------------------------------------------
 // Plan analysis
 
+std::vector<size_t> OperandCounts(const ExtendedRelation& left,
+                                  const ExtendedRelation& right) {
+  return {left.schema()->size(), right.schema()->size()};
+}
+
 TEST(JoinPlanTest, ExtractsDefiniteEquiConjunctsAndResidual) {
   auto [left, right] = MakeSkewedPair();
   auto schema = MakeProductSchema(left, right).value();
@@ -119,15 +125,15 @@ TEST(JoinPlanTest, ExtractsDefiniteEquiConjunctsAndResidual) {
            IsSym("L.u", {"a", "b"}),
            Theta(ThetaOperand::Attr("L.id"), ThetaOp::kEq,
                  ThetaOperand::Attr("R.id"))});
-  auto plan = AnalyzeJoinPredicate(pred, *schema, left.schema()->size());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->keys.size(), 2u);
-  EXPECT_EQ(plan->keys[0].left_index, 1u);   // grp
-  EXPECT_EQ(plan->keys[0].right_index, 1u);
-  EXPECT_EQ(plan->keys[1].left_index, 0u);   // id
-  EXPECT_EQ(plan->keys[1].right_index, 0u);
-  ASSERT_NE(plan->residual, nullptr);
-  EXPECT_EQ(plan->residual->ToString(), "L.u is {a,b}");
+  auto plan = AnalyzeJoinPredicate(pred, *schema, OperandCounts(left, right));
+  ASSERT_TRUE(plan.status.ok()) << plan.status;
+  ASSERT_EQ(plan.edges.size(), 2u);
+  EXPECT_EQ(plan.edges[0].left_index, 1u);   // grp
+  EXPECT_EQ(plan.edges[0].right_index, 1u);
+  EXPECT_EQ(plan.edges[1].left_index, 0u);   // id
+  EXPECT_EQ(plan.edges[1].right_index, 0u);
+  ASSERT_NE(plan.ResidualPredicate(), nullptr);
+  EXPECT_EQ(plan.ResidualPredicate()->ToString(), "L.u is {a,b}");
 }
 
 TEST(JoinPlanTest, FullyCoveredPredicateHasNoResidual) {
@@ -135,10 +141,10 @@ TEST(JoinPlanTest, FullyCoveredPredicateHasNoResidual) {
   auto schema = MakeProductSchema(left, right).value();
   PredicatePtr pred = Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                             ThetaOperand::Attr("R.grp"));
-  auto plan = AnalyzeJoinPredicate(pred, *schema, left.schema()->size());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->keys.size(), 1u);
-  EXPECT_EQ(plan->residual, nullptr);
+  auto plan = AnalyzeJoinPredicate(pred, *schema, OperandCounts(left, right));
+  ASSERT_TRUE(plan.status.ok()) << plan.status;
+  EXPECT_EQ(plan.edges.size(), 1u);
+  EXPECT_EQ(plan.ResidualPredicate(), nullptr);
 }
 
 TEST(JoinPlanTest, RejectsNonPartitionableConjunctsAsResidual) {
@@ -155,10 +161,10 @@ TEST(JoinPlanTest, RejectsNonPartitionableConjunctsAsResidual) {
                  ThetaOperand::Attr("R.grp")),
            Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
                  ThetaOperand::LitValue(Value("g0")))});
-  auto plan = AnalyzeJoinPredicate(pred, *schema, left.schema()->size());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_TRUE(plan->keys.empty());
-  ASSERT_NE(plan->residual, nullptr);
+  auto plan = AnalyzeJoinPredicate(pred, *schema, OperandCounts(left, right));
+  ASSERT_TRUE(plan.status.ok()) << plan.status;
+  EXPECT_TRUE(plan.edges.empty());
+  ASSERT_NE(plan.ResidualPredicate(), nullptr);
 }
 
 TEST(JoinPlanTest, UnknownAttributeFailsAtPlanTime) {
@@ -166,8 +172,8 @@ TEST(JoinPlanTest, UnknownAttributeFailsAtPlanTime) {
   auto schema = MakeProductSchema(left, right).value();
   PredicatePtr pred = Theta(ThetaOperand::Attr("L.nope"), ThetaOp::kEq,
                             ThetaOperand::Attr("R.grp"));
-  auto plan = AnalyzeJoinPredicate(pred, *schema, left.schema()->size());
-  EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
+  auto plan = AnalyzeJoinPredicate(pred, *schema, OperandCounts(left, right));
+  EXPECT_EQ(plan.status.code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +334,173 @@ TEST(HashJoinDifferentialTest, CappedArenaReservationOnHighMatchRateJoin) {
   EXPECT_GT(joined->size(), 10000u);
   ExpectJoinMatchesReference(left, right, pred, MembershipThreshold(),
                              "high-match-rate join");
+}
+
+TEST(HashJoinDifferentialTest, RowOrderIsLeftMajorForEitherBuildSide) {
+  // Skewed many-to-many keys, a residual and listed rows on one side:
+  // both build sides and the reference list the pairs in the same
+  // (left-major) order.
+  auto [left, right] = MakeSkewedPair();
+  const SchemaPtr schema = MakeProductSchema(left, right).value();
+  const PredicatePtr pred =
+      And(Theta(ThetaOperand::Attr("L.grp"), ThetaOp::kEq,
+                ThetaOperand::Attr("R.grp")),
+          IsSym("R.u", {"a", "c"}));
+  std::vector<uint32_t> listed;
+  for (uint32_t r = 0; r < right.size(); r += 2) listed.push_back(r);
+  ExtendedRelation right_subset("R", right.schema());
+  for (uint32_t r : listed) {
+    ASSERT_TRUE(right_subset.Insert(right.row(r)).ok());
+  }
+  const auto expected =
+      reference::Join(left, right_subset, pred, MembershipThreshold());
+  for (JoinBuildSide side : {JoinBuildSide::kLeft, JoinBuildSide::kRight,
+                             JoinBuildSide::kAuto}) {
+    const auto got = JoinWithProductSchema(left, right, pred,
+                                           MembershipThreshold(), schema,
+                                           side, nullptr, &listed);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(got->size(), 0u);
+    EXPECT_EQ(reference::DiffInOrder(expected, got), "")
+        << "build side " << static_cast<int>(side);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// n-way join
+
+/// A 3-relation star whose match sets span several morsels: fact F
+/// (900 rows) with foreign keys into D1 and D2 (24 rows each) and a
+/// packed uncertain attribute. Memberships vary per row so every F_TM factor shows in
+/// the bits.
+struct Star {
+  ExtendedRelation d1, d2, f;
+};
+
+Star MakeStar() {
+  DomainPtr dom =
+      Domain::MakeSymbolic("star_dom", {"v0", "v1", "v2", "v3"}).value();
+  Rng rng(4242);
+  auto dim = [&](const std::string& name, const std::string& key,
+                 const std::string& attr, int64_t modulus) {
+    ExtendedRelation rel(name, RelationSchema::Make(
+                                   {AttributeDef::Key(key),
+                                    AttributeDef::Definite(attr)})
+                                   .value());
+    for (int64_t i = 0; i < 24; ++i) {
+      ExtendedTuple t;
+      t.cells = {Value(i), Value(i % modulus)};
+      t.membership = SupportPair(0.5 + 0.5 * rng.NextDouble(), 1.0);
+      EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    }
+    return rel;
+  };
+  Star star{dim("D1", "d1k", "w1", 6), dim("D2", "d2k", "sel", 4),
+            ExtendedRelation(
+                "F", RelationSchema::Make({AttributeDef::Key("fk"),
+                                           AttributeDef::Definite("d1key"),
+                                           AttributeDef::Definite("d2key"),
+                                           AttributeDef::Uncertain("fu", dom)})
+                         .value())};
+  for (int64_t i = 0; i < 900; ++i) {
+    MassFunction m(4);
+    ValueSet a(4), b(4);
+    a.Set(rng.Below(4));
+    b.Set(rng.Below(4));
+    b.Set(rng.Below(4));
+    EXPECT_TRUE(m.Add(a, 0.625).ok());
+    EXPECT_TRUE(m.Add(b, 0.375).ok());
+    ExtendedTuple t;
+    t.cells = {Value(i), Value(i % 24), Value((i * 7 + 3) % 24),
+               Cell(EvidenceSet::MakeTrusted(dom, std::move(m)))};
+    t.membership = SupportPair(0.25 + 0.75 * rng.NextDouble(), 1.0);
+    EXPECT_TRUE(star.f.Insert(std::move(t)).ok());
+  }
+  return star;
+}
+
+TEST(MultiwayJoinTest, StarIsBitIdenticalAcrossThreadsAndJoinOrders) {
+  const Star star = MakeStar();
+  const std::vector<const ExtendedRelation*> operands = {&star.d1, &star.d2,
+                                                         &star.f};
+  const SchemaPtr schema = MakeMultiwayProductSchema(operands).value();
+  // Two edges, a cross-operand residual (w1 < sel, checked at the step
+  // that places the later dimension) and an evidence residual on F.
+  const PredicatePtr pred =
+      And({Theta(ThetaOperand::Attr("d1key"), ThetaOp::kEq,
+                 ThetaOperand::Attr("d1k")),
+           Theta(ThetaOperand::Attr("d2key"), ThetaOp::kEq,
+                 ThetaOperand::Attr("d2k")),
+           Theta(ThetaOperand::Attr("w1"), ThetaOp::kLt,
+                 ThetaOperand::Attr("sel")),
+           IsSym("fu", {"v0", "v1", "v2"})});
+  const MembershipThreshold threshold = MembershipThreshold::SnGreater(0.05);
+  const auto expected =
+      reference::MultiwayJoin(operands, schema, pred, threshold);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_GT(expected->size(), 256u);
+  const std::vector<std::vector<size_t>> orders = {
+      {}, {2, 0, 1}, {0, 2, 1}, {1, 2, 0}, {2, 1, 0}};
+  for (size_t threads : {size_t{1}, size_t{7}}) {
+    ScopedMaxThreads cap(threads);
+    for (const std::vector<size_t>& order : orders) {
+      const auto got =
+          MultiwayJoinProduct(operands, schema, pred, threshold, order);
+      EXPECT_EQ(reference::DiffInOrder(expected, got), "")
+          << "threads " << threads << " order size " << order.size()
+          << (order.empty() ? 0 : order[0]);
+    }
+    // The pure product too (a cross step per operand).
+    const std::vector<const ExtendedRelation*> small = {&star.d1, &star.d2};
+    const SchemaPtr small_schema = MakeMultiwayProductSchema(small).value();
+    EXPECT_EQ(reference::DiffInOrder(
+                  reference::MultiwayJoin(small, small_schema, nullptr),
+                  MultiwayJoinProduct(small, small_schema, nullptr,
+                                      MembershipThreshold(), {1, 0})),
+              "")
+        << "threads " << threads;
+  }
+}
+
+TEST(MultiwayJoinTest, RowIdGuardFailsCleanlyForEveryOperand) {
+  // An operand past the 2^32-1 row ids the executor addresses fails with
+  // OutOfRange naming it; the guard is driven through its fault site,
+  // since no in-memory relation gets that large.
+  const Star star = MakeStar();
+  const std::vector<const ExtendedRelation*> operands = {&star.d1, &star.d2,
+                                                         &star.f};
+  const SchemaPtr schema = MakeMultiwayProductSchema(operands).value();
+  const PredicatePtr pred = Theta(ThetaOperand::Attr("d1key"), ThetaOp::kEq,
+                                  ThetaOperand::Attr("d1k"));
+  auto expect_guard = [](const Result<ExtendedRelation>& got,
+                         const std::string& name) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(got.status().message(),
+              "relation '" + name +
+                  "' exceeds the executor's 2^32-1 row limit");
+  };
+  // Count-only: every operand is checked once per call.
+  fault::Arm(fault::Site::kRowIdRange, 0);
+  ASSERT_TRUE(MultiwayJoinProduct(operands, schema, pred,
+                                  MembershipThreshold(), {2, 0, 1})
+                  .ok());
+  EXPECT_EQ(fault::Hits(), 3u);
+  for (size_t k = 0; k < operands.size(); ++k) {
+    fault::Arm(fault::Site::kRowIdRange, k + 1);
+    expect_guard(MultiwayJoinProduct(operands, schema, pred,
+                                     MembershipThreshold(), {2, 0, 1}),
+                 operands[k]->name());
+  }
+  const PredicatePtr binary = Theta(ThetaOperand::Attr("d1k"), ThetaOp::kEq,
+                                    ThetaOperand::Attr("d2k"));
+  for (size_t k = 0; k < 2; ++k) {
+    fault::Arm(fault::Site::kRowIdRange, k + 1);
+    expect_guard(Join(star.d1, star.d2, binary), k == 0 ? "D1" : "D2");
+    fault::Arm(fault::Site::kRowIdRange, k + 1);
+    expect_guard(Product(star.d1, star.d2), k == 0 ? "D1" : "D2");
+  }
+  fault::Disarm();
 }
 
 // ---------------------------------------------------------------------------

@@ -543,7 +543,7 @@ ExtendedRelation WideFrameRelation(const std::string& name, size_t rows,
 TEST(ColumnarDifferentialTest, InterpretedPredicatesMatchReference) {
   // Predicates that do not bind — over a frame wider than 64 values, or
   // naming a constant outside the frame — are interpreted per row (per
-  // matched pair in the join) on transient tuples. Sizes span several
+  // matched combination in the join) on transient tuples. Sizes span several
   // 256-row morsels.
   const ExtendedRelation l = WideFrameRelation("L", 700, 1);
   const ExtendedRelation r = WideFrameRelation("R", 600, 2);
@@ -576,8 +576,9 @@ TEST(ColumnarDifferentialTest, InterpretedPredicatesMatchReference) {
       [&] { return Join(l, r, join_pred); },
       [&] { return reference::Join(l, r, join_pred); },
       "interpreted join residual");
-  // An unbindable multiway predicate prunes nothing: the full cross
-  // product in FROM order, then selection.
+  // An unbindable multiway predicate still prunes by its definite equi
+  // edges, in the given join order; the residual is interpreted per
+  // surviving combination.
   const ExtendedRelation a = WideFrameRelation("A", 9, 3);
   const ExtendedRelation b = WideFrameRelation("B", 7, 4);
   const ExtendedRelation c = WideFrameRelation("C", 8, 5);

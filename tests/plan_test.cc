@@ -137,9 +137,9 @@ TEST_F(PlanTest, PushesSelectionBelowJoinAsPrefilter) {
   // (40/distinct(ld) = 5 < 12) flips the build side to the left
   // operand. The
   // prefilter-over-scan chain is lowered to a fused pipeline (rendered
-  // above the chain it replaced), which the probe loop consumes
-  // directly: the probe side stays the catalog relation and the
-  // conjunct is evaluated per probe morsel.
+  // above the chain it replaced), which hands its surviving row ids to
+  // the join: the build side stays the catalog relation, and the join
+  // hashes only those rows.
   EXPECT_EQ(*plan,
             "join[(lk = rk) and (ld = 3); Q: true; build=left; ~1 rows]\n"
             "  fused pipeline[1 stage(s), 3 col(s)]\n"

@@ -169,6 +169,40 @@ TEST(ExtendedRelationTest, ValidateInvariantsOnPaperTables) {
   EXPECT_EQ(rb->size(), 5u);
 }
 
+TEST(ExtendedRelationTest, ValidateInvariantsNeverBuildsTheRowImage) {
+  auto schema = SimpleSchema().value();
+  static constexpr const char* kColours[] = {"red", "green", "blue"};
+  ExtendedRelation r("R", schema);
+  for (size_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(r.Insert(MakeTuple(schema, "k" + std::to_string(i), "l",
+                                   kColours[i % 3],
+                                   SupportPair(0.5, 0.5 + 0.0001 * i)))
+                    .ok());
+  }
+  EXPECT_TRUE(r.ValidateInvariants().ok());
+  EXPECT_EQ(r.rows_materialized(), 0u);
+
+  // The first violating row (in row order) is reported, and the row
+  // image is still not built.
+  ExtendedRelation bad("B", schema);
+  ASSERT_TRUE(bad.Insert(MakeTuple(schema, "a", "l", "red",
+                                   SupportPair::Certain()))
+                  .ok());
+  ASSERT_TRUE(bad.InsertUnchecked(MakeTuple(schema, "b", "l", "red",
+                                            SupportPair(0.0, 0.4)))
+                  .ok());
+  ASSERT_TRUE(bad.InsertUnchecked(MakeTuple(schema, "c", "l", "red",
+                                            SupportPair(0.0, 0.7)))
+                  .ok());
+  const Status invalid = bad.ValidateInvariants();
+  EXPECT_FALSE(invalid.ok());
+  EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(invalid.message(),
+            "CWA_ER violation: stored tuples must have sn > 0, got " +
+                SupportPair(0.0, 0.4).ToString());
+  EXPECT_EQ(bad.rows_materialized(), 0u);
+}
+
 TEST(ExtendedRelationTest, ApproxEqualsIgnoresRowOrder) {
   auto schema = SimpleSchema().value();
   ExtendedRelation a("A", schema);

@@ -20,12 +20,13 @@
 #                   concurrent-session suite with mid-flight catalog
 #                   republishes, and the shared-relation lazy caches)
 #                   under ThreadSanitizer; then the session, morsel,
-#                   lazy-once, governor and plan suites again with
+#                   lazy-once, governor, plan and join suites again with
 #                   --gtest_repeat=20, since a race shows up only on some
 #                   interleavings (the shared filter pass runs every
-#                   filtered scan and fused join probe on morsel
-#                   workers, and the union/intersect batch combine runs
-#                   the kernel's per-thread lattice accumulator there).
+#                   filtered scan on morsel workers, every join step —
+#                   binary or n-way — probes there, and the
+#                   union/intersect batch combine runs the kernel's
+#                   per-thread lattice accumulator there).
 #   all:            both, sequentially.
 #
 # Usage:
@@ -97,7 +98,7 @@ run_pass() {
   if [[ "${preset}" == tsan ]]; then
     local suite
     for suite in session_test morsel_test lazy_once_test governor_test \
-                 plan_test; do
+                 plan_test join_test; do
       echo "== tsan: ${suite} --gtest_repeat=20 =="
       "${build_dir}/${suite}" --gtest_repeat=20 --gtest_brief=1
     done
